@@ -7,6 +7,12 @@ same trajectory); everything else is written from the environment contract:
 5x5 grid, start (0,0), goal (4,4), moves up/down/left/right with walls,
 -0.01 per step, +1 on reaching the goal (terminal), 50-step episode cap,
 per-episode epsilon decay, greedy ties to the lowest action index.
+
+Two more references keep the objective's earlier numpy form, which runs the
+same rules on an ``ndarray`` Q table with ``np.argmax`` and ``np.max`` (a NaN
+entry is the maximum of its row): ``reference_greedy_return`` replays all 100
+evaluation episodes, and ``numpy_reference_state`` returns the training state
+a checkpoint holds.
 """
 from __future__ import annotations
 
@@ -28,6 +34,13 @@ def training_stream(seed: int) -> np.random.Generator:
         h = hashlib.sha256(str(item).encode("utf-8")).digest()
         words.extend(int.from_bytes(h[i : i + 4], "little") for i in range(0, 16, 4))
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def _move(pos, action):
+    nr = min(max(pos[0] + ACTIONS[action][0], 0), GRID - 1)
+    nc = min(max(pos[1] + ACTIONS[action][1], 0), GRID - 1)
+    done = (nr, nc) == (GRID - 1, GRID - 1)
+    return (nr, nc), STEP_REWARD + (GOAL_REWARD if done else 0.0), done
 
 
 def reference_cost(lr, epsilon, gamma, decay, budget, seed, total_steps=2000):
@@ -76,3 +89,55 @@ def reference_cost(lr, epsilon, gamma, decay, budget, seed, total_steps=2000):
             pos = (nr, nc)
         total += ep
     return -(total / 100.0)
+
+
+def reference_greedy_return(q: np.ndarray) -> float:
+    """Mean return of the greedy policy over 100 episodes, each rolled out."""
+    total = 0.0
+    for _ in range(100):
+        pos = (0, 0)
+        ep = 0.0
+        for _ in range(CAP):
+            pos, reward, done = _move(pos, int(np.argmax(q[pos[0] * GRID + pos[1]])))
+            ep += reward
+            if done:
+                break
+        total += ep
+    return total / 100
+
+
+def numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total_steps=2000):
+    """Training state after ``ceil(budget * total_steps)`` steps from scratch."""
+    rng = training_stream(seed)
+    q = np.zeros((GRID * GRID, len(ACTIONS)))
+    pos = (0, 0)
+    steps = math.ceil(budget * total_steps)
+    episode = steps_in_episode = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a large lr overflows q
+        for _ in range(steps):
+            s = pos[0] * GRID + pos[1]
+            if float(rng.random()) < epsilon * (decay**episode):
+                action = min(int(rng.random() * 4), 3)
+            else:
+                action = int(np.argmax(q[s]))
+            nxt, reward, done = _move(pos, action)
+            steps_in_episode += 1
+            if done:
+                target = reward
+            else:
+                target = reward + gamma * float(np.max(q[nxt[0] * GRID + nxt[1]]))
+            q[s, action] += lr * (target - q[s, action])
+            if done or steps_in_episode >= CAP:
+                pos = (0, 0)
+                steps_in_episode = 0
+                episode += 1
+            else:
+                pos = nxt
+    return {
+        "q": q,
+        "rng": rng.bit_generator.state,
+        "step": steps,
+        "episode": episode,
+        "pos": pos,
+        "steps_in_episode": steps_in_episode,
+    }

@@ -1,10 +1,14 @@
 import json
+import math
 import os
+import pickle
 import stat
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from autotune.objectives import (
     CheckpointHandle,
@@ -14,6 +18,7 @@ from autotune.objectives import (
     NoisySphere,
     ObjectiveSpec,
     SeededValley,
+    _first_max,
     evaluate,
     evaluate_multi_seed,
     make_objective,
@@ -21,7 +26,11 @@ from autotune.objectives import (
 from autotune.space import ConfigSpace, Configuration, continuous, from_unit
 
 sys.path.insert(0, os.path.dirname(__file__))
-from reference_q import reference_cost  # noqa: E402
+from reference_q import (  # noqa: E402
+    numpy_reference_state,
+    reference_cost,
+    reference_greedy_return,
+)
 
 GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "data", "gridworld_golden.json")))
 
@@ -175,6 +184,121 @@ def test_gridworld_matches_independent_reference_and_golden():
         )
         assert cost == ref
         assert cost == case["cost"]
+
+
+# sha256 of each golden case's checkpoint payload, written when training still
+# updated an ndarray in place; pickles name numpy's module path, which numpy 2
+# moved, so the digests hold from numpy 2 on
+GOLDEN_CHECKPOINT_SHA256 = [
+    "e62a38da49970822c59e5396912077809a5c2694fc4400e891ad0c401577b47d",
+    "637ae123e0e429f7b65aac5f83abb9b328ace9b0714d49485b71b80f0ed1242d",
+    "eefabf7d2b9b30ea8adf2adab502cc25798cb9b501a1c3f16452b75d01a618b6",
+]
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="digests of numpy 2 pickles"
+)
+def test_gridworld_golden_checkpoint_payloads_are_frozen():
+    obj = GridworldQ(total_steps=GOLDEN["total_steps"])
+    for case, digest in zip(GOLDEN["cases"], GOLDEN_CHECKPOINT_SHA256, strict=True):
+        _, ckpt = obj.evaluate(golden_config(), case["budget"], case["seed"])
+        assert ckpt.digest() == digest
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["learning_rate", "epsilon", "gamma", "epsilon_decay"])
+def test_gridworld_rejects_non_finite_hyperparameters(name, value):
+    values = dict(GOLDEN["config"])
+    values[name] = value
+    with pytest.raises(EvaluationError, match="invalid gridworld_q configuration"):
+        GridworldQ(total_steps=50).evaluate(Configuration(values), 1.0, 0)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
+_entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _q_tables(draw):
+    """Tables whose greedy path runs down and right to the goal, overwritten
+    in a few places: a tie, a zero row, a NaN or an infinity on the path then
+    decides the return."""
+    q = np.zeros((25, 4))
+    for s in range(25):
+        q[s, draw(st.sampled_from([1, 3]))] = 1.0
+    for s, a, v in draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 3), _entries))):
+        q[s, a] = v
+    return q
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_entries, min_size=4, max_size=4))
+def test_first_max_picks_what_argmax_picks(row):
+    assert _first_max(row) == int(np.argmax(row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_tables())
+def test_greedy_return_matches_the_100_episode_reference(q):
+    assert GridworldQ._greedy_return(q).hex() == reference_greedy_return(q).hex()
+
+
+_unit = st.floats(0.0, 1.0)
+_budgets = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(_unit, _unit, _unit, _unit),
+    _budgets,
+    st.floats(0.01, 0.99),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 2000),
+)
+def test_gridworld_matches_reference_inside_default_space(unit, budget, split, seed, total):
+    obj = GridworldQ(total_steps=total)
+    cfg = from_unit(obj.default_space(), np.array(unit))
+    want = reference_cost(
+        cfg["learning_rate"], cfg["epsilon"], cfg["gamma"], cfg["epsilon_decay"],
+        budget, seed, total_steps=total,
+    )
+    cost, ckpt = obj.evaluate(cfg, budget, seed)
+    assert cost.hex() == want.hex()
+    _, part = obj.evaluate(cfg, budget * split, seed)
+    resumed, resumed_ckpt = obj.evaluate(cfg, budget, seed, resume=part)
+    assert resumed.hex() == want.hex()
+    assert resumed_ckpt.load() == ckpt.load()
+
+
+@settings(max_examples=40, deadline=None)
+@example(100.0, 0.5, 0.9, 0.99, 1.0, 3, 600)  # NaN entries whose sign bits differ
+@given(
+    st.floats(2.0, 1e3),
+    _unit,
+    st.floats(0.5, 0.999),
+    st.floats(0.9, 1.0),
+    _budgets,
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 600),
+)
+def test_divergent_q_tables_match_numpy_training(lr, epsilon, gamma, decay, budget, seed, total):
+    """lr > 1 (outside every shipped space) can overflow the table to NaN.
+    The sign bit of a NaN entry may differ from numpy training: on a row
+    holding a NaN, ``np.max`` returns a NaN whose sign depends on where the
+    NaN sits, and numpy and Python keep different operands' NaNs when adding
+    two. Every other bit of the state, and the cost, match."""
+    cfg = Configuration(
+        {"learning_rate": lr, "epsilon": epsilon, "gamma": gamma, "epsilon_decay": decay}
+    )
+    cost, ckpt = GridworldQ(total_steps=total).evaluate(cfg, budget, seed)
+    got = pickle.loads(ckpt.load())
+    want = numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total)
+    got_q, want_q = got.pop("q"), want.pop("q")
+    assert got_q.dtype == want_q.dtype
+    assert np.array_equal(got_q, want_q, equal_nan=True)
+    assert got == want
+    assert cost.hex() == (-reference_greedy_return(want_q)).hex()
 
 
 def test_gridworld_zero_learning_rate_never_improves():
