@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoints import CheckpointPack, read_checkpoint
 from .space import (
     ConfigSpace,
     Configuration,
@@ -79,7 +80,12 @@ class Trial:
 class CheckpointHandle:
     """Reference to an opaque training-state payload.
 
-    The payload lives either in memory (``payload``) or on disk (``path``).
+    The payload lives in memory (``payload``), in a checkpoint pack
+    (``path``), or both. ``path`` is the pack's directory joined with the
+    name of the payload's frame (see :mod:`autotune.checkpoints`). A handle
+    with a path and no payload reads its frame on :meth:`load`, through
+    ``pack`` when one is given (an open pack whose index the holder keeps),
+    else with a scan of the pack for this one read.
     ``trained_fraction`` never decreases along one training lineage.
     """
 
@@ -87,14 +93,16 @@ class CheckpointHandle:
     trained_fraction: float
     payload: bytes | None = None
     path: str | None = None
+    pack: CheckpointPack | None = field(default=None, repr=False, compare=False)
 
     def load(self) -> bytes:
         if self.payload is not None:
             return self.payload
         if self.path is None:
             raise EvaluationError(f"checkpoint {self.key} has no payload")
-        with open(self.path, "rb") as fh:
-            return fh.read()
+        if self.pack is None:
+            return read_checkpoint(self.path)
+        return self.pack.read(os.path.basename(self.path))
 
     def digest(self) -> str:
         return hashlib.sha256(self.load()).hexdigest()
@@ -404,7 +412,12 @@ class GridworldQ(Objective):
         target_steps = self._steps_for(budget)
         while step < target_steps:
             row = rows[s]
-            eps = eps0 * (decay**episode)
+            try:
+                eps = eps0 * (decay**episode)
+            except OverflowError as err:  # epsilon_decay > 1 over many episodes
+                raise EvaluationError(
+                    f"gridworld_q: epsilon_decay**{episode} overflows: {config.values}"
+                ) from err
             if rng.random() < eps:
                 action = min(int(rng.random() * len(_MOVES)), len(_MOVES) - 1)
             else:

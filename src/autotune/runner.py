@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .checkpoints import CheckpointPack
 from .journal import GROUP, TRIAL, Journal
 from .objectives import (
     DONE,
@@ -61,8 +61,26 @@ class GroupResult:
         return math.inf if m is None else m
 
 
+@dataclass
+class _LiveGroup:
+    """A group that was started and is not journaled yet."""
+
+    group: int
+    config: Configuration
+    budget: float
+    seeds: tuple[int, ...]
+    purpose: str
+    resume: dict | None
+    tags: dict | None
+
+
 class TrialRunner:
-    """Evaluates groups against an objective, journaling as it goes."""
+    """Evaluates groups against an objective, journaling as it goes.
+
+    Checkpoints go to one pack in ``checkpoint_dir`` (see
+    :mod:`autotune.checkpoints`), opened once; :meth:`close` closes it and
+    every pack that replayed checkpoints were read from.
+    """
 
     def __init__(
         self,
@@ -88,7 +106,7 @@ class TrialRunner:
         # next live group id continues after any groups already in the journal
         self._groups = len(self.journal.of_type(GROUP))
         self._started = 0
-        self._lock = threading.Lock()
+        self._packs: dict[str, CheckpointPack] = {}  # by directory
 
     @property
     def groups_run(self) -> int:
@@ -104,6 +122,49 @@ class TrialRunner:
         tags: dict | None = None,
     ) -> GroupResult:
         """Evaluate ``config`` at ``budget`` on each seed; journal everything."""
+        started = self._start(config, budget, seeds, purpose, resume, tags)
+        if isinstance(started, GroupResult):
+            return started
+        return self._commit(started, self._run(started))
+
+    def evaluate_many(self, requests: list[dict]) -> list[GroupResult]:
+        """Evaluate several groups as ``evaluate_group`` would, one by one.
+
+        With more than one worker the objective runs on a thread pool, but
+        group ids, checkpoints and journal records still follow request
+        order, so the journal is the one a single worker writes.
+        """
+        if self.workers == 1 or len(requests) <= 1:
+            return [self.evaluate_group(**req) for req in requests]
+        started, interrupted = [], None
+        for req in requests:
+            try:
+                started.append(self._start(**req))
+            except RunInterrupted as err:
+                interrupted = err
+                break
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            runs = [
+                None if isinstance(s, GroupResult) else pool.submit(self._run, s)
+                for s in started
+            ]
+            results = [
+                s if run is None else self._commit(s, run.result())
+                for s, run in zip(started, runs)
+            ]
+        if interrupted is not None:
+            raise interrupted
+        return results
+
+    def close(self) -> None:
+        for pack in self._packs.values():
+            pack.close()
+        self._packs.clear()
+
+    # -- helpers -------------------------------------------------------------
+
+    def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
+        """A replayed group's result, or a new group with the next id."""
         seeds = tuple(self.seeds if seeds is None else (int(s) for s in seeds))
         key = {
             "config": _jsonable_config(config),
@@ -115,44 +176,54 @@ class TrialRunner:
         if replayed is not None:
             self._started += 1
             return self._rehydrate(config, budget, seeds, purpose, replayed)
-
         if self.max_groups is not None and self._started >= self.max_groups:
             raise RunInterrupted(f"group limit {self.max_groups} reached")
         self._started += 1
-        group_id = self._next_group_id()
+        self._groups += 1
+        return _LiveGroup(self._groups - 1, config, budget, seeds, purpose, resume, tags)
 
+    def _run(self, live: _LiveGroup) -> list[tuple]:
+        """(seed, cost, checkpoint, error, wall time) per seed; a failure or
+        a non-finite cost leaves cost and checkpoint None."""
+        trials = []
+        for seed in live.seeds:
+            handle = None if live.resume is None else live.resume.get(seed)
+            t0 = time.perf_counter()
+            cost, ckpt, error = None, None, ""
+            try:
+                cost, ckpt = self.objective.evaluate(
+                    live.config, live.budget, seed, resume=handle
+                )
+            except EvaluationError as err:
+                error = str(err)
+            if cost is not None and not math.isfinite(cost):
+                cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
+            trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
+        return trials
+
+    def _commit(self, live: _LiveGroup, trials: list[tuple]) -> GroupResult:
+        """Persist a group's checkpoints, then journal its trials and itself."""
         # spend is the incremental training fraction: resuming from a
         # checkpoint at f and training to b costs b - f, not b
         resumed_from = 0.0
-        if resume:
-            resumed_from = max(h.trained_fraction for h in resume.values() if h is not None)
-        per_seed: list[float | None] = []
-        checkpoints: dict[int, CheckpointHandle] = {}
-        failed = False
-        records = []
-        for seed in seeds:
-            handle = None if resume is None else resume.get(seed)
-            t0 = time.perf_counter()
-            cost: float | None
-            error = ""
-            ckpt = None
-            try:
-                cost, ckpt = self.objective.evaluate(config, budget, seed, resume=handle)
-            except EvaluationError as err:
-                cost = None
-                failed = True
-                error = str(err)
-            wall = time.perf_counter() - t0
-            if ckpt is not None:
-                ckpt = self._persist(ckpt, group_id, seed)
-                checkpoints[seed] = ckpt
-            per_seed.append(cost)
-            records.append(
+        if live.resume:
+            resumed_from = max(
+                h.trained_fraction for h in live.resume.values() if h is not None
+            )
+        checkpoints = self._persist(
+            live.group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
+        )
+        config = _jsonable_config(live.config)
+        per_seed = [cost for _, cost, _, _, _ in trials]
+        failed = any(cost is None for cost in per_seed)
+        for seed, cost, _, error, wall in trials:
+            ckpt = checkpoints.get(seed)
+            self.journal.append(
                 {
                     "t": TRIAL,
-                    "group": group_id,
-                    "config": _jsonable_config(config),
-                    "budget": budget,
+                    "group": live.group,
+                    "config": config,
+                    "budget": live.budget,
                     "seed": seed,
                     "cost": cost,
                     "status": DONE if cost is not None else FAILED,
@@ -160,72 +231,64 @@ class TrialRunner:
                     "wall_time": wall,
                     "ckpt": None if ckpt is None else ckpt.path,
                     "frac": None if ckpt is None else ckpt.trained_fraction,
-                    "purpose": purpose,
+                    "purpose": live.purpose,
                 }
             )
         group_rec = {
             "t": GROUP,
-            "group": group_id,
-            "config": _jsonable_config(config),
-            "budget": budget,
-            "seeds": list(seeds),
+            "group": live.group,
+            "config": config,
+            "budget": live.budget,
+            "seeds": list(live.seeds),
             "mean_cost": None if failed else sum(per_seed) / len(per_seed),
             "failed": failed,
-            "spend": budget - resumed_from,
-            "purpose": purpose,
+            "spend": live.budget - resumed_from,
+            "purpose": live.purpose,
         }
-        if tags:
-            group_rec["tags"] = tags
-        with self._lock:
-            for rec in records:
-                self.journal.append(rec)
-            self.journal.append(group_rec)
+        if live.tags:
+            group_rec["tags"] = live.tags
+        self.journal.append(group_rec)
         return GroupResult(
-            group=group_id,
-            config=config,
-            budget=budget,
-            seeds=seeds,
+            group=live.group,
+            config=live.config,
+            budget=live.budget,
+            seeds=live.seeds,
             per_seed_cost=per_seed,
             failed=failed,
             checkpoints=checkpoints,
-            purpose=purpose,
+            purpose=live.purpose,
         )
 
-    def evaluate_many(self, requests: list[dict]) -> list[GroupResult]:
-        """Evaluate several groups, preserving request order in the result.
+    def _pack(self, directory: str) -> CheckpointPack:
+        pack = self._packs.get(directory)
+        if pack is None:
+            if directory == self.checkpoint_dir:
+                pack = CheckpointPack.open_for_append(directory)
+            else:
+                pack = CheckpointPack(directory)
+            self._packs[directory] = pack
+        return pack
 
-        With one worker (deterministic mode) this is a plain sequential loop;
-        with more, groups run concurrently and journal order follows
-        completion order.
-        """
-        if self.workers == 1 or len(requests) <= 1 or self.journal.replaying:
-            return [self.evaluate_group(**req) for req in requests]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(self.evaluate_group, **req) for req in requests]
-            return [f.result() for f in futures]
-
-    # -- helpers -------------------------------------------------------------
-
-    def _next_group_id(self) -> int:
-        with self._lock:
-            gid = self._groups
-            self._groups += 1
-        return gid
-
-    def _persist(self, ckpt: CheckpointHandle, group_id: int, seed: int) -> CheckpointHandle:
-        if self.checkpoint_dir is None or ckpt.payload is None:
-            return ckpt
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        fname = f"g{group_id:06d}_s{seed}_f{ckpt.trained_fraction:.6f}.ckpt"
-        path = os.path.join(self.checkpoint_dir, fname)
-        with open(path, "wb") as fh:
-            fh.write(ckpt.payload)
-        return CheckpointHandle(
-            key=ckpt.key,
-            trained_fraction=ckpt.trained_fraction,
-            payload=ckpt.payload,
-            path=path,
-        )
+    def _persist(self, group_id: int, checkpoints: dict) -> dict:
+        """Append a group's checkpoint payloads to the pack and flush them,
+        so every checkpoint its journal records name survives a kill."""
+        if self.checkpoint_dir is None or not checkpoints:
+            return checkpoints
+        pack = self._pack(self.checkpoint_dir)
+        persisted = {}
+        for seed, ckpt in checkpoints.items():
+            if ckpt.payload is None:
+                persisted[seed] = ckpt
+                continue
+            name = f"g{group_id:06d}_s{seed}_f{ckpt.trained_fraction:.6f}.ckpt"
+            persisted[seed] = CheckpointHandle(
+                key=ckpt.key,
+                trained_fraction=ckpt.trained_fraction,
+                payload=ckpt.payload,
+                path=pack.append(name, ckpt.payload),
+            )
+        pack.flush()
+        return persisted
 
     def _rehydrate(self, config, budget, seeds, purpose, records) -> GroupResult:
         trials = [r for r in records if r["t"] == TRIAL]
@@ -239,6 +302,7 @@ class TrialRunner:
                     key=f"replay:g{rec['group']}:s{rec['seed']}",
                     trained_fraction=rec["frac"],
                     path=rec["ckpt"],
+                    pack=self._pack(os.path.dirname(rec["ckpt"])),
                 )
             elif rec.get("frac") is not None:
                 checkpoints[rec["seed"]] = CheckpointHandle(

@@ -3,9 +3,13 @@
 Layout for one tuning invocation::
 
     <out>/
-      rep000/journal.log      one journal per repetition
-      rep000/checkpoints/     opaque checkpoint payloads
-      exports/                trials.csv, incumbents.csv, ...
+      rep000/journal.log                     one journal per repetition
+      rep000/checkpoints/checkpoints.pack    its checkpoint payloads, appended
+      exports/                               trials.csv, incumbents.csv, ...
+
+A trial record's ``ckpt`` is ``rep000/checkpoints/<name>``: the pack in that
+directory holds the payload in its frame ``<name>`` (see
+:mod:`autotune.checkpoints`).
 
 Resuming re-runs the optimizer deterministically against the recorded
 journal; the header stores everything needed (method, options, space text,
@@ -145,6 +149,7 @@ def run_repetition(
             repetition, incumbent, tuning_cost, test_costs, spend=journal.spend()
         )
     finally:
+        runner.close()
         journal.close()
 
 

@@ -313,6 +313,23 @@ def test_gridworld_zero_learning_rate_never_improves():
         assert cost == untrained
 
 
+def test_gridworld_epsilon_decay_overflow_fails_the_trial_only():
+    # 1e200**2 overflows a float, so the third episode's epsilon raises
+    cfg = Configuration(
+        {"learning_rate": 0.1, "epsilon": 0.5, "gamma": 0.9, "epsilon_decay": 1e200}
+    )
+    with pytest.raises(EvaluationError, match="overflows"):
+        GridworldQ(total_steps=500).evaluate(cfg, 1.0, seed=0)
+
+    from autotune.runner import TrialRunner
+
+    runner = TrialRunner(GridworldQ(total_steps=500), seeds=[0, 1])
+    failed = runner.evaluate_group(cfg, 1.0)
+    assert failed.failed and failed.per_seed_cost == [None, None]
+    assert all("overflows" in t["error"] for t in runner.journal.of_type("trial"))
+    assert not runner.evaluate_group(golden_config(), 1.0).failed
+
+
 def test_gridworld_determinism():
     obj = GridworldQ(total_steps=500)
     cfg = golden_config()
