@@ -17,7 +17,6 @@ from .objectives import (
     EvaluationError,
     Objective,
     ObjectiveSpec,
-    Trial,
     evaluate,
     evaluate_multi_seed,
     make_objective,
@@ -60,7 +59,7 @@ __all__ = [
     "DehbRun", "de_crossover", "de_mutate", "de_mutate_vectors", "de_select", "run_dehb",
     "GpFitError", "GpModel", "fit_gp", "suggest_candidate",
     "Journal", "JournalCorrupt", "JournalError", "space_digest",
-    "CheckpointHandle", "EvaluationError", "Objective", "ObjectiveSpec", "Trial",
+    "CheckpointHandle", "EvaluationError", "Objective", "ObjectiveSpec",
     "evaluate", "evaluate_multi_seed", "make_objective",
     "Member", "PbtRun", "Schedule", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
     "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "default_seed_plan",

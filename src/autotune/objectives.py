@@ -22,6 +22,7 @@ Built-in objectives:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -43,8 +44,6 @@ from .space import (
     to_unit,
 )
 
-PENDING = "pending"
-RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
@@ -55,25 +54,6 @@ class EvaluationError(RuntimeError):
     def __init__(self, message: str, output: str = ""):
         super().__init__(message)
         self.output = output
-
-
-@dataclass
-class Trial:
-    """One evaluation of a configuration at a budget on a seed."""
-
-    config: Configuration
-    budget: float
-    seed: int
-    cost: float | None = None
-    wall_time: float = 0.0
-    status: str = PENDING
-    error: str = ""
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.budget <= 1.0):
-            raise ValueError(f"budget {self.budget} outside (0, 1]")
-        if (self.cost is not None) != (self.status == DONE):
-            raise ValueError("cost must be present exactly when status == done")
 
 
 @dataclass
@@ -178,11 +158,21 @@ def _bounded_noise(tag: str, config: Configuration, seed: int) -> float:
     return 2.0 * float(rng.random()) - 1.0
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def _seed_direction(tag: str, seed: int, dimension: int) -> np.ndarray:
+    """Unit vector that shifts seed ``seed``'s optimum; read-only.
+
+    It depends only on its arguments, and deriving its stream costs more
+    than the rest of an evaluation, so each one is computed once and
+    shared. ``typed`` keeps keys that compare equal but print differently
+    (``1`` and ``True``) apart, as the stream is keyed on their text.
+    """
     rng = _derived_rng(tag, "shift", seed)
     v = rng.standard_normal(dimension)
     norm = float(np.linalg.norm(v))
-    return v / norm if norm > 0 else v
+    v = v / norm if norm > 0 else v
+    v.flags.writeable = False
+    return v
 
 
 class NoisySphere(Objective):
@@ -481,18 +471,29 @@ class ExternalCommand(Objective):
     The command sees one uppercased environment variable per hyperparameter
     plus AUTOTUNE_BUDGET, AUTOTUNE_SEED and AUTOTUNE_CHECKPOINT (a path; if the
     file exists the command may resume from it, and it should write its own
-    state there). The final stdout line must be ``cost=<float>``.
+    state there). The final stdout line must be ``cost=<float>``. With a
+    ``timeout`` (seconds), a command still running after it is killed and
+    the trial fails.
     """
 
     name = "external_command"
     cost_metric = "cost reported by the external command"
 
-    def __init__(self, command: str, space: ConfigSpace | None = None, workdir: str | None = None):
+    def __init__(
+        self,
+        command: str,
+        space: ConfigSpace | None = None,
+        workdir: str | None = None,
+        timeout: float | None = None,
+    ):
         if not command.strip():
             raise ValueError("external command must be non-empty")
+        if timeout is not None and not (float(timeout) > 0.0):
+            raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.command = command
         self.space = space
         self.workdir = workdir
+        self.timeout = None if timeout is None else float(timeout)
 
     def default_space(self) -> ConfigSpace:
         if self.space is None:
@@ -500,7 +501,10 @@ class ExternalCommand(Objective):
         return self.space
 
     def spec(self) -> ObjectiveSpec:
-        return ObjectiveSpec(self.name, {"command": self.command})
+        params = {"command": self.command}
+        if self.timeout is not None:
+            params["timeout"] = self.timeout
+        return ObjectiveSpec(self.name, params)
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
@@ -517,13 +521,22 @@ class ExternalCommand(Objective):
                 fh.write(resume.load())
         env["AUTOTUNE_CHECKPOINT"] = ckpt_path
         try:
-            proc = subprocess.run(
-                shlex.split(self.command),
-                env=env,
-                cwd=self.workdir,
-                capture_output=True,
-                text=True,
-            )
+            try:
+                proc = subprocess.run(
+                    shlex.split(self.command),
+                    env=env,
+                    cwd=self.workdir,
+                    capture_output=True,
+                    text=True,
+                    timeout=self.timeout,
+                )
+            except subprocess.TimeoutExpired as err:
+                # output captured before the kill comes as bytes, or None
+                captured = (err.stdout or b"") + (err.stderr or b"")
+                raise EvaluationError(
+                    f"command timed out after {self.timeout:g} s",
+                    output=captured.decode("utf-8", errors="replace"),
+                ) from err
             output = proc.stdout + proc.stderr
             if proc.returncode != 0:
                 raise EvaluationError(

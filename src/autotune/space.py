@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -300,10 +301,26 @@ def render_space(space: ConfigSpace) -> str:
 # Unit-cube encoding
 #
 # Decoding is the primary map; sampling draws a uniform unit vector and
-# decodes it. Encoding of continuous/log values inverts the decoder exactly
-# (bisection over the float grid) so decode(encode(v)) == v for any value the
-# decoder can produce; values a float decode cannot hit encode to the nearest
-# unit coordinate.
+# decodes it. Encoding of continuous/log values inverts the decoder exactly,
+# so decode(encode(v)) == v for any value the decoder can produce: a search
+# over the float grid of [0, 1] that starts at the closed-form guess (see
+# _invert_decode). Values a float decode cannot hit encode to that guess.
+
+
+def _ranged_decoder(p: Hyperparameter):
+    """``_decode_one`` for a continuous or log parameter, bounds hoisted.
+
+    The same float operations as ``_decode_one``, for u in [0, 1]; the
+    search below calls it many times per value.
+    """
+    lo, hi = p.lower, p.upper
+    if p.kind == CONTINUOUS:
+        span = hi - lo
+        return lambda u: min(max(lo + u * span, lo), hi)
+    llo = math.log(lo)
+    span = math.log(hi) - llo
+    exp = math.exp
+    return lambda u: min(max(exp(llo + u * span), lo), hi)
 
 
 def _decode_one(p: Hyperparameter, u: float):
@@ -337,31 +354,57 @@ def _encode_guess(p: Hyperparameter, v) -> float:
 
 
 def _encode_one(p: Hyperparameter, v) -> float:
-    u = _encode_guess(p, v)
     if p.kind in (CONTINUOUS, LOG):
         exact = _invert_decode(p, v)
         if exact is not None:
             return exact
-    return u
+    return _encode_guess(p, v)
+
+
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+_ONE_BITS = _I64.unpack(_F64.pack(1.0))[0]
 
 
 def _invert_decode(p: Hyperparameter, v) -> float | None:
-    """Smallest unit coordinate that decodes exactly to ``v``, if any."""
-    decode = lambda u: _decode_one(p, u)
+    """Smallest unit coordinate that decodes exactly to ``v``, if any.
+
+    The decoder is non-decreasing in u, so the answer is the first float u
+    with decode(u) >= v, if that u decodes to v. The search runs on the bit
+    patterns of the floats in [0, 1], which are ordered like the floats and
+    one ulp apart. It gallops from the closed-form guess, doubling its step
+    from one ulp, until decode(a) < v <= decode(b), then bisects inside that
+    bracket. A close guess costs a handful of decodes; a guess that misses
+    by k ulps costs about 2 * log2(k), and never more than about 130. The
+    first two checks make decode(0) < v <= decode(1), so the gallop stops
+    at 0 or 1 at the latest.
+    """
+    decode = _ranged_decoder(p)
     if decode(0.0) >= v:
         return 0.0 if decode(0.0) == v else None
-    if decode(1.0) < v:
+    if not decode(1.0) >= v:
         return None
-    a, b = 0.0, 1.0  # decode(a) < v <= decode(b)
-    while True:
-        m = 0.5 * (a + b)
-        if not (a < m < b):
-            break
-        if decode(m) < v:
+    to_float = lambda i: _F64.unpack(_I64.pack(i))[0]
+    g = _I64.unpack(_F64.pack(_encode_guess(p, v)))[0]
+    step = 1
+    if decode(to_float(g)) < v:
+        a, b = g, min(g + 1, _ONE_BITS)
+        while decode(to_float(b)) < v:
+            step *= 2
+            a, b = b, min(b + step, _ONE_BITS)
+    else:
+        a, b = max(g - 1, 0), g
+        while not decode(to_float(a)) < v:
+            step *= 2
+            a, b = max(a - step, 0), a
+    while b - a > 1:
+        m = (a + b) // 2
+        if decode(to_float(m)) < v:
             a = m
         else:
             b = m
-    return b if decode(b) == v else None
+    u = to_float(b)
+    return u if decode(u) == v else None
 
 
 def to_unit(space: ConfigSpace, config: Configuration) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import pickle
 import stat
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from autotune.objectives import (
     NoisySphere,
     ObjectiveSpec,
     SeededValley,
+    _derived_rng,
     _first_max,
+    _seed_direction,
     evaluate,
     evaluate_multi_seed,
     make_objective,
 )
+from autotune.journal import Journal
+from autotune.rs import run_rs
 from autotune.space import ConfigSpace, Configuration, continuous, from_unit
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -107,6 +112,49 @@ def test_valley_mean_over_seeds_at_least_best_single():
     assert returned == per_seed
     assert mean >= min(per_seed)
     assert mean == pytest.approx(float(np.mean(per_seed)))
+
+
+# ---------------------------------------------------------------------------
+# the seed's optimum, computed once per (tag, seed, dimension)
+
+
+def _fresh_seed_direction(tag, seed, dimension):
+    rng = _derived_rng(tag, "shift", seed)
+    v = rng.standard_normal(dimension)
+    return v / float(np.linalg.norm(v))
+
+
+def test_seed_direction_is_cached_read_only_and_exact():
+    keys = [("seeded_valley", 3, 2), ("noisy_sphere", 3, 2), ("seeded_valley", 3, 6)]
+    for tag, seed, dimension in keys:
+        cached = _seed_direction(tag, seed, dimension)
+        assert _seed_direction(tag, seed, dimension) is cached
+        assert cached.tobytes() == _fresh_seed_direction(tag, seed, dimension).tobytes()
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+        with pytest.raises(ValueError):
+            cached += 1.0
+        assert cached.tobytes() == _fresh_seed_direction(tag, seed, dimension).tobytes()
+
+
+def test_seed_direction_keys_do_not_share_entries():
+    valley = _seed_direction("seeded_valley", 5, 2)
+    assert not np.array_equal(valley, _seed_direction("noisy_sphere", 5, 2))
+    assert _seed_direction("seeded_valley", 5, 3).shape == (3,)
+    # 1 == True, but the stream is keyed on their text
+    one, true = _seed_direction("seeded_valley", 1, 2), _seed_direction("seeded_valley", True, 2)
+    assert not np.array_equal(one, true)
+    sphere = NoisySphere(dimension=2, noise=0.0, shift_sigma=0.25)
+    assert not np.array_equal(SeededValley(dimension=2, sigma=0.25).optimum(5), sphere.optimum(5))
+
+
+def test_optimum_is_the_uncached_value_and_writable_by_its_caller():
+    obj = SeededValley(dimension=4, sigma=0.25, noise=0.0)
+    want = np.full(4, 0.5) + 0.25 * _fresh_seed_direction("seeded_valley", 9, 4)
+    first = obj.optimum(9)
+    assert first.tobytes() == want.tobytes()
+    first[:] = 0.0
+    assert obj.optimum(9).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +480,53 @@ def test_external_command_malformed_cost_fails(tmp_path):
     obj2 = ExternalCommand(cmd2, space=ConfigSpace([continuous("x", 0.0, 1.0)]))
     with pytest.raises(EvaluationError, match="cost="):
         obj2.evaluate(Configuration({"x": 0.5}), 1.0, 0)
+
+
+def test_external_command_timeout_fails_with_output():
+    obj = ExternalCommand(
+        "sh -c 'echo started; exec sleep 5'",
+        space=ConfigSpace([continuous("x", 0.0, 1.0)]),
+        timeout=0.2,
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(EvaluationError, match=r"timed out after 0\.2 s") as err:
+        obj.evaluate(Configuration({"x": 0.5}), 1.0, 0)
+    assert time.perf_counter() - t0 < 4.0
+    assert "started" in err.value.output
+
+
+def test_external_command_timeout_fails_the_trial_and_the_run_goes_on():
+    # configurations with x < 0.5 sleep past the timeout; the others report x
+    cmd = "sh -c 'case \"$X\" in 0.[0-4]*) exec sleep 5;; esac; echo cost=$X'"
+    space = ConfigSpace([continuous("x", 0.0, 1.0)])
+    journal = Journal()
+    journal.write_header({"method": "rs"})
+    obj = ExternalCommand(cmd, space=space, timeout=0.2)
+    run = run_rs(space, obj, 6, [0], rng=0, journal=journal)
+    trials = journal.of_type("trial")
+    slow = [t for t in trials if t["config"]["x"] < 0.5]
+    assert len(trials) == 6 and slow and len(slow) < 6
+    for t in trials:
+        if t in slow:
+            assert t["status"] == "failed" and "timed out" in t["error"]
+        else:
+            assert t["cost"] == t["config"]["x"]
+    assert run.incumbent_cost == min(t["config"]["x"] for t in trials if t not in slow)
+    assert journal.is_complete()
+
+
+def test_external_command_spec_names_timeout_only_when_set():
+    space = ConfigSpace([continuous("x", 0.0, 1.0)])
+    assert ExternalCommand("echo cost=1", space=space).spec().as_dict() == {
+        "kind": "external_command",
+        "params": {"command": "echo cost=1"},
+    }
+    spec = ExternalCommand("echo cost=1", space=space, timeout=2).spec()
+    assert spec.params == {"command": "echo cost=1", "timeout": 2.0}
+    assert make_objective(spec, space=space).timeout == 2.0
+    for bad in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="timeout"):
+            ExternalCommand("echo cost=1", space=space, timeout=bad)
 
 
 # ---------------------------------------------------------------------------

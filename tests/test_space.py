@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ from autotune.space import (
     sample,
     to_unit,
 )
+from autotune import space as space_module
+from autotune.space import _decode_one, _invert_decode
+
+sys.path.insert(0, os.path.dirname(__file__))
+from reference_space import reference_invert_decode  # noqa: E402
 
 
 class ForcedRng:
@@ -276,6 +283,70 @@ def test_round_trip_exhaustive_integer_categorical():
         for c in "abc":
             cfg = Configuration({"n": n, "c": c})
             assert from_unit(space, to_unit(space, cfg)) == cfg
+
+
+@st.composite
+def ranged_params(draw):
+    """Continuous and log parameters whose lower bound is not 0."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-1e3, 1e3).filter(lambda x: x != 0.0))
+        return continuous("x", lo, lo + draw(st.floats(1e-6, 1e4)))
+    lo = draw(st.floats(1e-12, 1e3))
+    return log_continuous("x", lo, lo * draw(st.floats(1.0001, 1e8)))
+
+
+# unit coordinates at and next to both ends, subnormal, and where the guess
+# from (v - lower) / (upper - lower) loses most of its digits
+EDGE_UNITS = [0.0, 5e-324, 1e-300, 1e-17, 1e-16, 1.1e-16, 2.2e-16, 3e-16, 1 - 1e-12, 1.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    ranged_params(),
+    st.one_of(st.sampled_from(EDGE_UNITS), st.floats(0.0, 1.0), st.floats(0.0, 1e-14)),
+    st.sampled_from(["decoded", "next up", "next down", "lower", "upper", "below", "above"]),
+)
+def test_invert_decode_matches_bisection_reference(p, u, which):
+    decoded = _decode_one(p, u)
+    v = {
+        "decoded": decoded,
+        "next up": math.nextafter(decoded, math.inf),  # often not decodable
+        "next down": math.nextafter(decoded, -math.inf),
+        "lower": p.lower,  # clipped bounds
+        "upper": p.upper,
+        "below": p.lower - abs(p.lower),
+        "above": p.upper * 2,
+    }[which]
+    got = _invert_decode(p, v)
+    want = reference_invert_decode(p, v)
+    assert got == want and (got is None) == (want is None)
+    if which == "decoded":
+        assert got is not None and _decode_one(p, got) == v
+
+
+def test_invert_decode_guess_far_from_answer(monkeypatch):
+    # The guess (v - 0.5) / 0.499 is 2.2e-16, but 1.1e-16 already decodes
+    # to v: about 4.5e15 ulps apart, beyond any walk of a few ulps.
+    p = continuous("g", 0.5, 0.999)
+    v = 0.5000000000000001
+    assert _decode_one(p, 3e-16) == v
+    calls = []
+    decoder = space_module._ranged_decoder
+
+    def counting(q):
+        decode = decoder(q)
+
+        def counted(u):
+            calls.append(u)
+            assert len(calls) < 200, "a walk of single ulps would not end"
+            return decode(u)
+
+        return counted
+
+    monkeypatch.setattr(space_module, "_ranged_decoder", counting)
+    got = _invert_decode(p, v)
+    assert got == reference_invert_decode(p, v) == 1.112447920466089e-16
+    assert _decode_one(p, got) == v and _decode_one(p, math.nextafter(got, 0.0)) < v
 
 
 # ---------------------------------------------------------------------------
