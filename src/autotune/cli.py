@@ -15,20 +15,26 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ._version import __version__
-from .journal import JournalCorrupt, JournalError
+from .journal import Journal, JournalCorrupt, JournalError
 from .objectives import EvaluationError, ObjectiveSpec, make_objective
-from .protocol import MethodSpec, SeedPlan, default_seed_plan
+from .protocol import MethodSpec, SeedPlan, emit_checklist
 from .runner import NoIncumbentError
 from .runs import (
+    JOURNAL_NAME,
+    TuneExports,
     default_run_dir,
     export,
     incumbents_csv,
+    ranks_csv,
     rep_dir,
+    repetition_dirs,
     report_from_directories,
     run_repetition,
 )
-from .space import Configuration, SpaceError, parse_space
+from .space import Configuration, SpaceError, from_unit, parse_space
 from .sweeps import SweepSpec, run_sweep
 
 EXIT_OK = 0
@@ -179,10 +185,11 @@ def _cmd_tune(args) -> int:
     out = os.environ.get("AUTOTUNE_RUN_DIR") or args.out
     if out is None:
         out = default_run_dir("run", method.name)
-    reports = []
-    for rep in range(args.repetitions):
+    planned = [rep_dir(out, rep) for rep in range(args.repetitions)]
+    exports = TuneExports(out, planned)
+    for rep, directory in enumerate(planned):
         result = run_repetition(
-            rep_dir(out, rep),
+            directory,
             method,
             space_text,
             objective_spec,
@@ -192,15 +199,14 @@ def _cmd_tune(args) -> int:
             rep,
             deterministic=args.deterministic or args.workers == 1,
             workers=args.workers,
+            exports=exports,
         )
-        reports.append(result)
         print(
             f"repetition {rep}: incumbent cost {result.tuning_cost:.6g}, "
             f"test mean {result.test_mean:.6g} +- {result.test_std:.6g}, "
             f"spend {result.spend:.3f} runs"
         )
-    export(out, "trials")
-    export(out, "incumbents")
+    exports.close()
     print(f"run directory: {out}")
     return EXIT_OK
 
@@ -214,20 +220,12 @@ def _cmd_report(args) -> int:
     # multiple directories: aggregate into the current directory
     dirs = []
     for d in args.dirs:
-        from .runs import repetition_dirs
-
         dirs.extend(repetition_dirs(d))
     if args.kind == "incumbents":
         print(incumbents_csv(report_from_directories(dirs)), end="")
     elif args.kind == "ranks":
-        from .runs import ranks_csv
-
         print(ranks_csv(report_from_directories(dirs)), end="")
     elif args.kind == "checklist":
-        from .journal import Journal
-        from .protocol import emit_checklist
-        from .runs import JOURNAL_NAME
-
         journals = [Journal.load(os.path.join(d, JOURNAL_NAME)) for d in dirs]
         print(emit_checklist(journals).render(), end="")
     else:
@@ -245,9 +243,6 @@ def _cmd_sweep(args) -> int:
     if args.param not in space:
         raise UsageError(f"unknown parameter {args.param!r}")
     base_values = {}
-    from .space import from_unit
-    import numpy as np
-
     midpoint = from_unit(space, np.full(space.dimension, 0.5))
     base_values.update(midpoint.values)
     base_values.update(_parse_params(args.base))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 HEADER = "header"
@@ -58,7 +59,7 @@ class Journal:
     header: dict | None = None
     records: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    _pending: list = field(default_factory=list)  # replay queue (oldest first)
+    _pending: deque = field(default_factory=deque)  # replay queue (oldest first)
     _fh: object = None
 
     # -- construction -------------------------------------------------------
@@ -76,53 +77,53 @@ class Journal:
     @classmethod
     def load(cls, path: str) -> "Journal":
         """Read-only parse (for reports and exports)."""
-        header, records, warnings = _parse_file(path)
+        header, records, warnings = _parse_lines(path, _read_lines(path))
         return cls(path=path, header=header, records=records, warnings=warnings)
 
     @classmethod
     def open_for_resume(cls, path: str) -> "Journal":
-        header, records, warnings = _parse_file(path)
+        lines = _read_lines(path)
+        header, records, warnings = _parse_lines(path, lines)
         records = _trim_torn_group(records, warnings)
+        if len(lines) > 1 + len(records):
+            # torn or incomplete trailing records were dropped: rewrite the
+            # file so the on-disk journal matches the replayed state
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines[: 1 + len(records)]) + "\n")
         j = cls(path=path, header=header, records=list(records), warnings=warnings)
-        j._pending = list(records)
-        j._rewrite_if_trimmed(len(records))
+        j._pending = deque(records)
         j._fh = open(path, "a", encoding="utf-8")
         return j
-
-    def _rewrite_if_trimmed(self, kept: int) -> None:
-        # If torn/incomplete trailing records were dropped, rewrite the file so
-        # the on-disk journal matches the replayed state.
-        if self.path is None:
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        want = 1 + kept  # header + records
-        if len(lines) > want:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines[:want]) + "\n")
 
     # -- writing ------------------------------------------------------------
 
     def write_header(self, header: dict) -> None:
-        header = json.loads(json.dumps({**header, "t": HEADER}))
+        line = json.dumps({**header, "t": HEADER}, sort_keys=True)
+        header = json.loads(line)
         if self.header is not None:
             if _strip_volatile(header) != _strip_volatile(self.header):
                 raise ReplayMismatch("resumed run has a different header")
             return
         self.header = header
-        self._write_line(header)
+        self._write_line(line)
 
     @property
     def replaying(self) -> bool:
         return bool(self._pending)
 
     def append(self, record: dict) -> int:
-        """Append (or verify against the replay queue); returns the seq number."""
+        """Append (or verify against the replay queue); returns the seq number.
+
+        Keys, at every level of ``record``, must be ``str``. The record is
+        written as one sorted JSON line, and the record kept is parsed back
+        from that line, so it holds what a reader of the file gets: lists
+        for tuples, plain floats, exact float values.
+        """
         if self.header is None:
             raise JournalError("header must be written before records")
-        record = json.loads(json.dumps(record))  # canonical types, exact floats
         if self._pending:
-            expected = self._pending.pop(0)
+            expected = self._pending.popleft()
+            record = json.loads(json.dumps(record))  # canonical types, exact floats
             if _strip_volatile(expected) != _strip_volatile({**record, "seq": 0}):
                 raise ReplayMismatch(
                     f"resumed run diverged: expected {expected.get('t')} "
@@ -130,9 +131,9 @@ class Journal:
                 )
             return expected["seq"]
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        record["seq"] = seq
-        self.records.append(record)
-        self._write_line(record)
+        line = json.dumps({**record, "seq": seq}, sort_keys=True)
+        self.records.append(json.loads(line))
+        self._write_line(line)
         return seq
 
     def take_group_if_pending(self, key: dict) -> list[dict] | None:
@@ -145,7 +146,7 @@ class Journal:
             return None
         key = json.loads(json.dumps(key))
         taken = []
-        for i, rec in enumerate(self._pending):
+        for rec in self._pending:
             taken.append(rec)
             if rec["t"] == GROUP:
                 break
@@ -162,12 +163,13 @@ class Journal:
                     f"resumed run diverged on group {group.get('group')}: "
                     f"{k}={group.get(k)!r} recorded vs {v!r} requested"
                 )
-        del self._pending[: len(taken)]
+        for _ in taken:
+            self._pending.popleft()
         return taken
 
-    def _write_line(self, record: dict) -> None:
+    def _write_line(self, line: str) -> None:
         if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.write(line + "\n")
             self._fh.flush()
 
     def close(self) -> None:
@@ -193,14 +195,18 @@ class Journal:
         return bool(self.of_type(COMPLETE))
 
 
-def _parse_file(path: str):
+def _read_lines(path: str) -> list[str]:
     if not os.path.exists(path):
         raise JournalError(f"no journal at {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().split("\n")
+        lines = fh.read().split("\n")
     # Ignore a trailing empty chunk from the final newline.
-    while raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def _parse_lines(path: str, raw_lines: list[str]):
     warnings: list[str] = []
     parsed: list[dict] = []
     for i, line in enumerate(raw_lines):

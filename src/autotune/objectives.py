@@ -29,6 +29,7 @@ import math
 import os
 import pickle
 import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -152,9 +153,10 @@ def _unit_space(dimension: int) -> ConfigSpace:
     return ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(dimension)])
 
 
-def _bounded_noise(tag: str, config: Configuration, seed: int) -> float:
-    """Deterministic zero-mean draw in [-1, 1] keyed on (objective, config, seed)."""
-    rng = _derived_rng(tag, config_digest(config), seed)
+def _bounded_noise(tag: str, digest: str, seed: int) -> float:
+    """Deterministic zero-mean draw in [-1, 1] keyed on (objective, config
+    digest, seed)."""
+    rng = _derived_rng(tag, digest, seed)
     return 2.0 * float(rng.random()) - 1.0
 
 
@@ -175,7 +177,40 @@ def _seed_direction(tag: str, seed: int, dimension: int) -> np.ndarray:
     return v
 
 
-class NoisySphere(Objective):
+class _UnitObjective(Objective):
+    """An objective whose cost depends on the configuration through its unit
+    vector in ``space`` and its digest."""
+
+    space: ConfigSpace
+    _memo: tuple | None = None  # (config, its items, unit vector, digest)
+
+    def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
+        """Unit vector (read-only) and digest of ``config``.
+
+        A group evaluates one configuration object on every seed, so the
+        last one is remembered. A hit needs that object holding the very
+        same value objects, so after ``values`` changes, even from ``1`` to
+        ``1.0`` or ``True`` or from ``0.0`` to ``-0.0``, it is encoded again.
+        The memo is one attribute holding a tuple, replaced whole, so worker
+        threads never see it half-written.
+        """
+        items = tuple(config.values.items())
+        memo = self._memo
+        if (
+            memo is not None
+            and memo[0] is config
+            and len(memo[1]) == len(items)
+            and all(k == j and v is w for (k, v), (j, w) in zip(memo[1], items))
+        ):
+            return memo[2], memo[3]
+        z = to_unit(self.space, config)
+        z.flags.writeable = False
+        digest = config_digest(config)
+        self._memo = (config, items, z, digest)
+        return z, digest
+
+
+class NoisySphere(_UnitObjective):
     """Squared distance to the optimum in unit space; budget-independent."""
 
     name = "noisy_sphere"
@@ -214,18 +249,18 @@ class NoisySphere(Objective):
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
-        z = to_unit(self.space, config)
+        z, digest = self._encoded(config)
         dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
-        cost = dist2 + self.noise * _bounded_noise(self.name, config, seed)
+        cost = dist2 + self.noise * _bounded_noise(self.name, digest, seed)
         ckpt = CheckpointHandle(
-            key=f"{self.name}:{config_digest(config)[:12]}:{seed}",
+            key=f"{self.name}:{digest[:12]}:{seed}",
             trained_fraction=budget,
             payload=b"",
         )
         return cost, ckpt
 
 
-class SeededValley(Objective):
+class SeededValley(_UnitObjective):
     """Sphere with a seed-dependent optimum and a partial-budget penalty.
 
     cost(z, b, s) = ||z - z*(s)||^2 + (1 - b) * 0.5 + noise * eps(config, s)
@@ -265,12 +300,12 @@ class SeededValley(Objective):
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
-        z = to_unit(self.space, config)
+        z, digest = self._encoded(config)
         dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
         cost = dist2 + (1.0 - budget) * 0.5
-        cost += self.noise * _bounded_noise(self.name, config, seed)
+        cost += self.noise * _bounded_noise(self.name, digest, seed)
         ckpt = CheckpointHandle(
-            key=f"{self.name}:{config_digest(config)[:12]}:{seed}",
+            key=f"{self.name}:{digest[:12]}:{seed}",
             trained_fraction=budget,
             payload=b"",
         )
@@ -465,6 +500,15 @@ class GridworldQ(Objective):
         return -self._greedy_return(np.zeros((_GRID * _GRID, len(_MOVES))))
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill the process group ``proc`` leads, then reap ``proc``."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the group is gone already
+        pass
+    proc.wait()
+
+
 class ExternalCommand(Objective):
     """Run a user-provided command as the objective.
 
@@ -472,8 +516,8 @@ class ExternalCommand(Objective):
     plus AUTOTUNE_BUDGET, AUTOTUNE_SEED and AUTOTUNE_CHECKPOINT (a path; if the
     file exists the command may resume from it, and it should write its own
     state there). The final stdout line must be ``cost=<float>``. With a
-    ``timeout`` (seconds), a command still running after it is killed and
-    the trial fails.
+    ``timeout`` (seconds), a command still running after it is killed,
+    together with every process it started, and the trial fails.
     """
 
     name = "external_command"
@@ -521,28 +565,36 @@ class ExternalCommand(Objective):
                 fh.write(resume.load())
         env["AUTOTUNE_CHECKPOINT"] = ckpt_path
         try:
-            try:
-                proc = subprocess.run(
-                    shlex.split(self.command),
-                    env=env,
-                    cwd=self.workdir,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
-            except subprocess.TimeoutExpired as err:
-                # output captured before the kill comes as bytes, or None
-                captured = (err.stdout or b"") + (err.stderr or b"")
-                raise EvaluationError(
-                    f"command timed out after {self.timeout:g} s",
-                    output=captured.decode("utf-8", errors="replace"),
-                ) from err
-            output = proc.stdout + proc.stderr
+            # in a session of its own, the command and every process it
+            # starts form one process group, which a timeout kills whole
+            with subprocess.Popen(
+                shlex.split(self.command),
+                env=env,
+                cwd=self.workdir,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                start_new_session=True,
+            ) as proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=self.timeout)
+                except subprocess.TimeoutExpired as err:
+                    _kill_group(proc)
+                    # output captured before the kill comes as bytes, or None
+                    captured = (err.stdout or b"") + (err.stderr or b"")
+                    raise EvaluationError(
+                        f"command timed out after {self.timeout:g} s",
+                        output=captured.decode("utf-8", errors="replace"),
+                    ) from err
+                except BaseException:
+                    _kill_group(proc)
+                    raise
+            output = stdout + stderr
             if proc.returncode != 0:
                 raise EvaluationError(
                     f"command exited with status {proc.returncode}", output=output
                 )
-            lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+            lines = [ln for ln in stdout.splitlines() if ln.strip()]
             if not lines or not lines[-1].strip().startswith("cost="):
                 raise EvaluationError(
                     "final output line must be 'cost=<float>'", output=output

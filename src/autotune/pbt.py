@@ -210,29 +210,41 @@ def run_pbt(
     grid_scale = 1.0  # re-randomized on every model restart
     best_per_interval: list[float] = []
 
+    # the last fit as ((point count, restart count), model or None): points
+    # are only appended between restarts, so the pair names the data
+    last_fit: tuple | None = None
+
+    def fitted_model() -> GpModel | None:
+        """The GP of the current points, or None where fitting fails."""
+        nonlocal last_fit
+        key = (len(gp_points), gp_restarts)
+        if last_fit is None or last_fit[0] != key:
+            try:
+                model = fit_gp(
+                    np.array([p[0] for p in gp_points]),
+                    np.array([p[1] for p in gp_points]),
+                    np.array([p[2] for p in gp_points]),
+                    noise_variance=noise_variance,
+                    length_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
+                    time_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
+                )
+            except GpFitError:  # the same data fails the same way
+                model = None
+            last_fit = (key, model)
+        return last_fit[1]
+
     def explore_config(base: Configuration, interval: int) -> tuple[Configuration, str]:
         if explore_mode == GP:
-            pts = gp_points
-            if len(pts) >= 2:
-                try:
-                    model = fit_gp(
-                        np.array([p[0] for p in pts]),
-                        np.array([p[1] for p in pts]),
-                        np.array([p[2] for p in pts]),
-                        noise_variance=noise_variance,
-                        length_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
-                        time_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
-                    )
-                    vec = suggest_candidate(
-                        model,
-                        time_value=(interval + 1) / num_intervals,
-                        dimension=space.dimension,
-                        rng=rng,
-                        kappa=kappa,
-                    )
-                    return from_unit(space, vec), GP
-                except GpFitError:
-                    pass
+            model = fitted_model() if len(gp_points) >= 2 else None
+            if model is not None:
+                vec = suggest_candidate(
+                    model,
+                    time_value=(interval + 1) / num_intervals,
+                    dimension=space.dimension,
+                    rng=rng,
+                    kappa=kappa,
+                )
+                return from_unit(space, vec), GP
             return (
                 perturb(space, base, rng, factor_up, factor_down, resample_prob),
                 "gp_fallback",

@@ -46,7 +46,7 @@ from .protocol import (
     run_method,
 )
 from .runner import TrialRunner
-from .space import parse_space
+from .space import Configuration, parse_space
 
 JOURNAL_NAME = "journal.log"
 
@@ -105,8 +105,10 @@ def run_repetition(
     deterministic: bool = True,
     workers: int = 1,
     max_groups: int | None = None,
+    exports: TuneExports | None = None,
 ) -> RepetitionResult:
-    """Run (or resume) one tuning repetition inside ``directory``."""
+    """Run (or resume) one tuning repetition inside ``directory``; once it
+    ends, its journal goes to ``exports`` when one is given."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, JOURNAL_NAME)
     header = make_header(
@@ -145,6 +147,8 @@ def run_repetition(
         for test_seed in seed_plan.test_seeds:
             res = runner.evaluate_group(incumbent, 1.0, seeds=[test_seed], purpose="test")
             test_costs.append(res.cost)
+        if exports is not None:
+            exports.add(directory, journal)
         return RepetitionResult(
             repetition, incumbent, tuning_cost, test_costs, spend=journal.spend()
         )
@@ -184,28 +188,36 @@ def _metric(objective_spec: ObjectiveSpec) -> str:
 def report_from_directories(directories: list[str]) -> list[IncumbentReport]:
     """Assemble incumbent reports from completed repetition directories,
     grouped by (method, objective)."""
-    grouped: dict[tuple[str, str], list[tuple[int, RepetitionResult]]] = {}
-    for d in directories:
-        journal = Journal.load(os.path.join(d, JOURNAL_NAME))
-        h = journal.header
-        key = (h["method"], h["objective"]["kind"])
-        inc = journal.final_incumbent()
-        test = [
-            r for r in journal.of_type(GROUP) if r.get("purpose") == "test" and not r["failed"]
-        ]
-        if inc is None or not test:
-            rep = RepetitionResult(h.get("repetition", 0), None, None, [], failed=True)
-        else:
-            from .space import Configuration
+    return _group_rows(
+        _repetition_row(Journal.load(os.path.join(d, JOURNAL_NAME))) for d in directories
+    )
 
-            rep = RepetitionResult(
-                h.get("repetition", 0),
-                Configuration(dict(inc["config"])),
-                inc["cost"],
-                [r["mean_cost"] for r in test],
-                spend=journal.spend(),
-            )
-        grouped.setdefault(key, []).append((h.get("repetition", 0), rep))
+
+def _repetition_row(journal: Journal) -> tuple[tuple[str, str], int, RepetitionResult]:
+    """(method, objective), repetition number and result of one journal."""
+    h = journal.header
+    key = (h["method"], h["objective"]["kind"])
+    inc = journal.final_incumbent()
+    test = [
+        r for r in journal.of_type(GROUP) if r.get("purpose") == "test" and not r["failed"]
+    ]
+    if inc is None or not test:
+        rep = RepetitionResult(h.get("repetition", 0), None, None, [], failed=True)
+    else:
+        rep = RepetitionResult(
+            h.get("repetition", 0),
+            Configuration(dict(inc["config"])),
+            inc["cost"],
+            [r["mean_cost"] for r in test],
+            spend=journal.spend(),
+        )
+    return key, h.get("repetition", 0), rep
+
+
+def _group_rows(rows) -> list[IncumbentReport]:
+    grouped: dict[tuple[str, str], list[tuple[int, RepetitionResult]]] = {}
+    for key, repetition, rep in rows:
+        grouped.setdefault(key, []).append((repetition, rep))
     reports = []
     for (method, objective), reps in sorted(grouped.items()):
         reps.sort(key=lambda t: t[0])
@@ -234,8 +246,7 @@ def export(run_dir: str, kind: str) -> dict[str, str]:
     if kind == "trials":
         for d in directories:
             journal = Journal.load(os.path.join(d, JOURNAL_NAME))
-            name = f"trials_{os.path.basename(d)}.csv" if len(directories) > 1 else "trials.csv"
-            out[name] = trials_csv(journal)
+            out[_trials_name(d, directories)] = trials_csv(journal)
     elif kind == "incumbents":
         out["incumbents.csv"] = incumbents_csv(report_from_directories(directories))
     elif kind == "ranks":
@@ -245,25 +256,76 @@ def export(run_dir: str, kind: str) -> dict[str, str]:
         out["checklist.txt"] = emit_checklist(journals).render()
     elif kind == "sweep":
         raise ValueError("sweep tables are exported by the sweep command itself")
+    _write_exports(run_dir, out)
+    return out
+
+
+class TuneExports:
+    """The ``trials`` and ``incumbents`` exports of one tune invocation,
+    built from each repetition's journal as the repetition ends.
+
+    The files equal what ``export`` writes from disk afterwards. The
+    repetition directories there will then be, which name the trials files,
+    are fixed at the start: those ``run_dir`` already holds plus
+    ``planned``. :meth:`add` writes one repetition's trials file and keeps
+    only its incumbent row, so no journal outlives its repetition;
+    :meth:`close` reads the other repetitions from disk and writes
+    ``incumbents.csv``.
+    """
+
+    def __init__(self, run_dir: str, planned: list[str]):
+        self.run_dir = run_dir
+        if os.path.exists(os.path.join(run_dir, JOURNAL_NAME)):
+            self.directories = [run_dir]
+        else:
+            existing = _rep_subdirs(run_dir) if os.path.isdir(run_dir) else []
+            self.directories = sorted(set(existing) | set(planned))
+        self._rows: dict[str, tuple] = {}  # directory -> its _repetition_row
+
+    def add(self, directory: str, journal: Journal) -> None:
+        if directory in self.directories:
+            name = _trials_name(directory, self.directories)
+            _write_exports(self.run_dir, {name: trials_csv(journal)})
+            self._rows[directory] = _repetition_row(journal)
+
+    def close(self) -> None:
+        if not self.directories:
+            raise JournalError(f"no journals under {self.run_dir}")
+        for d in self.directories:
+            if d not in self._rows:
+                self.add(d, Journal.load(os.path.join(d, JOURNAL_NAME)))
+        rows = (self._rows[d] for d in self.directories)
+        _write_exports(self.run_dir, {"incumbents.csv": incumbents_csv(_group_rows(rows))})
+
+
+def _trials_name(directory: str, directories: list[str]) -> str:
+    return f"trials_{os.path.basename(directory)}.csv" if len(directories) > 1 else "trials.csv"
+
+
+def _write_exports(run_dir: str, files: dict[str, str]) -> None:
     export_dir = os.path.join(run_dir, "exports")
     os.makedirs(export_dir, exist_ok=True)
-    for name, content in out.items():
+    for name, content in files.items():
         with open(os.path.join(export_dir, name), "w", encoding="utf-8") as fh:
             fh.write(content)
-    return out
 
 
 def repetition_dirs(run_dir: str) -> list[str]:
     if os.path.exists(os.path.join(run_dir, JOURNAL_NAME)):
         return [run_dir]
-    reps = sorted(
+    reps = _rep_subdirs(run_dir)
+    if not reps:
+        raise JournalError(f"no journals under {run_dir}")
+    return reps
+
+
+def _rep_subdirs(run_dir: str) -> list[str]:
+    """``run_dir``'s rep*/ subdirectories that hold a journal, sorted."""
+    return sorted(
         os.path.join(run_dir, d)
         for d in os.listdir(run_dir)
         if d.startswith("rep") and os.path.exists(os.path.join(run_dir, d, JOURNAL_NAME))
     )
-    if not reps:
-        raise JournalError(f"no journals under {run_dir}")
-    return reps
 
 
 def trials_csv(journal: Journal) -> str:
