@@ -29,7 +29,6 @@ from .protocol import (
     SeedPlan,
     default_seed_plan,
     rank_methods,
-    run_protocol,
 )
 from .rs import RsRun, run_rs
 from .runner import GroupResult, NoIncumbentError, RunInterrupted, TrialRunner
@@ -63,7 +62,7 @@ __all__ = [
     "evaluate", "evaluate_multi_seed", "make_objective",
     "Member", "PbtRun", "Schedule", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
     "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "default_seed_plan",
-    "rank_methods", "run_protocol",
+    "rank_methods",
     "RsRun", "run_rs",
     "GroupResult", "NoIncumbentError", "RunInterrupted", "TrialRunner",
     "ConfigSpace", "Configuration", "Hyperparameter", "SpaceError", "SpaceParseError",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .journal import GROUP, INCUMBENT, TRIAL, Journal
-from .space import CATEGORICAL, CONTINUOUS, INTEGER, LOG, parse_space
+from .journal import TRIAL, Journal
+from .space import CONTINUOUS, INTEGER, LOG, _num, parse_space
 
 UNANSWERED = "UNANSWERED"
 
@@ -34,19 +34,15 @@ def _notation(space_text: str) -> list[str]:
     lines = []
     for p in parse_space(space_text).params:
         if p.kind == CONTINUOUS:
-            spec = f"({_fmt(p.lower)}, {_fmt(p.upper)})"
+            spec = f"({_num(p.lower)}, {_num(p.upper)})"
         elif p.kind == LOG:
-            spec = f"log(({_fmt(p.lower)}, {_fmt(p.upper)}))"
+            spec = f"log(({_num(p.lower)}, {_num(p.upper)}))"
         elif p.kind == INTEGER:
             spec = f"[{int(p.lower)}, {int(p.upper)}]"
         else:
             spec = "{" + ", ".join(p.choices) + "}"
         lines.append(f"- {p.name}: {spec}")
     return lines
-
-
-def _fmt(x: float) -> str:
-    return repr(int(x)) if x == int(x) and abs(x) < 1e16 else repr(float(x))
 
 
 def _yes_no(value: bool | None) -> str:

@@ -2,7 +2,7 @@
 
     tune {rs,dehb,pbt} --space F --objective NAME|cmd:... --budget-runs N
          --tuning-seeds 0,1,2,3,4 --test-seeds 5..14 --repetitions R
-         --rng-seed S --workers W --out DIR [--deterministic]
+         --rng-seed S --workers W --out DIR
     report {checklist,ranks,incumbents} DIR...
     sweep --space F --objective NAME --param NAME --values ... --seeds ...
 
@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from ._version import __version__
+from .checklist import emit_checklist
 from .journal import Journal, JournalCorrupt, JournalError
 from .objectives import EvaluationError, ObjectiveSpec, make_objective
-from .protocol import MethodSpec, SeedPlan, emit_checklist
+from .protocol import MethodSpec, SeedPlan
 from .runner import NoIncumbentError
 from .runs import (
     JOURNAL_NAME,
@@ -97,7 +98,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="run directory (AUTOTUNE_RUN_DIR overrides)")
-    p.add_argument("--deterministic", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +178,6 @@ def _method_from_args(args) -> MethodSpec:
 def _cmd_tune(args) -> int:
     with open(args.space, "r", encoding="utf-8") as fh:
         space_text = fh.read()
-    parse_space(space_text)  # fail fast on syntax errors
     method = _method_from_args(args)
     objective_spec = _objective_spec(args.objective, _parse_params(args.objective_param))
     seed_plan = SeedPlan(parse_seed_list(args.tuning_seeds), parse_seed_list(args.test_seeds))
@@ -197,7 +196,6 @@ def _cmd_tune(args) -> int:
             args.budget_runs,
             args.rng_seed,
             rep,
-            deterministic=args.deterministic or args.workers == 1,
             workers=args.workers,
             exports=exports,
         )

@@ -37,7 +37,6 @@ class DeMember:
 @dataclass
 class DePopulation:
     budget: float
-    capacity: int
     members: list[DeMember] = field(default_factory=list)
 
 
@@ -124,17 +123,13 @@ def run_dehb(
     *,
     runner: TrialRunner | None = None,
     journal=None,
-    workers: int = 1,
-    max_groups: int | None = None,
 ) -> DehbRun:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     if runner is None:
-        runner = TrialRunner(
-            objective, tuning_seeds, journal=journal, workers=workers, max_groups=max_groups
-        )
+        runner = TrialRunner(objective, tuning_seeds, journal=journal)
 
     d = space.dimension
     rungs = list(lad.rungs)
@@ -179,7 +174,7 @@ def run_dehb(
             total_spend += budget
             if budget == lad.max_budget and not res.failed:
                 note_incumbent(v, res.cost)
-        return DePopulation(budget=budget, capacity=caps[rung_index], members=members)
+        return DePopulation(budget=budget, members=members)
 
     n_rungs = len(rungs)
     iterations_run = 0
@@ -212,9 +207,7 @@ def run_dehb(
                 if budget == lad.max_budget and not res.failed:
                     note_incumbent(child, res.cost)
                 new_members.append(survivor)
-            pops[lowest] = DePopulation(
-                budget=budget, capacity=caps[lowest], members=new_members
-            )
+            pops[lowest] = DePopulation(budget=budget, members=new_members)
 
         for rung_index in active[1:]:
             below = pops[rung_index - 1]

@@ -646,7 +646,10 @@ def make_objective(spec: ObjectiveSpec | str, space: ConfigSpace | None = None, 
     cls = _BUILTINS[kind]
     if space is not None and kind in (NoisySphere.name, SeededValley.name, ExternalCommand.name):
         kw["space"] = space
-    return cls(**kw)
+    try:
+        return cls(**kw)
+    except TypeError as err:  # a parameter the objective does not take
+        raise ValueError(f"bad parameters for objective {kind!r}: {err}") from err
 
 
 def evaluate(

@@ -167,8 +167,6 @@ def run_pbt(
     restart_patience: int | None = 3,
     runner: TrialRunner | None = None,
     journal=None,
-    workers: int = 1,
-    max_groups: int | None = None,
 ) -> PbtRun:
     if population_size < 2:
         raise ValueError("population_size must be >= 2")
@@ -179,9 +177,7 @@ def run_pbt(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     if runner is None:
-        runner = TrialRunner(
-            objective, tuning_seeds, journal=journal, workers=workers, max_groups=max_groups
-        )
+        runner = TrialRunner(objective, tuning_seeds, journal=journal)
     if gp_target is None:
         # warmstart points are full-run costs, so model raw cost when present
         gp_target = "cost" if warmstart_runs > 0 else "improvement"

@@ -11,19 +11,16 @@ environments and reported to one decimal.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import ladder, rung_capacity
-from .checklist import ChecklistReport, emit_checklist  # noqa: F401  (public API)
+from .budgets import ladder
 from .dehb import run_dehb
-from .journal import Journal
 from .objectives import Objective
 from .pbt import run_pbt
 from .rs import run_rs
-from .runner import NoIncumbentError, TrialRunner
+from .runner import TrialRunner
 from .space import ConfigSpace, Configuration
 
 
@@ -68,7 +65,13 @@ class MethodSpec:
             object.__setattr__(self, "name", self.kind)
 
     def plan(self, budget_runs: int) -> dict:
-        """Concrete settings that keep total spend within ``budget_runs``."""
+        """Concrete settings that keep total spend within ``budget_runs``.
+
+        Raises ValueError when not even the smallest run fits: a budget
+        below one full run, or below one DEHB iteration (a whole ladder).
+        """
+        if budget_runs < 1:
+            raise ValueError("budget_runs must be >= 1")
         opts = dict(self.options)
         if self.kind == "rs":
             opts.setdefault("n_configs", int(budget_runs))
@@ -82,7 +85,12 @@ class MethodSpec:
                 while iters < n and spend + (n - iters) <= budget_runs + 1e-9:
                     spend += n - iters
                     iters += 1
-                opts["iterations"] = max(1, iters)
+                if iters == 0:
+                    raise ValueError(
+                        f"budget of {budget_runs} full runs is less than one DEHB "
+                        f"iteration ({n} full runs)"
+                    )
+                opts["iterations"] = iters
         elif self.kind == "pbt":
             warm = opts.setdefault("warmstart_runs", 0)
             opts.setdefault("population_size", max(2, int(budget_runs) - int(warm)))
@@ -97,19 +105,15 @@ def run_method(
     space: ConfigSpace,
     objective: Objective,
     tuning_seeds: list[int],
-    budget_runs: int,
+    opts: dict,
     rng: np.random.Generator | int,
     *,
-    runner: TrialRunner | None = None,
-    journal: Journal | None = None,
-    workers: int = 1,
-    max_groups: int | None = None,
+    runner: TrialRunner,
 ):
-    """Dispatch one optimizer run. Returns (incumbent, incumbent_cost, result)."""
-    opts = method.plan(budget_runs)
-    common = dict(runner=runner, journal=journal, workers=workers, max_groups=max_groups)
+    """Dispatch one optimizer run with the settings ``method.plan`` gave.
+    Returns (incumbent, incumbent_cost, result)."""
     if method.kind == "rs":
-        run = run_rs(space, objective, opts["n_configs"], tuning_seeds, rng, **common)
+        run = run_rs(space, objective, opts["n_configs"], tuning_seeds, rng, runner=runner)
     elif method.kind == "dehb":
         lad = ladder(opts["min_budget"], 1.0, opts["eta"])
         run = run_dehb(
@@ -121,7 +125,7 @@ def run_method(
             rng,
             F=opts.get("F", 0.5),
             CR=opts.get("CR", 0.5),
-            **common,
+            runner=runner,
         )
     else:
         kw = {
@@ -140,7 +144,7 @@ def run_method(
             opts["warmstart_runs"],
             tuning_seeds,
             rng,
-            **common,
+            runner=runner,
             **kw,
         )
     return run.incumbent, run.incumbent_cost, run
@@ -169,7 +173,6 @@ class IncumbentReport:
     method: str
     objective: str
     repetitions: list
-    warning: str = ""
 
     @property
     def surviving(self) -> list:
@@ -182,62 +185,6 @@ class IncumbentReport:
     @property
     def aggregate_std(self) -> float:
         return float(np.std([r.test_mean for r in self.surviving]))
-
-
-def run_protocol(
-    method: MethodSpec,
-    space: ConfigSpace,
-    objective: Objective,
-    seed_plan: SeedPlan,
-    repetitions: int,
-    budget_runs: int,
-    *,
-    base_rng_seed: int = 0,
-    journals: list[Journal] | None = None,
-    workers: int = 1,
-) -> IncumbentReport:
-    """Tune ``repetitions`` times and test each incumbent on the held-out seeds."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if budget_runs < 1:
-        raise ValueError("budget_runs must be >= 1")
-    reps = []
-    failures = []
-    for rep in range(repetitions):
-        journal = journals[rep] if journals is not None else Journal()
-        rng = np.random.default_rng(np.random.SeedSequence([int(base_rng_seed), rep]))
-        runner = TrialRunner(
-            objective, list(seed_plan.tuning_seeds), journal=journal, workers=workers
-        )
-        try:
-            incumbent, tuning_cost, _ = run_method(
-                method, space, objective, list(seed_plan.tuning_seeds), budget_runs,
-                rng, runner=runner,
-            )
-        except NoIncumbentError as err:
-            failures.append(f"repetition {rep}: {err}")
-            reps.append(RepetitionResult(rep, None, None, [], failed=True))
-            continue
-        spend = journal.spend()
-        if spend > budget_runs + 1e-9:
-            raise RuntimeError(
-                f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
-            )
-        test_costs = []
-        for test_seed in seed_plan.test_seeds:
-            res = runner.evaluate_group(incumbent, 1.0, seeds=[test_seed], purpose="test")
-            test_costs.append(res.cost)
-        reps.append(
-            RepetitionResult(rep, incumbent, tuning_cost, test_costs, spend=spend)
-        )
-    if all(r.failed for r in reps):
-        raise NoIncumbentError("every repetition failed")
-    return IncumbentReport(
-        method=method.name,
-        objective=objective.name,
-        repetitions=reps,
-        warning="; ".join(failures),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,13 @@ def run_rs(
     *,
     runner: TrialRunner | None = None,
     journal=None,
-    workers: int = 1,
-    max_groups: int | None = None,
 ) -> RsRun:
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     if runner is None:
-        runner = TrialRunner(
-            objective, tuning_seeds, journal=journal, workers=workers, max_groups=max_groups
-        )
+        runner = TrialRunner(objective, tuning_seeds, journal=journal)
 
     configs = [sample(space, rng) for _ in range(n_configs)]
     results: list[GroupResult] = runner.evaluate_many(

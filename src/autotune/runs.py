@@ -12,8 +12,9 @@ directory holds the payload in its frame ``<name>`` (see
 :mod:`autotune.checkpoints`).
 
 Resuming re-runs the optimizer deterministically against the recorded
-journal; the header stores everything needed (method, options, space text,
-objective spec, seeds, rng seed), so ``resume`` needs only the directory.
+journal: run ``tune`` again with the same ``--out``. The header stores
+everything the run depends on (method, options, space text, objective spec,
+seeds, rng seed), and a resumed run whose header differs is refused.
 """
 from __future__ import annotations
 
@@ -21,27 +22,18 @@ import csv
 import io
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .journal import (
-    COMPLETE,
-    GROUP,
-    INCUMBENT,
-    TRIAL,
-    Journal,
-    JournalError,
-    space_digest,
-)
+from .checklist import emit_checklist
+from .journal import GROUP, TRIAL, Journal, JournalError, space_digest
 from .objectives import ObjectiveSpec, make_objective
 from .protocol import (
     IncumbentReport,
     MethodSpec,
     RepetitionResult,
     SeedPlan,
-    emit_checklist,
     rank_methods,
     run_method,
 )
@@ -60,7 +52,6 @@ def make_header(
     budget_runs: int,
     rng_seed: int,
     repetition: int,
-    deterministic: bool,
 ) -> dict:
     return {
         "method": method.name,
@@ -77,7 +68,8 @@ def make_header(
         "budget_runs": int(budget_runs),
         "rng_seed": int(rng_seed),
         "repetition": int(repetition),
-        "deterministic": bool(deterministic),
+        # constant: pooled runs journal in request order, like one worker
+        "deterministic": True,
         "orientation": "cost",
         "package": f"autotune {__version__}",
     }
@@ -102,18 +94,25 @@ def run_repetition(
     rng_seed: int,
     repetition: int,
     *,
-    deterministic: bool = True,
     workers: int = 1,
     max_groups: int | None = None,
     exports: TuneExports | None = None,
 ) -> RepetitionResult:
     """Run (or resume) one tuning repetition inside ``directory``; once it
-    ends, its journal goes to ``exports`` when one is given."""
+    ends, its journal goes to ``exports`` when one is given.
+
+    The space, the objective and the method's plan are checked before
+    anything is written. Tuning must stay within ``budget_runs``: a run that
+    spent more raises ValueError before its incumbent is tested.
+    """
+    space = parse_space(space_text)
+    objective = make_objective(objective_spec, space=space)
+    opts = method.plan(budget_runs)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, JOURNAL_NAME)
     header = make_header(
-        method, space_text, objective_spec, _metric(objective_spec), seed_plan,
-        budget_runs, rng_seed, repetition, deterministic,
+        method, space_text, objective_spec, objective.cost_metric, seed_plan,
+        budget_runs, rng_seed, repetition,
     )
     if os.path.exists(path):
         journal = Journal.open_for_resume(path)
@@ -127,62 +126,34 @@ def run_repetition(
         journal = Journal.create(path)
     journal.write_header(header)
 
-    space = parse_space(space_text)
-    objective = make_objective(objective_spec, space=space)
     runner = TrialRunner(
         objective,
         list(seed_plan.tuning_seeds),
         journal=journal,
         checkpoint_dir=os.path.join(directory, "checkpoints"),
-        workers=1 if deterministic else workers,
+        workers=workers,
         max_groups=max_groups,
     )
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
     try:
         incumbent, tuning_cost, _ = run_method(
-            method, space, objective, list(seed_plan.tuning_seeds), budget_runs,
-            rng, runner=runner,
+            method, space, objective, list(seed_plan.tuning_seeds), opts, rng, runner=runner
         )
+        spend = journal.spend()
+        if spend > budget_runs + 1e-9:
+            raise ValueError(
+                f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
+            )
         test_costs = []
         for test_seed in seed_plan.test_seeds:
             res = runner.evaluate_group(incumbent, 1.0, seeds=[test_seed], purpose="test")
             test_costs.append(res.cost)
         if exports is not None:
             exports.add(directory, journal)
-        return RepetitionResult(
-            repetition, incumbent, tuning_cost, test_costs, spend=journal.spend()
-        )
+        return RepetitionResult(repetition, incumbent, tuning_cost, test_costs, spend=spend)
     finally:
         runner.close()
         journal.close()
-
-
-def resume(directory: str) -> RepetitionResult:
-    """Resume one repetition directory purely from its journal header."""
-    path = os.path.join(directory, JOURNAL_NAME)
-    header = Journal.load(path).header
-    method = MethodSpec(
-        kind=header["kind"], name=header["method"], options=dict(header["options"])
-    )
-    seed_plan = SeedPlan(header["seed_plan"]["tuning"], header["seed_plan"]["test"])
-    return run_repetition(
-        directory,
-        method,
-        header["space_text"],
-        ObjectiveSpec.from_dict(header["objective"]),
-        seed_plan,
-        header["budget_runs"],
-        header["rng_seed"],
-        header["repetition"],
-        deterministic=header.get("deterministic", True),
-    )
-
-
-def _metric(objective_spec: ObjectiveSpec) -> str:
-    try:
-        return make_objective(objective_spec).cost_metric
-    except Exception:
-        return "cost (lower is better)"
 
 
 def report_from_directories(directories: list[str]) -> list[IncumbentReport]:
@@ -278,8 +249,7 @@ class TuneExports:
         if os.path.exists(os.path.join(run_dir, JOURNAL_NAME)):
             self.directories = [run_dir]
         else:
-            existing = _rep_subdirs(run_dir) if os.path.isdir(run_dir) else []
-            self.directories = sorted(set(existing) | set(planned))
+            self.directories = sorted(set(_rep_subdirs(run_dir)) | set(planned))
         self._rows: dict[str, tuple] = {}  # directory -> its _repetition_row
 
     def add(self, directory: str, journal: Journal) -> None:
@@ -320,7 +290,10 @@ def repetition_dirs(run_dir: str) -> list[str]:
 
 
 def _rep_subdirs(run_dir: str) -> list[str]:
-    """``run_dir``'s rep*/ subdirectories that hold a journal, sorted."""
+    """``run_dir``'s rep*/ subdirectories that hold a journal, sorted; none
+    when ``run_dir`` does not exist."""
+    if not os.path.isdir(run_dir):
+        return []
     return sorted(
         os.path.join(run_dir, d)
         for d in os.listdir(run_dir)

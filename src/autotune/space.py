@@ -22,7 +22,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -1,0 +1,128 @@
+"""``cli.main`` exit codes: 0 success, 2 usage error, 3 objective failure,
+4 journal corruption; and the journal a worker pool writes."""
+import json
+import os
+
+import pytest
+
+from autotune.cli import EXIT_CORRUPT, EXIT_OBJECTIVE, EXIT_OK, EXIT_USAGE, main
+from autotune.journal import Journal
+from autotune.runs import JOURNAL_NAME
+
+SPACE_TEXT = """\
+lr: log(1e-05, 1.0)
+momentum: (0.0, 0.99)
+layers: int[1, 8]
+activation: {relu, tanh, gelu}
+"""
+VALLEY = ["--objective", "seeded_valley", "--objective-param", "sigma=0.25"]
+SEEDS = ["--tuning-seeds", "0,1", "--test-seeds", "5,6"]
+
+
+@pytest.fixture
+def space(tmp_path):
+    path = tmp_path / "space.txt"
+    path.write_text(SPACE_TEXT)
+    return str(path)
+
+
+def tune(space, out, *args):
+    return main(["tune", *args, "--space", space, "--out", str(out)])
+
+
+def journal(out):
+    return Journal.load(os.path.join(out, "rep000", JOURNAL_NAME))
+
+
+def test_fresh_run_exits_0(space, tmp_path, capsys):
+    assert tune(space, tmp_path / "run", "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
+    assert "repetition 0: incumbent cost" in capsys.readouterr().out
+    assert journal(tmp_path / "run").spend() == 3.0
+
+
+def test_overlapping_seeds_exit_2(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = tune(space, out, "rs", *VALLEY, "--tuning-seeds", "0,1", "--test-seeds", "1,2")
+    assert rc == EXIT_USAGE
+    assert "overlap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_budget_below_one_dehb_iteration_exits_2_and_writes_nothing(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, "dehb", *VALLEY, *SEEDS, "--budget-runs", "6") == EXIT_USAGE
+    assert "less than one DEHB iteration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overspent_budget_fails_the_audit_before_testing(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = tune(space, out, "dehb", *VALLEY, "--tuning-seeds", "0", "--test-seeds", "5",
+              "--iterations", "10", "--budget-runs", "2")
+    assert rc == EXIT_USAGE
+    assert "budget audit failed" in capsys.readouterr().err
+    groups = journal(out).of_type("group")
+    assert groups and all(g["purpose"] == "tune" for g in groups)
+    assert not os.path.exists(out / "exports")
+
+
+def test_unknown_objective_parameter_exits_2_and_writes_nothing(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = tune(space, out, "rs", "--objective", "seeded_valley", "--objective-param", "bogus=1")
+    assert rc == EXIT_USAGE
+    assert "bogus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deterministic_flag_is_a_usage_error(space, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        tune(space, tmp_path / "run", "rs", *VALLEY, "--deterministic")
+    assert err.value.code == EXIT_USAGE
+
+
+def test_failing_command_exits_3(space, tmp_path, capsys):
+    rc = tune(space, tmp_path / "run", "rs", "--objective", "cmd:false", "--budget-runs", "2",
+              "--tuning-seeds", "0", "--test-seeds", "1")
+    assert rc == EXIT_OBJECTIVE
+    assert "every random-search trial failed" in capsys.readouterr().err
+
+
+def test_report_on_a_missing_directory_exits_4(tmp_path, capsys):
+    assert main(["report", "trials", str(tmp_path / "missing")]) == EXIT_CORRUPT
+    assert "no journals under" in capsys.readouterr().err
+
+
+def test_corrupt_line_in_the_middle_exits_4(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
+    path = out / "rep000" / JOURNAL_NAME
+    lines = path.read_text().splitlines()
+    lines[len(lines) // 2] = lines[len(lines) // 2][:20]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "trials", str(out)]) == EXIT_CORRUPT
+    assert "corrupt record" in capsys.readouterr().err
+    assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_CORRUPT
+
+
+def normalised(out):
+    """Journal lines, header included, without wall time and with checkpoint
+    names only, since each run writes its own directory."""
+    records = []
+    for line in (out / "rep000" / JOURNAL_NAME).read_text().splitlines():
+        rec = json.loads(line)
+        rec.pop("wall_time", None)
+        if rec.get("ckpt"):
+            rec["ckpt"] = os.path.basename(rec["ckpt"])
+        records.append(rec)
+    return records
+
+
+def test_worker_pool_writes_the_single_worker_journal(space, tmp_path):
+    dehb = ["dehb", *VALLEY, *SEEDS, "--min-budget", "0.1", "--eta", "3", "--budget-runs", "6"]
+    assert tune(space, tmp_path / "w1", *dehb, "--workers", "1") == EXIT_OK
+    assert tune(space, tmp_path / "w2", *dehb, "--workers", "2") == EXIT_OK
+    w1, w2 = normalised(tmp_path / "w1"), normalised(tmp_path / "w2")
+    assert w1[0]["t"] == "header" and w1[0]["deterministic"] is True
+    assert len(w1) > 30
+    assert w2 == w1

@@ -35,7 +35,7 @@ def run(directory, method, workers=1, max_groups=None):
     spec, budget = METHODS[method]
     return run_repetition(
         str(directory), spec, SPACE_TEXT, OBJECTIVE, SEEDS, budget, rng_seed=7, repetition=0,
-        deterministic=workers == 1, workers=workers, max_groups=max_groups,
+        workers=workers, max_groups=max_groups,
     )
 
 

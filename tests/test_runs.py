@@ -20,7 +20,7 @@ COMMON = ["--objective", "seeded_valley", "--objective-param", "sigma=0.25",
           "--tuning-seeds", "0,1,2", "--test-seeds", "5..7", "--rng-seed", "4"]
 METHODS = {
     "rs": ["rs", "--budget-runs", "4"],
-    "dehb": ["dehb", "--budget-runs", "6"],
+    "dehb": ["dehb", "--budget-runs", "8"],
     "pbt-gp": ["pbt", "--explore", "gp", "--population", "8", "--intervals", "4",
                "--budget-runs", "8"],
 }
