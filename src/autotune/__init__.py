@@ -17,8 +17,6 @@ from .objectives import (
     EvaluationError,
     Objective,
     ObjectiveSpec,
-    evaluate,
-    evaluate_multi_seed,
     make_objective,
 )
 from .pbt import Member, PbtRun, Schedule, exploit, kernel_restart_check, run_pbt, warmstart
@@ -59,7 +57,7 @@ __all__ = [
     "GpFitError", "GpModel", "fit_gp", "suggest_candidate",
     "Journal", "JournalCorrupt", "JournalError", "space_digest",
     "CheckpointHandle", "EvaluationError", "Objective", "ObjectiveSpec",
-    "evaluate", "evaluate_multi_seed", "make_objective",
+    "make_objective",
     "Member", "PbtRun", "Schedule", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
     "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "default_seed_plan",
     "rank_methods",

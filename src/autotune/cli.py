@@ -3,11 +3,13 @@
     tune {rs,dehb,pbt} --space F --objective NAME|cmd:... --budget-runs N
          --tuning-seeds 0,1,2,3,4 --test-seeds 5..14 --repetitions R
          --rng-seed S --workers W --out DIR
-    report {checklist,ranks,incumbents} DIR...
+    report {checklist,ranks,incumbents,trials} DIR...
     sweep --space F --objective NAME --param NAME --values ... --seeds ...
 
-AUTOTUNE_RUN_DIR overrides --out. Exit codes: 0 success, 2 usage error,
-3 objective failure, 4 journal corruption.
+``report`` with one DIR writes DIR/exports/ and prints the paths; with
+several DIRs it prints the combined report to stdout. ``trials`` takes one
+DIR. AUTOTUNE_RUN_DIR overrides --out. Exit codes: 0 success, 2 usage
+error, 3 objective failure, 4 journal corruption.
 """
 from __future__ import annotations
 
@@ -18,21 +20,17 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .checklist import emit_checklist
-from .journal import Journal, JournalCorrupt, JournalError
+from .journal import JournalCorrupt, JournalError
 from .objectives import EvaluationError, ObjectiveSpec, make_objective
 from .protocol import MethodSpec, SeedPlan
 from .runner import NoIncumbentError
 from .runs import (
-    JOURNAL_NAME,
     TuneExports,
     default_run_dir,
     export,
-    incumbents_csv,
-    ranks_csv,
+    render,
     rep_dir,
     repetition_dirs,
-    report_from_directories,
     run_repetition,
 )
 from .space import Configuration, SpaceError, from_unit, parse_space
@@ -210,24 +208,15 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.kind in ("ranks", "incumbents", "trials", "checklist") and len(args.dirs) == 1:
-        files = export(args.dirs[0], args.kind)
-        for name in files:
+    if len(args.dirs) == 1:
+        for name in export(args.dirs[0], args.kind):
             print(os.path.join(args.dirs[0], "exports", name))
         return EXIT_OK
-    # multiple directories: aggregate into the current directory
-    dirs = []
-    for d in args.dirs:
-        dirs.extend(repetition_dirs(d))
-    if args.kind == "incumbents":
-        print(incumbents_csv(report_from_directories(dirs)), end="")
-    elif args.kind == "ranks":
-        print(ranks_csv(report_from_directories(dirs)), end="")
-    elif args.kind == "checklist":
-        journals = [Journal.load(os.path.join(d, JOURNAL_NAME)) for d in dirs]
-        print(emit_checklist(journals).render(), end="")
-    else:
+    dirs = [d for arg in args.dirs for d in repetition_dirs(arg)]
+    if args.kind == "trials":
         raise UsageError("trials reports take a single directory")
+    for text in render(args.kind, dirs).values():
+        print(text, end="")
     return EXIT_OK
 
 

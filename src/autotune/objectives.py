@@ -650,32 +650,3 @@ def make_objective(spec: ObjectiveSpec | str, space: ConfigSpace | None = None, 
         return cls(**kw)
     except TypeError as err:  # a parameter the objective does not take
         raise ValueError(f"bad parameters for objective {kind!r}: {err}") from err
-
-
-def evaluate(
-    objective: Objective,
-    config: Configuration,
-    budget: float,
-    seed: int,
-    resume: CheckpointHandle | None = None,
-) -> tuple[float, CheckpointHandle]:
-    """Evaluate one (configuration, budget, seed) key. Raises EvaluationError."""
-    return objective.evaluate(config, budget, seed, resume=resume)
-
-
-def evaluate_multi_seed(
-    objective: Objective,
-    config: Configuration,
-    budget: float,
-    seeds: list[int],
-) -> tuple[float, list[float]]:
-    """Mean cost across seeds; any seed failing fails the aggregate."""
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    costs = []
-    for s in seeds:
-        cost, _ = objective.evaluate(config, budget, s)
-        costs.append(cost)
-    return float(np.mean(costs)), costs

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budgets import ladder
+from .budgets import ladder, rung_capacity
 from .dehb import run_dehb
 from .objectives import Objective
 from .pbt import run_pbt
@@ -67,20 +67,22 @@ class MethodSpec:
     def plan(self, budget_runs: int) -> dict:
         """Concrete settings that keep total spend within ``budget_runs``.
 
-        Raises ValueError when not even the smallest run fits: a budget
-        below one full run, or below one DEHB iteration (a whole ladder).
+        Raises ValueError when the settings spend more than the budget: a
+        budget below one full run, below one DEHB iteration (a whole ladder),
+        or below an explicit DEHB iteration count or PBT population.
         """
         if budget_runs < 1:
             raise ValueError("budget_runs must be >= 1")
         opts = dict(self.options)
         if self.kind == "rs":
             opts.setdefault("n_configs", int(budget_runs))
+            spend = opts["n_configs"]
         elif self.kind == "dehb":
             eta = opts.setdefault("eta", 1.9)
             min_budget = opts.setdefault("min_budget", 0.01)
+            lad = ladder(min_budget, 1.0, eta)
+            n = lad.n_rungs
             if "iterations" not in opts:
-                lad = ladder(min_budget, 1.0, eta)
-                n = lad.n_rungs
                 spend, iters = 0.0, 0
                 while iters < n and spend + (n - iters) <= budget_runs + 1e-9:
                     spend += n - iters
@@ -91,12 +93,24 @@ class MethodSpec:
                         f"iteration ({n} full runs)"
                     )
                 opts["iterations"] = iters
-        elif self.kind == "pbt":
+            # what run_dehb spends: each active rung filled to capacity
+            spend = sum(
+                rung_capacity(lad, i) * lad.rungs[i]
+                for it in range(min(opts["iterations"], n))
+                for i in range(it, n)
+            )
+        else:
             warm = opts.setdefault("warmstart_runs", 0)
             opts.setdefault("population_size", max(2, int(budget_runs) - int(warm)))
             opts.setdefault("num_intervals", 20)
             opts.setdefault("quantile", 0.125)
             opts.setdefault("explore_mode", "perturb")
+            spend = opts["population_size"] + warm
+        if spend > budget_runs + 1e-9:
+            raise ValueError(
+                f"planned spend of {spend:.6g} full runs exceeds the budget of "
+                f"{budget_runs}"
+            )
         return opts
 
 
@@ -112,41 +126,14 @@ def run_method(
 ):
     """Dispatch one optimizer run with the settings ``method.plan`` gave.
     Returns (incumbent, incumbent_cost, result)."""
+    kw = dict(opts, tuning_seeds=tuning_seeds, rng=rng, runner=runner)
     if method.kind == "rs":
-        run = run_rs(space, objective, opts["n_configs"], tuning_seeds, rng, runner=runner)
+        run = run_rs(space, objective, **kw)
     elif method.kind == "dehb":
-        lad = ladder(opts["min_budget"], 1.0, opts["eta"])
-        run = run_dehb(
-            space,
-            objective,
-            lad,
-            opts["iterations"],
-            tuning_seeds,
-            rng,
-            F=opts.get("F", 0.5),
-            CR=opts.get("CR", 0.5),
-            runner=runner,
-        )
+        lad = ladder(kw.pop("min_budget"), 1.0, kw.pop("eta"))
+        run = run_dehb(space, objective, lad, **kw)
     else:
-        kw = {
-            k: v
-            for k, v in opts.items()
-            if k
-            not in ("population_size", "num_intervals", "quantile", "explore_mode", "warmstart_runs")
-        }
-        run = run_pbt(
-            space,
-            objective,
-            opts["population_size"],
-            opts["num_intervals"],
-            opts["quantile"],
-            opts["explore_mode"],
-            opts["warmstart_runs"],
-            tuning_seeds,
-            rng,
-            runner=runner,
-            **kw,
-        )
+        run = run_pbt(space, objective, **kw)
     return run.incumbent, run.incumbent_cost, run
 
 

@@ -201,7 +201,25 @@ def _group_rows(rows) -> list[IncumbentReport]:
 # ---------------------------------------------------------------------------
 # Exports
 
-EXPORT_KINDS = ("trials", "incumbents", "sweep", "ranks", "checklist")
+EXPORT_KINDS = ("trials", "incumbents", "ranks", "checklist")
+
+
+def render(kind: str, directories: list[str]) -> dict[str, str]:
+    """The ``kind`` export of repetition ``directories``: {filename: text}."""
+    if kind not in EXPORT_KINDS:
+        raise ValueError(f"unknown export kind {kind!r}; pick one of {EXPORT_KINDS}")
+    if kind == "trials":
+        return {
+            _trials_name(d, directories): trials_csv(Journal.load(os.path.join(d, JOURNAL_NAME)))
+            for d in directories
+        }
+    if kind == "checklist":
+        journals = [Journal.load(os.path.join(d, JOURNAL_NAME)) for d in directories]
+        return {"checklist.txt": emit_checklist(journals).render()}
+    reports = report_from_directories(directories)
+    if kind == "incumbents":
+        return {"incumbents.csv": incumbents_csv(reports)}
+    return {"ranks.csv": ranks_csv(reports)}
 
 
 def export(run_dir: str, kind: str) -> dict[str, str]:
@@ -210,23 +228,7 @@ def export(run_dir: str, kind: str) -> dict[str, str]:
     Returns {relative filename: contents}. ``run_dir`` may be a single
     repetition directory or a parent holding rep*/ subdirectories.
     """
-    if kind not in EXPORT_KINDS:
-        raise ValueError(f"unknown export kind {kind!r}; pick one of {EXPORT_KINDS}")
-    directories = repetition_dirs(run_dir)
-    out: dict[str, str] = {}
-    if kind == "trials":
-        for d in directories:
-            journal = Journal.load(os.path.join(d, JOURNAL_NAME))
-            out[_trials_name(d, directories)] = trials_csv(journal)
-    elif kind == "incumbents":
-        out["incumbents.csv"] = incumbents_csv(report_from_directories(directories))
-    elif kind == "ranks":
-        out["ranks.csv"] = ranks_csv(report_from_directories(directories))
-    elif kind == "checklist":
-        journals = [Journal.load(os.path.join(d, JOURNAL_NAME)) for d in directories]
-        out["checklist.txt"] = emit_checklist(journals).render()
-    elif kind == "sweep":
-        raise ValueError("sweep tables are exported by the sweep command itself")
+    out = render(kind, repetition_dirs(run_dir))
     _write_exports(run_dir, out)
     return out
 

@@ -2,9 +2,11 @@
 
 A sweep holds everything else at a base configuration and varies one
 parameter over an explicit value list, running every (value, seed) pair at a
-fixed budget. Output rows are ordered by value position and carry per-seed
-costs plus mean, std and median over the survivors; failures stay visible in
-the count column.
+fixed budget. Trials run through a :class:`~autotune.runner.TrialRunner`, so
+a sweep trial fails by the same rule as a tuning trial. Output rows are
+ordered by value position and carry per-seed costs plus mean, std and median
+over the survivors. A failed or non-finite trial is a blank cell that the
+count column leaves out.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import EvaluationError, Objective
+from .objectives import Objective
+from .runner import TrialRunner
 from .space import ConfigSpace, Configuration
 
 
@@ -108,20 +111,19 @@ class SweepTable:
 
 def run_sweep(spec: SweepSpec, objective: Objective) -> SweepTable:
     """Evaluate |values| x |seeds| trials; rows ordered by value position."""
-    table = SweepTable(
-        objective=objective.name, param=spec.param, seeds=spec.seeds, budget=spec.budget
+    runner = TrialRunner(objective, list(spec.seeds))
+    results = runner.evaluate_many(
+        [
+            {"config": spec.base_config.with_value(spec.param, v), "budget": spec.budget,
+             "purpose": "sweep"}
+            for v in spec.values
+        ]
     )
-    for value in spec.values:
-        config = spec.base_config.with_value(spec.param, value)
-        per_seed = []
-        for seed in spec.seeds:
-            try:
-                cost, _ = objective.evaluate(config, spec.budget, seed)
-            except EvaluationError:
-                cost = None
-            per_seed.append(cost)
-        table.rows.append(SweepRow(value=value, per_seed=per_seed))
-    return table
+    rows = [SweepRow(value=v, per_seed=r.per_seed_cost) for v, r in zip(spec.values, results)]
+    return SweepTable(
+        objective=objective.name, param=spec.param, seeds=spec.seeds, budget=spec.budget,
+        rows=rows,
+    )
 
 
 @dataclass

@@ -2,11 +2,13 @@
 4 journal corruption; and the journal a worker pool writes."""
 import json
 import os
+import shutil
 
 import pytest
 
 from autotune.cli import EXIT_CORRUPT, EXIT_OBJECTIVE, EXIT_OK, EXIT_USAGE, main
 from autotune.journal import Journal
+from autotune.protocol import MethodSpec
 from autotune.runs import JOURNAL_NAME
 
 SPACE_TEXT = """\
@@ -56,6 +58,20 @@ def test_budget_below_one_dehb_iteration_exits_2_and_writes_nothing(space, tmp_p
 
 
 def test_overspent_budget_fails_the_audit_before_testing(space, tmp_path, capsys):
+    # the plan's spend is known before the first evaluation, so nothing is written
+    seeds = ["--tuning-seeds", "0", "--test-seeds", "5"]
+    for i, args in enumerate(
+        (["dehb", "--iterations", "10", "--budget-runs", "2"], ["pbt", "--budget-runs", "1"])
+    ):
+        out = tmp_path / f"run{i}"
+        assert tune(space, out, *args, *VALLEY, *seeds) == EXIT_USAGE
+        assert "exceeds the budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_budget_audit_fails_before_testing(space, tmp_path, capsys, monkeypatch):
+    plan = MethodSpec.plan
+    monkeypatch.setattr(MethodSpec, "plan", lambda self, budget_runs: plan(self, 100))
     out = tmp_path / "run"
     rc = tune(space, out, "dehb", *VALLEY, "--tuning-seeds", "0", "--test-seeds", "5",
               "--iterations", "10", "--budget-runs", "2")
@@ -103,6 +119,36 @@ def test_corrupt_line_in_the_middle_exits_4(space, tmp_path, capsys):
     assert main(["report", "trials", str(out)]) == EXIT_CORRUPT
     assert "corrupt record" in capsys.readouterr().err
     assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_CORRUPT
+
+
+@pytest.fixture
+def two_runs(space, tmp_path):
+    """Runs A and B, and C holding A's repetition as rep000 and B's as rep001."""
+    for name, rng_seed in (("A", "1"), ("B", "2")):
+        args = ("rs", *VALLEY, *SEEDS, "--budget-runs", "3", "--rng-seed", rng_seed)
+        assert tune(space, tmp_path / name, *args) == EXIT_OK
+    for rep, name in enumerate(("A", "B")):
+        shutil.copytree(tmp_path / name / "rep000", tmp_path / "C" / f"rep{rep:03d}")
+    return tmp_path / "A", tmp_path / "B", tmp_path / "C"
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("incumbents", "incumbents.csv"), ("ranks", "ranks.csv"), ("checklist", "checklist.txt")],
+)
+def test_report_on_several_directories_prints_the_combined_export(two_runs, capsys, kind, name):
+    a, b, c = two_runs
+    assert main(["report", kind, str(c)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", kind, str(a), str(b)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed and printed == (c / "exports" / name).read_text()
+
+
+def test_trials_report_on_several_directories_exits_2(two_runs, capsys):
+    a, b, _ = two_runs
+    assert main(["report", "trials", str(a), str(b)]) == EXIT_USAGE
+    assert "single directory" in capsys.readouterr().err
 
 
 def normalised(out):

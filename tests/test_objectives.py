@@ -22,12 +22,11 @@ from autotune.objectives import (
     _derived_rng,
     _first_max,
     _seed_direction,
-    evaluate,
-    evaluate_multi_seed,
     make_objective,
 )
 from autotune.journal import Journal
 from autotune.rs import run_rs
+from autotune.runner import TrialRunner
 from autotune.space import ConfigSpace, Configuration, continuous, from_unit
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -108,10 +107,10 @@ def test_valley_mean_over_seeds_at_least_best_single():
     obj = SeededValley(dimension=2, sigma=0.3, noise=0.0)
     cfg = Configuration({"x0": 0.5, "x1": 0.5})
     per_seed = [obj.evaluate(cfg, 1.0, s)[0] for s in range(5)]
-    mean, returned = evaluate_multi_seed(obj, cfg, 1.0, list(range(5)))
-    assert returned == per_seed
-    assert mean >= min(per_seed)
-    assert mean == pytest.approx(float(np.mean(per_seed)))
+    group = TrialRunner(obj, list(range(5))).evaluate_group(cfg, 1.0)
+    assert group.per_seed_cost == per_seed
+    assert group.mean_cost >= min(per_seed)
+    assert group.mean_cost == pytest.approx(float(np.mean(per_seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_optimum_is_the_uncached_value_and_writable_by_its_caller():
 
 
 # ---------------------------------------------------------------------------
-# evaluate / evaluate_multi_seed contract
+# multi-seed groups: TrialRunner.evaluate_group
 
 
 class FixedCosts:
@@ -176,31 +175,32 @@ class FixedCosts:
         return value, CheckpointHandle(key=f"fixed:{seed}", trained_fraction=budget, payload=b"")
 
 
+def group(by_seed, seeds):
+    return TrialRunner(FixedCosts(by_seed), seeds).evaluate_group(Configuration({"x": 1}), 1.0)
+
+
 def test_multi_seed_mean():
-    obj = FixedCosts({0: 100.0, 1: 200.0, 2: 300.0})
-    mean, per_seed = evaluate_multi_seed(obj, Configuration({"x": 1}), 1.0, [0, 1, 2])
-    assert mean == 200.0
-    assert per_seed == [100.0, 200.0, 300.0]
+    res = group({0: 100.0, 1: 200.0, 2: 300.0}, [0, 1, 2])
+    assert res.mean_cost == 200.0
+    assert res.per_seed_cost == [100.0, 200.0, 300.0]
 
 
 def test_multi_seed_single():
-    obj = FixedCosts({5: 42.0})
-    mean, per_seed = evaluate_multi_seed(obj, Configuration({"x": 1}), 1.0, [5])
-    assert mean == 42.0 and per_seed == [42.0]
+    res = group({5: 42.0}, [5])
+    assert res.mean_cost == 42.0 and res.per_seed_cost == [42.0]
 
 
 def test_multi_seed_failure_fails_aggregate():
-    obj = FixedCosts({0: 1.0, 1: None})
-    with pytest.raises(EvaluationError):
-        evaluate_multi_seed(obj, Configuration({"x": 1}), 1.0, [0, 1])
+    res = group({0: 1.0, 1: None}, [0, 1])
+    assert res.failed and res.mean_cost is None and res.cost == math.inf
+    assert res.per_seed_cost == [1.0, None]
 
 
 def test_multi_seed_rejects_bad_seed_lists():
-    obj = FixedCosts({0: 1.0})
     with pytest.raises(ValueError):
-        evaluate_multi_seed(obj, Configuration({"x": 1}), 1.0, [])
+        group({0: 1.0}, [])
     with pytest.raises(ValueError):
-        evaluate_multi_seed(obj, Configuration({"x": 1}), 1.0, [0, 0])
+        group({0: 1.0}, [0, 0])
 
 
 def test_evaluate_resume_precondition():
@@ -208,9 +208,9 @@ def test_evaluate_resume_precondition():
     cfg = Configuration({"x0": 0.5})
     _, ckpt = obj.evaluate(cfg, 0.5, 0)
     with pytest.raises(ValueError):
-        evaluate(obj, cfg, 0.5, 0, resume=ckpt)  # not strictly past the checkpoint
+        obj.evaluate(cfg, 0.5, 0, resume=ckpt)  # not strictly past the checkpoint
     with pytest.raises(ValueError):
-        evaluate(obj, cfg, 1.5, 0)
+        obj.evaluate(cfg, 1.5, 0)
 
 
 # ---------------------------------------------------------------------------
