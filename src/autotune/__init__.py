@@ -2,14 +2,18 @@
 
 Optimizers: random search (``run_rs``), differential evolution on a fidelity
 ladder (``run_dehb``), and population-based training with random or
-model-based exploration (``run_pbt``). The protocol layer handles tuning/test
-seed splits, repetitions, budget audits, method ranking and reproducibility
-checklist reports; runs journal to disk and resume after interruption.
+model-based exploration (``run_pbt``). All three share one contract:
+``run_X(space, runner, rng, **settings) -> TuneResult``, where the
+``TrialRunner`` owns the objective, the tuning seeds and the journal, and
+``TrialRunner.complete`` journals the result. The protocol layer handles
+tuning/test seed splits, repetitions, budget audits, method ranking and
+reproducibility checklist reports; runs journal to disk and resume after
+interruption.
 """
 from ._version import __version__
 from .budgets import BudgetLadder, ladder, rung_capacity
 from .checklist import ChecklistReport, emit_checklist
-from .dehb import DehbRun, de_crossover, de_mutate, de_mutate_vectors, de_select, run_dehb
+from .dehb import de_crossover, de_mutate, de_mutate_vectors, de_select, run_dehb
 from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
 from .journal import Journal, JournalCorrupt, JournalError, space_digest
 from .objectives import (
@@ -19,17 +23,10 @@ from .objectives import (
     ObjectiveSpec,
     make_objective,
 )
-from .pbt import Member, PbtRun, Schedule, exploit, kernel_restart_check, run_pbt, warmstart
-from .protocol import (
-    IncumbentReport,
-    MethodSpec,
-    RankTable,
-    SeedPlan,
-    default_seed_plan,
-    rank_methods,
-)
-from .rs import RsRun, run_rs
-from .runner import GroupResult, NoIncumbentError, RunInterrupted, TrialRunner
+from .pbt import Member, exploit, kernel_restart_check, run_pbt, warmstart
+from .protocol import IncumbentReport, MethodSpec, RankTable, SeedPlan, rank_methods
+from .rs import run_rs
+from .runner import GroupResult, NoIncumbentError, RunInterrupted, TrialRunner, TuneResult
 from .space import (
     ConfigSpace,
     Configuration,
@@ -53,16 +50,15 @@ __all__ = [
     "__version__",
     "BudgetLadder", "ladder", "rung_capacity",
     "ChecklistReport", "emit_checklist",
-    "DehbRun", "de_crossover", "de_mutate", "de_mutate_vectors", "de_select", "run_dehb",
+    "de_crossover", "de_mutate", "de_mutate_vectors", "de_select", "run_dehb",
     "GpFitError", "GpModel", "fit_gp", "suggest_candidate",
     "Journal", "JournalCorrupt", "JournalError", "space_digest",
     "CheckpointHandle", "EvaluationError", "Objective", "ObjectiveSpec",
     "make_objective",
-    "Member", "PbtRun", "Schedule", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
-    "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "default_seed_plan",
-    "rank_methods",
-    "RsRun", "run_rs",
-    "GroupResult", "NoIncumbentError", "RunInterrupted", "TrialRunner",
+    "Member", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
+    "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "rank_methods",
+    "run_rs",
+    "GroupResult", "NoIncumbentError", "RunInterrupted", "TrialRunner", "TuneResult",
     "ConfigSpace", "Configuration", "Hyperparameter", "SpaceError", "SpaceParseError",
     "categorical", "continuous", "from_unit", "integer", "log_continuous",
     "parse_space", "perturb", "render_space", "sample", "to_unit",

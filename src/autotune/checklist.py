@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .journal import TRIAL, Journal
-from .space import CONTINUOUS, INTEGER, LOG, _num, parse_space
+from .space import describe, parse_space
 
 UNANSWERED = "UNANSWERED"
 
@@ -30,38 +30,19 @@ class ChecklistReport:
         return "\n".join(out) + "\n"
 
 
-def _notation(space_text: str) -> list[str]:
-    lines = []
-    for p in parse_space(space_text).params:
-        if p.kind == CONTINUOUS:
-            spec = f"({_num(p.lower)}, {_num(p.upper)})"
-        elif p.kind == LOG:
-            spec = f"log(({_num(p.lower)}, {_num(p.upper)}))"
-        elif p.kind == INTEGER:
-            spec = f"[{int(p.lower)}, {int(p.upper)}]"
-        else:
-            spec = "{" + ", ".join(p.choices) + "}"
-        lines.append(f"- {p.name}: {spec}")
-    return lines
-
-
 def _yes_no(value: bool | None) -> str:
     if value is None:
         return UNANSWERED
     return "yes" if value else "no"
 
 
-def emit_checklist(
-    journals: list[Journal],
-    seed_plan=None,
-    spaces: dict | None = None,
-    metadata: dict | None = None,
-) -> ChecklistReport:
+def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> ChecklistReport:
     """Render the 17-item checklist from completed run journals.
 
-    ``spaces`` maps method name to space text (defaults to journal headers);
-    ``metadata`` may provide ``package``, ``code_url``, ``hardware`` (list of
-    strings), ``environment_bundled`` and ``hardware_comparable``.
+    Seeds and spaces come from the journal headers; item 3 prints each space
+    in the space-file syntax, so it parses back. ``metadata`` may provide
+    ``package``, ``code_url``, ``hardware`` (list of strings),
+    ``environment_bundled`` and ``hardware_comparable``.
     """
     metadata = dict(metadata or {})
     headers = [j.header or {} for j in journals]
@@ -69,10 +50,7 @@ def emit_checklist(
 
     tuning_seeds: tuple[int, ...] = ()
     test_seeds: tuple[int, ...] = ()
-    if seed_plan is not None:
-        tuning_seeds = tuple(seed_plan.tuning_seeds)
-        test_seeds = tuple(seed_plan.test_seeds)
-    elif headers and headers[0].get("seed_plan"):
+    if headers and headers[0].get("seed_plan"):
         tuning_seeds = tuple(headers[0]["seed_plan"].get("tuning", ()))
         test_seeds = tuple(headers[0]["seed_plan"].get("test", ()))
 
@@ -134,16 +112,14 @@ def emit_checklist(
 
     space_lines: list[str] = []
     space_sources: dict[str, str] = {}
-    if spaces:
-        space_sources = dict(spaces)
-    else:
-        for h, m in zip(headers, methods):
-            if h.get("space_text"):
-                space_sources.setdefault(m, h["space_text"])
-    if space_sources:
-        for m in sorted(space_sources):
-            space_lines.append(f"{m}:")
-            space_lines.extend(_notation(space_sources[m]))
+    for h, m in zip(headers, methods):
+        if h.get("space_text"):
+            space_sources.setdefault(m, h["space_text"])
+    for m in sorted(space_sources):
+        space_lines.append(f"{m}:")
+        space_lines.extend(
+            f"- {p.name}: {describe(p)}" for p in parse_space(space_sources[m]).params
+        )
     items.append((3, ["The configuration space was:"] + (space_lines or [UNANSWERED])))
 
     items.append(

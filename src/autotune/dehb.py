@@ -12,43 +12,28 @@ costs r full-run equivalents (up to capacity flooring). The run stops after
 the iteration where only the full budget remains, or after ``iterations``.
 
 Costs at different fidelities are never compared directly; information moves
-between rungs only through promotion.
+between rungs only through promotion. Every group is tagged with its
+``iteration`` and ``rung``, so the journal holds each iteration's budgets and
+spend. Like every optimizer, :func:`run_dehb` takes ``(space, runner, rng,
+**settings)`` and returns the runner's :class:`~autotune.runner.TuneResult`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .budgets import BudgetLadder, rung_capacity
-from .journal import COMPLETE, INCUMBENT
-from .objectives import Objective
-from .runner import NoIncumbentError, TrialRunner
-from .space import ConfigSpace, Configuration, from_unit
+from .budgets import ladder, rung_capacity
+from .journal import INCUMBENT
+from .runner import NoIncumbentError, TrialRunner, TuneResult
+from .space import ConfigSpace, from_unit
 
 
 @dataclass
 class DeMember:
     vector: np.ndarray
     cost: float  # +inf when the evaluation failed
-
-
-@dataclass
-class DePopulation:
-    budget: float
-    members: list[DeMember] = field(default_factory=list)
-
-
-@dataclass
-class DehbRun:
-    ladder: BudgetLadder
-    iterations_run: int
-    incumbent: Configuration
-    incumbent_cost: float
-    spend: float
-    iteration_budgets: list  # list of tuples of rung budgets used per iteration
-    iteration_spend: list
 
 
 def de_mutate_vectors(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, F: float) -> np.ndarray:
@@ -113,33 +98,25 @@ def de_select(
 
 def run_dehb(
     space: ConfigSpace,
-    objective: Objective,
-    lad: BudgetLadder,
+    runner: TrialRunner,
+    rng: np.random.Generator,
+    *,
+    min_budget: float,
+    eta: float,
     iterations: int,
-    tuning_seeds: list[int],
-    rng: np.random.Generator | int,
     F: float = 0.5,
     CR: float = 0.5,
-    *,
-    runner: TrialRunner | None = None,
-    journal=None,
-) -> DehbRun:
+) -> TuneResult:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if runner is None:
-        runner = TrialRunner(objective, tuning_seeds, journal=journal)
-
+    lad = ladder(min_budget, 1.0, eta)
     d = space.dimension
     rungs = list(lad.rungs)
     caps = [rung_capacity(lad, i) for i in range(len(rungs))]
-    pops: dict[int, DePopulation] = {}
+    pops: dict[int, list[DeMember]] = {}  # rung index -> its latest population
     incumbent_vec = None
     incumbent_cost = math.inf
     total_spend = 0.0
-    iteration_budgets = []
-    iteration_spend = []
 
     def note_incumbent(vector: np.ndarray, cost: float) -> None:
         nonlocal incumbent_vec, incumbent_cost
@@ -154,7 +131,7 @@ def run_dehb(
                 }
             )
 
-    def evaluate_population(vectors, rung_index, iteration) -> DePopulation:
+    def evaluate_population(vectors, rung_index, iteration) -> list[DeMember]:
         nonlocal total_spend
         budget = rungs[rung_index]
         results = runner.evaluate_many(
@@ -174,25 +151,22 @@ def run_dehb(
             total_spend += budget
             if budget == lad.max_budget and not res.failed:
                 note_incumbent(v, res.cost)
-        return DePopulation(budget=budget, members=members)
+        return members
 
     n_rungs = len(rungs)
-    iterations_run = 0
     for it in range(min(iterations, n_rungs)):
         lowest = it  # this iteration's lowest active rung index
         active = list(range(lowest, n_rungs))
-        iteration_budgets.append(tuple(rungs[i] for i in active))
-        spend_before = total_spend
 
         if it == 0:
             vectors = [rng.random(d) for _ in range(caps[lowest])]
             pops[lowest] = evaluate_population(vectors, lowest, it)
         else:
             prev = pops[lowest]
-            vectors = [m.vector for m in prev.members]
+            vectors = [m.vector for m in prev]
             new_members = []
             budget = rungs[lowest]
-            for idx, parent in enumerate(prev.members):
+            for idx, parent in enumerate(prev):
                 donor = de_mutate(vectors, idx, F, rng, dimension=d)
                 child = de_crossover(parent.vector, donor, CR, rng)
                 survivor, res = de_select(
@@ -207,35 +181,13 @@ def run_dehb(
                 if budget == lad.max_budget and not res.failed:
                     note_incumbent(child, res.cost)
                 new_members.append(survivor)
-            pops[lowest] = DePopulation(budget=budget, members=new_members)
+            pops[lowest] = new_members
 
         for rung_index in active[1:]:
-            below = pops[rung_index - 1]
-            ranked = sorted(below.members, key=lambda m: m.cost)
+            ranked = sorted(pops[rung_index - 1], key=lambda m: m.cost)
             promoted = [m.vector for m in ranked[: caps[rung_index]]]
             pops[rung_index] = evaluate_population(promoted, rung_index, it)
 
-        iteration_spend.append(total_spend - spend_before)
-        iterations_run += 1
-
     if incumbent_vec is None:
         raise NoIncumbentError("no incumbent: every full-budget trial failed")
-    incumbent = from_unit(space, incumbent_vec)
-    runner.journal.append(
-        {
-            "t": COMPLETE,
-            "spend": total_spend,
-            "groups": runner.groups_run,
-            "incumbent": dict(incumbent.values),
-            "cost": incumbent_cost,
-        }
-    )
-    return DehbRun(
-        ladder=lad,
-        iterations_run=iterations_run,
-        incumbent=incumbent,
-        incumbent_cost=incumbent_cost,
-        spend=total_spend,
-        iteration_budgets=iteration_budgets,
-        iteration_spend=iteration_spend,
-    )
+    return runner.complete(from_unit(space, incumbent_vec), incumbent_cost, total_spend)

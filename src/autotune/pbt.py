@@ -7,12 +7,17 @@ evaluated. The worst floor(quantile * n) members are then replaced by copies
 members and explored: either by random perturbation of each hyperparameter or
 by a Gaussian-process suggestion fitted to the cost history. Survivors keep
 their configurations and checkpoints untouched. The incumbent is the best
-member after the final interval, and the winning lineage yields the
-hyperparameter schedule actually trained.
+member after the final interval. The lineage lives in the journal: each
+``explore`` record names the interval, the member, the winner it copied and
+the configuration it adopted, so the schedule any member trained can be
+read back from those records.
 
 Optional extensions: full-budget warmstart runs that preload the model and
 seed the initial population with their best configurations, and model
 restarts when the best interval cost stagnates.
+
+Like every optimizer, :func:`run_pbt` takes ``(space, runner, rng,
+**settings)`` and returns the runner's :class:`~autotune.runner.TuneResult`.
 """
 from __future__ import annotations
 
@@ -22,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
-from .journal import COMPLETE, EXPLOIT, EXPLORE, INCUMBENT
-from .objectives import CheckpointHandle, Objective
-from .runner import NoIncumbentError, TrialRunner
+from .journal import EXPLOIT, EXPLORE, INCUMBENT
+from .objectives import CheckpointHandle
+from .runner import NoIncumbentError, TrialRunner, TuneResult
 from .space import ConfigSpace, Configuration, from_unit, perturb, sample, to_unit
 
 PERTURB = "perturb"
@@ -37,47 +42,9 @@ class Member:
     config: Configuration
     checkpoints: dict = field(default_factory=dict)  # seed -> CheckpointHandle
     cost_history: list = field(default_factory=list)  # one entry per interval
-    # (interval, source member id, configuration adopted) for every change,
-    # including the full copied history of exploit sources
-    lineage: list = field(default_factory=list)
 
     def current_cost(self) -> float:
         return self.cost_history[-1] if self.cost_history else math.inf
-
-
-@dataclass
-class Schedule:
-    """Time-indexed configuration schedule of the winning lineage."""
-
-    breakpoints: list  # [(training fraction, Configuration)], fraction 0 first
-
-    def __post_init__(self):
-        fracs = [f for f, _ in self.breakpoints]
-        if not fracs or fracs[0] != 0.0:
-            raise ValueError("schedule must start at fraction 0")
-        if any(b >= c for b, c in zip(fracs, fracs[1:])):
-            raise ValueError("schedule fractions must be strictly increasing")
-        if fracs[-1] >= 1.0:
-            raise ValueError("schedule fractions must stay below 1")
-
-    def config_at(self, fraction: float) -> Configuration:
-        chosen = self.breakpoints[0][1]
-        for f, cfg in self.breakpoints:
-            if f <= fraction:
-                chosen = cfg
-        return chosen
-
-
-@dataclass
-class PbtRun:
-    population: list
-    incumbent: Configuration
-    incumbent_cost: float
-    incumbent_id: int
-    schedule: Schedule
-    spend: float
-    warmstart_results: list
-    gp_restarts: int
 
 
 def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
@@ -122,12 +89,7 @@ def kernel_restart_check(
 
 
 def warmstart(
-    space: ConfigSpace,
-    objective: Objective,
-    warmstart_runs: int,
-    tuning_seeds: list[int],
-    rng: np.random.Generator,
-    runner: TrialRunner,
+    space: ConfigSpace, runner: TrialRunner, rng: np.random.Generator, warmstart_runs: int
 ) -> tuple[list, list[Configuration]]:
     """Evaluate ``warmstart_runs`` random configurations at full budget.
 
@@ -148,15 +110,14 @@ def warmstart(
 
 def run_pbt(
     space: ConfigSpace,
-    objective: Objective,
+    runner: TrialRunner,
+    rng: np.random.Generator,
+    *,
     population_size: int,
     num_intervals: int,
     quantile: float,
     explore_mode: str,
     warmstart_runs: int,
-    tuning_seeds: list[int],
-    rng: np.random.Generator | int,
-    *,
     factor_up: float = 1.2,
     factor_down: float = 0.8,
     resample_prob: float = 0.25,
@@ -165,19 +126,13 @@ def run_pbt(
     gp_target: str | None = None,  # "improvement" | "cost"; default per mode
     noise_variance: float = 1e-4,
     restart_patience: int | None = 3,
-    runner: TrialRunner | None = None,
-    journal=None,
-) -> PbtRun:
+) -> TuneResult:
     if population_size < 2:
         raise ValueError("population_size must be >= 2")
     if num_intervals < 1:
         raise ValueError("num_intervals must be >= 1")
     if explore_mode not in (PERTURB, GP):
         raise ValueError(f"explore_mode must be 'perturb' or 'gp', got {explore_mode!r}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if runner is None:
-        runner = TrialRunner(objective, tuning_seeds, journal=journal)
     if gp_target is None:
         # warmstart points are full-run costs, so model raw cost when present
         gp_target = "cost" if warmstart_runs > 0 else "improvement"
@@ -186,14 +141,12 @@ def run_pbt(
 
     warm_results, warm_ranked = ([], [])
     if warmstart_runs > 0:
-        warm_results, warm_ranked = warmstart(
-            space, objective, warmstart_runs, tuning_seeds, rng, runner
-        )
+        warm_results, warm_ranked = warmstart(space, runner, rng, warmstart_runs)
 
     members = []
     for i in range(population_size):
         cfg = warm_ranked[i] if i < len(warm_ranked) else sample(space, rng)
-        members.append(Member(id=i, config=cfg, lineage=[(0, i, cfg)]))
+        members.append(Member(id=i, config=cfg))
 
     # model history: (unit config vector, normalized time, target)
     gp_points: list[tuple[np.ndarray, float, float]] = []
@@ -306,13 +259,11 @@ def run_pbt(
             }
             loser.checkpoints = copied
             loser.cost_history[-1] = winner.cost_history[-1]
-            loser.lineage = list(winner.lineage)
             if float(rng.random()) < explore_prob:
                 new_cfg, mode = explore_config(winner.config, interval)
             else:
                 new_cfg, mode = winner.config, "keep"
             loser.config = new_cfg
-            loser.lineage.append((interval, winner.id, new_cfg))
             runner.journal.append(
                 {
                     "t": EXPLORE,
@@ -336,16 +287,6 @@ def run_pbt(
     if not math.isfinite(best.current_cost()):
         raise NoIncumbentError("no incumbent: every member failed its final interval")
 
-    breakpoints = []
-    for interval, _, cfg in best.lineage:
-        frac = interval / num_intervals
-        if breakpoints and breakpoints[-1][0] == frac:
-            breakpoints[-1] = (frac, cfg)
-        else:
-            breakpoints.append((frac, cfg))
-    schedule = Schedule(breakpoints=breakpoints)
-
-    spend = population_size * 1.0 + warmstart_runs * 1.0
     runner.journal.append(
         {
             "t": INCUMBENT,
@@ -354,22 +295,6 @@ def run_pbt(
             "budget": 1.0,
         }
     )
-    runner.journal.append(
-        {
-            "t": COMPLETE,
-            "spend": spend,
-            "groups": runner.groups_run,
-            "incumbent": dict(best.config.values),
-            "cost": best.current_cost(),
-        }
-    )
-    return PbtRun(
-        population=members,
-        incumbent=best.config,
-        incumbent_cost=best.current_cost(),
-        incumbent_id=best.id,
-        schedule=schedule,
-        spend=spend,
-        warmstart_results=warm_results,
-        gp_restarts=gp_restarts,
+    return runner.complete(
+        best.config, best.current_cost(), population_size * 1.0 + warmstart_runs * 1.0
     )

@@ -17,10 +17,9 @@ import numpy as np
 
 from .budgets import ladder, rung_capacity
 from .dehb import run_dehb
-from .objectives import Objective
 from .pbt import run_pbt
 from .rs import run_rs
-from .runner import TrialRunner
+from .runner import TrialRunner, TuneResult
 from .space import ConfigSpace, Configuration
 
 
@@ -43,11 +42,6 @@ class SeedPlan:
             raise ValueError(f"tuning and test seeds overlap: {sorted(overlap)}")
         object.__setattr__(self, "tuning_seeds", tuning)
         object.__setattr__(self, "test_seeds", test)
-
-
-def default_seed_plan() -> SeedPlan:
-    """Tune on seeds 0-4, test on seeds 5-14."""
-    return SeedPlan(tuple(range(5)), tuple(range(5, 15)))
 
 
 @dataclass(frozen=True)
@@ -117,24 +111,15 @@ class MethodSpec:
 def run_method(
     method: MethodSpec,
     space: ConfigSpace,
-    objective: Objective,
-    tuning_seeds: list[int],
-    opts: dict,
-    rng: np.random.Generator | int,
-    *,
     runner: TrialRunner,
-):
-    """Dispatch one optimizer run with the settings ``method.plan`` gave.
-    Returns (incumbent, incumbent_cost, result)."""
-    kw = dict(opts, tuning_seeds=tuning_seeds, rng=rng, runner=runner)
-    if method.kind == "rs":
-        run = run_rs(space, objective, **kw)
-    elif method.kind == "dehb":
-        lad = ladder(kw.pop("min_budget"), 1.0, kw.pop("eta"))
-        run = run_dehb(space, objective, lad, **kw)
-    else:
-        run = run_pbt(space, objective, **kw)
-    return run.incumbent, run.incumbent_cost, run
+    rng: np.random.Generator,
+    opts: dict,
+) -> TuneResult:
+    """Run ``method``'s optimizer on ``runner`` with the settings
+    ``method.plan`` gave."""
+    return {"rs": run_rs, "dehb": run_dehb, "pbt": run_pbt}[method.kind](
+        space, runner, rng, **opts
+    )
 
 
 @dataclass

@@ -1,50 +1,25 @@
-"""Random search: sample n configurations, evaluate all at full budget,
-keep the best as incumbent (ties broken by earliest trial)."""
+"""Random search: sample n configurations, evaluate all at full budget on the
+runner's tuning seeds, keep the best as incumbent (ties broken by earliest
+trial). Like every optimizer it takes ``(space, runner, rng, **settings)``
+and returns the runner's :class:`~autotune.runner.TuneResult`."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .journal import COMPLETE, INCUMBENT
-from .objectives import Objective
-from .runner import GroupResult, NoIncumbentError, TrialRunner
-from .space import ConfigSpace, Configuration, sample
-
-
-@dataclass
-class RsRun:
-    n_configs: int
-    space: ConfigSpace
-    results: list  # GroupResult per sampled configuration, in sample order
-    incumbent: Configuration
-    incumbent_cost: float
-
-    @property
-    def spend(self) -> float:
-        return float(sum(r.budget for r in self.results))
+from .journal import INCUMBENT
+from .runner import NoIncumbentError, TrialRunner, TuneResult
+from .space import ConfigSpace, sample
 
 
 def run_rs(
-    space: ConfigSpace,
-    objective: Objective,
-    n_configs: int,
-    tuning_seeds: list[int],
-    rng: np.random.Generator | int,
-    *,
-    runner: TrialRunner | None = None,
-    journal=None,
-) -> RsRun:
+    space: ConfigSpace, runner: TrialRunner, rng: np.random.Generator, *, n_configs: int
+) -> TuneResult:
     if n_configs < 1:
         raise ValueError("n_configs must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    if runner is None:
-        runner = TrialRunner(objective, tuning_seeds, journal=journal)
-
     configs = [sample(space, rng) for _ in range(n_configs)]
-    results: list[GroupResult] = runner.evaluate_many(
+    results = runner.evaluate_many(
         [{"config": c, "budget": 1.0, "purpose": "tune"} for c in configs]
     )
 
@@ -58,19 +33,6 @@ def run_rs(
             )
     if best_index is None:
         raise NoIncumbentError("no incumbent: every random-search trial failed")
-    runner.journal.append(
-        {
-            "t": COMPLETE,
-            "spend": float(sum(r.budget for r in results)),
-            "groups": len(results),
-            "incumbent": dict(configs[best_index].values),
-            "cost": best_cost,
-        }
-    )
-    return RsRun(
-        n_configs=n_configs,
-        space=space,
-        results=results,
-        incumbent=configs[best_index],
-        incumbent_cost=best_cost,
+    return runner.complete(
+        configs[best_index], best_cost, float(sum(r.budget for r in results))
     )

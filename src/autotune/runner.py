@@ -1,6 +1,8 @@
 """Trial execution: journaling, multi-seed groups, replay, worker pool.
 
-Optimizers evaluate configurations through a :class:`TrialRunner`. One *group*
+Optimizers evaluate configurations through a :class:`TrialRunner`, which owns
+the objective, the tuning seeds and the journal; each optimizer ends with
+:meth:`TrialRunner.complete`, which journals its result. One *group*
 is a (configuration, budget) evaluated on every tuning seed; its spend is the
 budget fraction (seeds are the protocol's price of reliability, not extra
 tuning budget). Every trial and group lands in the journal; when the journal
@@ -16,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .checkpoints import CheckpointPack
-from .journal import GROUP, TRIAL, Journal
+from .journal import COMPLETE, GROUP, TRIAL, Journal
 from .objectives import (
     DONE,
     FAILED,
@@ -61,6 +63,14 @@ class GroupResult:
         return math.inf if m is None else m
 
 
+@dataclass(frozen=True)
+class TuneResult:
+    """What every optimizer returns: its incumbent and that one's cost."""
+
+    incumbent: Configuration
+    incumbent_cost: float
+
+
 @dataclass
 class _LiveGroup:
     """A group that was started and is not journaled yet."""
@@ -91,12 +101,8 @@ class TrialRunner:
         workers: int = 1,
         max_groups: int | None = None,
     ):
-        if not seeds:
-            raise ValueError("seeds must be non-empty")
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
         self.objective = objective
-        self.seeds = list(int(s) for s in seeds)
+        self.seeds = list(_checked_seeds(seeds))
         self.journal = journal if journal is not None else Journal()
         if self.journal.header is None:
             self.journal.write_header({"method": "adhoc"})
@@ -156,6 +162,19 @@ class TrialRunner:
             raise interrupted
         return results
 
+    def complete(self, incumbent: Configuration, cost: float, spend: float) -> TuneResult:
+        """Journal the optimizer's ``complete`` record and return its result."""
+        self.journal.append(
+            {
+                "t": COMPLETE,
+                "spend": spend,
+                "groups": self.groups_run,
+                "incumbent": dict(incumbent.values),
+                "cost": cost,
+            }
+        )
+        return TuneResult(incumbent, cost)
+
     def close(self) -> None:
         for pack in self._packs.values():
             pack.close()
@@ -165,7 +184,7 @@ class TrialRunner:
 
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
         """A replayed group's result, or a new group with the next id."""
-        seeds = tuple(self.seeds if seeds is None else (int(s) for s in seeds))
+        seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
         key = {
             "config": _jsonable_config(config),
             "budget": budget,
@@ -320,6 +339,15 @@ class TrialRunner:
             checkpoints=checkpoints,
             purpose=purpose,
         )
+
+
+def _checked_seeds(seeds) -> tuple[int, ...]:
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
+    return seeds
 
 
 def _jsonable_config(config: Configuration) -> dict:

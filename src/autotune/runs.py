@@ -136,9 +136,7 @@ def run_repetition(
     )
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
     try:
-        incumbent, tuning_cost, _ = run_method(
-            method, space, objective, list(seed_plan.tuning_seeds), opts, rng, runner=runner
-        )
+        result = run_method(method, space, runner, rng, opts)
         spend = journal.spend()
         if spend > budget_runs + 1e-9:
             raise ValueError(
@@ -146,11 +144,13 @@ def run_repetition(
             )
         test_costs = []
         for test_seed in seed_plan.test_seeds:
-            res = runner.evaluate_group(incumbent, 1.0, seeds=[test_seed], purpose="test")
+            res = runner.evaluate_group(result.incumbent, 1.0, seeds=[test_seed], purpose="test")
             test_costs.append(res.cost)
         if exports is not None:
             exports.add(directory, journal)
-        return RepetitionResult(repetition, incumbent, tuning_cost, test_costs, spend=spend)
+        return RepetitionResult(
+            repetition, result.incumbent, result.incumbent_cost, test_costs, spend=spend
+        )
     finally:
         runner.close()
         journal.close()

@@ -23,6 +23,29 @@ def unit_space(d=2):
     return ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(d)])
 
 
+def tune(space, obj, lad, iterations, seeds, rng, journal=None):
+    """run_dehb on ``lad``'s ladder with a fresh runner; result and journal."""
+    runner = TrialRunner(obj, seeds, journal=journal)
+    run = run_dehb(space, runner, np.random.default_rng(rng), min_budget=lad.min_budget,
+                   eta=lad.eta, iterations=iterations)
+    return run, runner.journal
+
+
+def iterations_of(journal):
+    """Per iteration, from the group tags: its rung budgets, lowest first,
+    and its spend."""
+    rungs, spend = {}, {}
+    for g in journal.of_type("group"):
+        it = g["tags"]["iteration"]
+        rungs.setdefault(it, {})[g["tags"]["rung"]] = g["budget"]
+        spend[it] = spend.get(it, 0.0) + g["spend"]
+    return [(tuple(b for _, b in sorted(rungs[it].items())), spend[it]) for it in sorted(rungs)]
+
+
+def spend_of(journal):
+    return journal.of_type("complete")[0]["spend"]
+
+
 # ---------------------------------------------------------------------------
 # mutation
 
@@ -182,24 +205,24 @@ def test_select_monotone_over_100_random_steps():
 def test_degenerate_single_rung_ladder():
     lad = ladder(0.5, 1.0, 3.0)
     obj = NoisySphere(dimension=2, noise=0.0)
-    run = run_dehb(unit_space(), obj, lad, iterations=1, tuning_seeds=[0], rng=0)
-    assert run.iterations_run == 1
-    assert run.iteration_budgets == [(1.0,)]
+    run, journal = tune(unit_space(), obj, lad, iterations=1, seeds=[0], rng=0)
+    assert len(iterations_of(journal)) == 1
+    assert [b for b, _ in iterations_of(journal)] == [(1.0,)]
     assert math.isfinite(run.incumbent_cost)
 
 
 def test_iteration_budget_schedule_drops_lowest():
     lad = ladder(0.01, 1.0, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
-    run = run_dehb(unit_space(), obj, lad, iterations=3, tuning_seeds=[0], rng=1)
-    assert run.iteration_budgets == [(0.04, 0.2, 1.0), (0.2, 1.0), (1.0,)]
+    _, journal = tune(unit_space(), obj, lad, iterations=3, seeds=[0], rng=1)
+    assert [b for b, _ in iterations_of(journal)] == [(0.04, 0.2, 1.0), (0.2, 1.0), (1.0,)]
 
 
 def test_iterations_capped_once_only_full_budget_left():
     lad = ladder(0.01, 1.0, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
-    run = run_dehb(unit_space(), obj, lad, iterations=10, tuning_seeds=[0], rng=1)
-    assert run.iterations_run == 3  # ladder has 3 rungs
+    _, journal = tune(unit_space(), obj, lad, iterations=10, seeds=[0], rng=1)
+    assert len(iterations_of(journal)) == 3  # ladder has 3 rungs
 
 
 def test_per_iteration_spend_matches_rung_count_within_flooring():
@@ -207,8 +230,8 @@ def test_per_iteration_spend_matches_rung_count_within_flooring():
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
-    run = run_dehb(unit_space(), obj, lad, iterations=3, tuning_seeds=[0], rng=3, journal=journal)
-    for budgets, spend in zip(run.iteration_budgets, run.iteration_spend):
+    tune(unit_space(), obj, lad, iterations=3, seeds=[0], rng=3, journal=journal)
+    for budgets, spend in iterations_of(journal):
         n = len(budgets)
         cap_spend = sum(
             rung_capacity(lad, lad.rungs.index(b)) * b for b in budgets
@@ -216,7 +239,7 @@ def test_per_iteration_spend_matches_rung_count_within_flooring():
         assert spend == pytest.approx(cap_spend)
         assert spend <= n + 1e-9
         assert spend > n - sum(budgets)  # flooring removes less than one rung each
-    assert journal.spend() == pytest.approx(run.spend)
+    assert journal.spend() == pytest.approx(spend_of(journal))
 
 
 def test_rung_populations_sized_by_capacity():
@@ -224,7 +247,7 @@ def test_rung_populations_sized_by_capacity():
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
-    run_dehb(unit_space(), obj, lad, iterations=1, tuning_seeds=[0], rng=5, journal=journal)
+    tune(unit_space(), obj, lad, iterations=1, seeds=[0], rng=5, journal=journal)
     groups = journal.of_type("group")
     by_rung = {}
     for g in groups:
@@ -238,7 +261,7 @@ def test_incumbent_comes_from_full_budget_only():
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
-    run = run_dehb(unit_space(), obj, lad, iterations=2, tuning_seeds=[0], rng=7, journal=journal)
+    run, _ = tune(unit_space(), obj, lad, iterations=2, seeds=[0], rng=7, journal=journal)
     incs = journal.of_type("incumbent")
     assert incs
     assert all(r["budget"] == 1.0 for r in incs)
@@ -251,7 +274,7 @@ def test_incumbent_cost_monotone_in_journal():
     obj = NoisySphere(dimension=3, noise=0.05)
     journal = Journal()
     journal.write_header({"method": "dehb"})
-    run_dehb(unit_space(3), obj, lad, iterations=4, tuning_seeds=[0, 1], rng=11, journal=journal)
+    tune(unit_space(3), obj, lad, iterations=4, seeds=[0, 1], rng=11, journal=journal)
     incs = [r["cost"] for r in journal.of_type("incumbent")]
     assert incs == sorted(incs, reverse=True)
 
@@ -259,8 +282,8 @@ def test_incumbent_cost_monotone_in_journal():
 def test_deterministic_given_seed():
     lad = ladder(0.04, 1.0, 5.0)
     obj = NoisySphere(dimension=2, noise=0.1)
-    a = run_dehb(unit_space(), obj, lad, 2, [0, 1], rng=13)
-    b = run_dehb(unit_space(), obj, lad, 2, [0, 1], rng=13)
+    a, _ = tune(unit_space(), obj, lad, 2, [0, 1], rng=13)
+    b, _ = tune(unit_space(), obj, lad, 2, [0, 1], rng=13)
     assert a.incumbent == b.incumbent and a.incumbent_cost == b.incumbent_cost
 
 
@@ -271,9 +294,10 @@ def test_dehb_beats_rs_at_equal_spend():
     dehb_costs, rs_costs = [], []
     for rep in range(20):
         obj = NoisySphere(dimension=8, noise=0.05)
-        run_d = run_dehb(space, obj, lad, iterations=2, tuning_seeds=[0], rng=100 + rep)
-        budget = int(run_d.spend) + 1  # RS gets at least DEHB's spend, 16 runs
-        run_r = run_rs(space, obj, budget, [0], rng=200 + rep)
+        run_d, journal = tune(space, obj, lad, iterations=2, seeds=[0], rng=100 + rep)
+        budget = int(spend_of(journal)) + 1  # RS gets at least DEHB's spend, 16 runs
+        run_r = run_rs(space, TrialRunner(obj, [0]), np.random.default_rng(200 + rep),
+                       n_configs=budget)
         dehb_costs.append(run_d.incumbent_cost)
         rs_costs.append(run_r.incumbent_cost)
     assert float(np.median(dehb_costs)) <= float(np.median(rs_costs))

@@ -197,6 +197,17 @@ def test_runner_spend_counts_training_increment():
     assert runner.journal.spend() == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("seeds, message", [([], "non-empty"), ([1, 1], "distinct")])
+def test_runner_rejects_bad_per_call_seeds_before_using_a_group_id(seeds, message):
+    runner, _ = sphere_runner()
+    with pytest.raises(ValueError, match=message):
+        runner.evaluate_group(Configuration({"x0": 0.5}), 1.0, seeds=seeds)
+    assert runner.groups_run == 0 and runner.journal.records == []
+    res = runner.evaluate_group(Configuration({"x0": 0.5}), 1.0, seeds=[1])
+    assert res.group == 0 and res.seeds == (1,)
+    assert [t["seed"] for t in runner.journal.of_type("trial")] == [1]
+
+
 def test_runner_failure_becomes_inf_cost():
     from autotune.objectives import EvaluationError
 

@@ -19,6 +19,7 @@ from autotune.gp import GpFitError
 from autotune.journal import Journal
 from autotune.objectives import NoisySphere, SeededValley, config_digest
 from autotune.pbt import run_pbt
+from autotune.runner import TrialRunner
 from autotune.space import Configuration, SpaceError
 
 # ---------------------------------------------------------------------------
@@ -203,8 +204,9 @@ PBT_GP_DIGEST = "f86c350351598b0895490540bcae6ab8dd24e418d8b08371c179c311865bd3f
 
 
 def _pbt_gp_run(monkeypatch, fit):
-    fits, suggestions = [], []
+    fits, suggestions, checks = [], [], []
     real_suggest = pbt_module.suggest_candidate
+    real_check = pbt_module.kernel_restart_check
 
     def counting_fit(x_config, x_time, y, **kwargs):
         fits.append(hashlib.sha256(x_config.tobytes() + x_time.tobytes() + y.tobytes()
@@ -215,21 +217,27 @@ def _pbt_gp_run(monkeypatch, fit):
         suggestions.append(1)
         return real_suggest(*args, **kwargs)
 
+    def recording_check(*args, **kwargs):
+        checks.append(real_check(*args, **kwargs))
+        return checks[-1]
+
     monkeypatch.setattr(pbt_module, "fit_gp", counting_fit)
     monkeypatch.setattr(pbt_module, "suggest_candidate", counting_suggest)
+    monkeypatch.setattr(pbt_module, "kernel_restart_check", recording_check)
     obj = NoisySphere(dimension=3, noise=0.05)
     journal = Journal()
     journal.write_header({"method": "pbt-gp"})
-    run = run_pbt(obj.default_space(), obj, 8, 8, 0.25, "gp", 0, [0, 1, 2], rng=3,
-                  journal=journal, restart_patience=1)
+    run_pbt(obj.default_space(), TrialRunner(obj, [0, 1, 2], journal=journal),
+            np.random.default_rng(3), population_size=8, num_intervals=8, quantile=0.25,
+            explore_mode="gp", warmstart_runs=0, restart_patience=1)
     records = [{k: v for k, v in r.items() if k != "wall_time"} for r in journal.records]
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    return run, journal, digest, fits, suggestions
+    return checks.count("restart"), journal, digest, fits, suggestions
 
 
 def test_pbt_gp_fits_each_point_set_once_and_writes_the_same_journal(monkeypatch):
-    run, journal, digest, fits, suggestions = _pbt_gp_run(monkeypatch, pbt_module.fit_gp)
-    assert run.gp_restarts == 3
+    restarts, journal, digest, fits, suggestions = _pbt_gp_run(monkeypatch, pbt_module.fit_gp)
+    assert restarts == 3
     assert digest == PBT_GP_DIGEST
     assert len(suggestions) == 12 and len(fits) == 6
     assert len(set(fits)) == len(fits)
@@ -241,7 +249,7 @@ def test_pbt_gp_remembers_a_failed_fit(monkeypatch):
     def failing(*args, **kwargs):
         raise GpFitError("forced")
 
-    run, journal, _, fits, suggestions = _pbt_gp_run(monkeypatch, failing)
+    _, journal, _, fits, suggestions = _pbt_gp_run(monkeypatch, failing)
     modes = [r["mode"] for r in journal.of_type("explore")]
     assert suggestions == [] and set(modes) == {"gp_fallback"}
     # 2 losers per interval: the second one's explore does not refit

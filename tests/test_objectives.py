@@ -502,7 +502,8 @@ def test_external_command_timeout_fails_the_trial_and_the_run_goes_on():
     journal = Journal()
     journal.write_header({"method": "rs"})
     obj = ExternalCommand(cmd, space=space, timeout=0.2)
-    run = run_rs(space, obj, 6, [0], rng=0, journal=journal)
+    run = run_rs(space, TrialRunner(obj, [0], journal=journal), np.random.default_rng(0),
+                 n_configs=6)
     trials = journal.of_type("trial")
     slow = [t for t in trials if t["config"]["x"] < 0.5]
     assert len(trials) == 6 and slow and len(slow) < 6

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from autotune.objectives import SeededValley
@@ -34,9 +35,8 @@ def test_pbt_never_exploits_a_member_with_a_non_finite_cost():
     objective = NonFinite()
     runner = TrialRunner(objective, seeds=[0, 1])
     run = run_pbt(
-        objective.default_space(), objective, population_size=8, num_intervals=4,
-        quantile=0.25, explore_mode="perturb", warmstart_runs=0, tuning_seeds=[0, 1],
-        rng=15, runner=runner,
+        objective.default_space(), runner, np.random.default_rng(15), population_size=8,
+        num_intervals=4, quantile=0.25, explore_mode="perturb", warmstart_runs=0,
     )
     journal = runner.journal
     first = [g for g in journal.of_type("group") if g["tags"]["interval"] == 1]
