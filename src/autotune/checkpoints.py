@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
 PACK_NAME = "checkpoints.pack"
 
@@ -29,8 +28,7 @@ class CheckpointPack:
 
     ``CheckpointPack(directory)`` reads and scans on the first :meth:`read`;
     :meth:`open_for_append` scans at once, trims a torn last frame, and
-    accepts :meth:`append`. Reads may come from several threads; appends and
-    flushes come from one.
+    accepts :meth:`append`.
     """
 
     def __init__(self, directory: str):
@@ -42,7 +40,6 @@ class CheckpointPack:
         self._end = 0  # end of the last complete frame
         self._writer = None
         self._reader = None
-        self._lock = threading.Lock()
 
     @classmethod
     def open_for_append(cls, directory: str) -> "CheckpointPack":
@@ -73,18 +70,17 @@ class CheckpointPack:
         self._writer.flush()
 
     def read(self, name: str) -> bytes:
-        with self._lock:
-            if self._index is None:
-                self._scan()
-            if name not in self._index:
-                raise PackError(f"no checkpoint {name!r} in {self.path}")
-            offset, size = self._index[name]
-            if self._writer is not None:
-                self._writer.flush()
-            if self._reader is None:
-                self._reader = open(self.path, "rb")
-            self._reader.seek(offset)
-            payload = self._reader.read(size)
+        if self._index is None:
+            self._scan()
+        if name not in self._index:
+            raise PackError(f"no checkpoint {name!r} in {self.path}")
+        offset, size = self._index[name]
+        if self._writer is not None:
+            self._writer.flush()
+        if self._reader is None:
+            self._reader = open(self.path, "rb")
+        self._reader.seek(offset)
+        payload = self._reader.read(size)
         if len(payload) != size:
             raise PackError(f"checkpoint {name!r} in {self.path} is cut short")
         return payload

@@ -94,7 +94,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--test-seeds", default="5..14")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes that evaluate trials, this one included; at most the CPU count",
+    )
     p.add_argument("--out", default=None, help="run directory (AUTOTUNE_RUN_DIR overrides)")
 
 

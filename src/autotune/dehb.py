@@ -78,22 +78,12 @@ def de_crossover(
     return child
 
 
-def de_select(
-    parent: DeMember,
-    child_vector: np.ndarray,
-    space: ConfigSpace,
-    runner: TrialRunner,
-    budget: float,
-    tags: dict | None = None,
-) -> tuple[DeMember, object]:
-    """Evaluate the child at the parent's budget; keep the better (ties keep
-    the child, a failed child keeps the parent)."""
-    result = runner.evaluate_group(
-        from_unit(space, child_vector), budget, purpose="tune", tags=tags
-    )
-    if not result.failed and result.cost <= parent.cost:
-        return DeMember(vector=np.asarray(child_vector, dtype=float), cost=result.cost), result
-    return parent, result
+def de_select(parent: DeMember, child: DeMember) -> DeMember:
+    """One-to-one elitist selection: the child unless it failed (cost +inf)
+    or is worse than the parent; ties keep the child."""
+    if math.isfinite(child.cost) and child.cost <= parent.cost:
+        return child
+    return parent
 
 
 def run_dehb(
@@ -131,18 +121,19 @@ def run_dehb(
                 }
             )
 
-    def evaluate_population(vectors, rung_index, iteration) -> list[DeMember]:
+    def evaluate_population(vectors, rung_index, iteration, slots=False) -> list[DeMember]:
+        """One batch at the rung's budget; ``slots`` tags each group with its
+        index, as a DE generation's children are tagged with their parent's."""
         nonlocal total_spend
         budget = rungs[rung_index]
+        tags = [{"iteration": iteration, "rung": rung_index} for _ in vectors]
+        if slots:
+            for idx, tag in enumerate(tags):
+                tag["slot"] = idx
         results = runner.evaluate_many(
             [
-                {
-                    "config": from_unit(space, v),
-                    "budget": budget,
-                    "purpose": "tune",
-                    "tags": {"iteration": iteration, "rung": rung_index},
-                }
-                for v in vectors
+                {"config": from_unit(space, v), "budget": budget, "purpose": "tune", "tags": t}
+                for v, t in zip(vectors, tags)
             ]
         )
         members = []
@@ -162,26 +153,16 @@ def run_dehb(
             vectors = [rng.random(d) for _ in range(caps[lowest])]
             pops[lowest] = evaluate_population(vectors, lowest, it)
         else:
+            # one generation: every child is built first, in slot order, and
+            # evaluated in one batch
             prev = pops[lowest]
             vectors = [m.vector for m in prev]
-            new_members = []
-            budget = rungs[lowest]
-            for idx, parent in enumerate(prev):
-                donor = de_mutate(vectors, idx, F, rng, dimension=d)
-                child = de_crossover(parent.vector, donor, CR, rng)
-                survivor, res = de_select(
-                    parent,
-                    child,
-                    space,
-                    runner,
-                    budget,
-                    tags={"iteration": it, "rung": lowest, "slot": idx},
-                )
-                total_spend += budget
-                if budget == lad.max_budget and not res.failed:
-                    note_incumbent(child, res.cost)
-                new_members.append(survivor)
-            pops[lowest] = new_members
+            children = [
+                de_crossover(parent.vector, de_mutate(vectors, idx, F, rng, dimension=d), CR, rng)
+                for idx, parent in enumerate(prev)
+            ]
+            evaluated = evaluate_population(children, lowest, it, slots=True)
+            pops[lowest] = [de_select(p, c) for p, c in zip(prev, evaluated)]
 
         for rung_index in active[1:]:
             ranked = sorted(pops[rung_index - 1], key=lambda m: m.cost)

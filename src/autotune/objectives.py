@@ -191,8 +191,8 @@ class _UnitObjective(Objective):
         last one is remembered. A hit needs that object holding the very
         same value objects, so after ``values`` changes, even from ``1`` to
         ``1.0`` or ``True`` or from ``0.0`` to ``-0.0``, it is encoded again.
-        The memo is one attribute holding a tuple, replaced whole, so worker
-        threads never see it half-written.
+        The memo is one attribute holding a tuple, replaced whole, so threads
+        that share the objective never see it half-written.
         """
         items = tuple(config.values.items())
         memo = self._memo

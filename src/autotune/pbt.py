@@ -2,9 +2,9 @@
 
 A population of members trains in lockstep: each round every member trains
 from its checkpoint for another 1/num_intervals of the full budget and is
-evaluated. The worst floor(quantile * n) members are then replaced by copies
-(configuration and checkpoint, byte-identical) of the best floor(quantile * n)
-members and explored: either by random perturbation of each hyperparameter or
+evaluated. The worst k = max(1, floor(quantile * n)) members are then
+replaced by copies (configuration and checkpoint, byte-identical) of the best
+k members and explored: either by random perturbation of each hyperparameter or
 by a Gaussian-process suggestion fitted to the cost history. Survivors keep
 their configurations and checkpoints untouched. The incumbent is the best
 member after the final interval. The lineage lives in the journal: each
@@ -48,7 +48,8 @@ class Member:
 
 
 def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
-    """Truncation plan: pair the worst floor(q*n) members with the best.
+    """Truncation plan: pair the worst k = max(1, floor(q*n)) members with
+    the best k, so every population of two or more exploits.
 
     Returns (loser index, winner index) pairs; rank-1 loser (the very worst)
     copies the rank-1 winner (the very best). Ties rank by member index:
@@ -57,9 +58,9 @@ def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
     if not (0.0 < quantile <= 0.5):
         raise ValueError(f"quantile must lie in (0, 0.5], got {quantile}")
     n = len(costs)
-    k = int(quantile * n)
-    if k < 1:
+    if n < 2:
         return []
+    k = max(1, int(quantile * n))
     order = sorted(range(n), key=lambda i: (costs[i], i))
     winners = order[:k]
     losers = order[-k:][::-1]  # worst first

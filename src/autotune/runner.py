@@ -1,4 +1,4 @@
-"""Trial execution: journaling, multi-seed groups, replay, worker pool.
+"""Trial execution: journaling, multi-seed groups, replay, worker processes.
 
 Optimizers evaluate configurations through a :class:`TrialRunner`, which owns
 the objective, the tuning seeds and the journal; each optimizer ends with
@@ -8,13 +8,20 @@ budget fraction (seeds are the protocol's price of reliability, not extra
 tuning budget). Every trial and group lands in the journal; when the journal
 is in replay mode the runner returns recorded results instead of calling the
 objective, which is what makes interrupted runs resumable bit-for-bit.
+
+With ``workers > 1`` the runner forks worker processes that share the
+evaluation of :meth:`TrialRunner.evaluate_many` batches; everything that is
+written (group ids, checkpoints, journal records) stays in the calling
+process and follows request order.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import os
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .checkpoints import CheckpointPack
@@ -89,7 +96,10 @@ class TrialRunner:
 
     Checkpoints go to one pack in ``checkpoint_dir`` (see
     :mod:`autotune.checkpoints`), opened once; :meth:`close` closes it and
-    every pack that replayed checkpoints were read from.
+    every pack that replayed checkpoints were read from, and stops the
+    worker processes. Those are forked, and forking a process that runs
+    threads can deadlock, so a caller with threads of its own keeps
+    ``workers`` at 1.
     """
 
     def __init__(
@@ -113,6 +123,7 @@ class TrialRunner:
         self._groups = len(self.journal.of_type(GROUP))
         self._started = 0
         self._packs: dict[str, CheckpointPack] = {}  # by directory
+        self._children: list = []  # (process, connection) per forked worker
 
     @property
     def groups_run(self) -> int:
@@ -131,14 +142,17 @@ class TrialRunner:
         started = self._start(config, budget, seeds, purpose, resume, tags)
         if isinstance(started, GroupResult):
             return started
-        return self._commit(started, self._run(started))
+        return self._commit(started, _run_group(self.objective, started))
 
     def evaluate_many(self, requests: list[dict]) -> list[GroupResult]:
         """Evaluate several groups as ``evaluate_group`` would, one by one.
 
-        With more than one worker the objective runs on a thread pool, but
-        group ids, checkpoints and journal records still follow request
-        order, so the journal is the one a single worker writes.
+        With more than one worker the live groups are split into contiguous
+        chunks: this process evaluates the first, and worker processes,
+        forked on the first batch that needs them, evaluate the others.
+        Group ids, checkpoints and journal records stay in this process and
+        follow request order, so the journal is the one a single worker
+        writes.
         """
         if self.workers == 1 or len(requests) <= 1:
             return [self.evaluate_group(**req) for req in requests]
@@ -149,15 +163,26 @@ class TrialRunner:
             except RunInterrupted as err:
                 interrupted = err
                 break
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            runs = [
-                None if isinstance(s, GroupResult) else pool.submit(self._run, s)
-                for s in started
-            ]
-            results = [
-                s if run is None else self._commit(s, run.result())
-                for s, run in zip(started, runs)
-            ]
+        live = [s for s in started if isinstance(s, _LiveGroup)]
+        results, order, error = [], iter(started), None
+        try:
+            for reply in self._share(live):
+                trials, failure = reply()  # every reply is read, to keep the pipes in step
+                if error is not None:
+                    continue
+                for t in trials:
+                    s = next(order)
+                    while isinstance(s, GroupResult):  # replayed
+                        results.append(s)
+                        s = next(order)
+                    results.append(self._commit(s, t))
+                error = failure
+        except BaseException:
+            self._stop_children()  # a child may still be busy; never reuse its pipe
+            raise
+        if error is not None:  # raised by the group after the last committed one
+            raise error
+        results.extend(order)  # replayed groups after the last live one
         if interrupted is not None:
             raise interrupted
         return results
@@ -176,6 +201,7 @@ class TrialRunner:
         return TuneResult(incumbent, cost)
 
     def close(self) -> None:
+        self._stop_children()
         for pack in self._packs.values():
             pack.close()
         self._packs.clear()
@@ -201,24 +227,56 @@ class TrialRunner:
         self._groups += 1
         return _LiveGroup(self._groups - 1, config, budget, seeds, purpose, resume, tags)
 
-    def _run(self, live: _LiveGroup) -> list[tuple]:
-        """(seed, cost, checkpoint, error, wall time) per seed; a failure or
-        a non-finite cost leaves cost and checkpoint None."""
-        trials = []
-        for seed in live.seeds:
-            handle = None if live.resume is None else live.resume.get(seed)
-            t0 = time.perf_counter()
-            cost, ckpt, error = None, None, ""
-            try:
-                cost, ckpt = self.objective.evaluate(
-                    live.config, live.budget, seed, resume=handle
-                )
-            except EvaluationError as err:
-                error = str(err)
-            if cost is not None and not math.isfinite(cost):
-                cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
-            trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
-        return trials
+    def _share(self, live: list[_LiveGroup]) -> list:
+        """Split ``live`` into contiguous chunks, one per process, and send all
+        but the first to the children. Returns one call per chunk, in order,
+        that gives the chunk's ``_run_chunk`` reply: the first evaluates its
+        chunk here, so the caller commits it while the children work; the
+        others wait for a child. A child gets its resume checkpoints as
+        payloads, since packs stay open in this process only.
+        """
+        if len(live) > 1 and not self._children:
+            self._start_children()
+        n = max(1, min(len(self._children) + 1, len(live)))
+        bounds = [len(live) * i // n for i in range(n + 1)]
+        chunks = [live[a:b] for a, b in zip(bounds, bounds[1:])]
+        conns = [conn for _, conn in self._children[: n - 1]]
+        for conn, chunk in zip(conns, chunks[1:]):
+            conn.send([dataclasses.replace(g, resume=_loaded(g.resume)) for g in chunk])
+        return [functools.partial(_run_chunk, self.objective, chunks[0])] + [
+            functools.partial(_receive, conn) for conn in conns
+        ]
+
+    def _start_children(self) -> None:
+        """Fork ``min(workers, CPU count) - 1`` children that inherit the
+        objective and evaluate the chunks sent to them."""
+        count = min(self.workers, os.cpu_count() or 1) - 1
+        if count < 1:
+            return
+        import multiprocessing  # only runs that fork pay for the import
+
+        context = multiprocessing.get_context("fork")
+        for _ in range(count):
+            ours, theirs = context.Pipe()
+            # a child closes every runner end it inherits, so it sees EOF
+            # as soon as this process closes (or loses) its end
+            ends = [conn for _, conn in self._children] + [ours]
+            proc = context.Process(
+                target=_serve, args=(theirs, ends, self.objective), daemon=True
+            )
+            proc.start()
+            theirs.close()
+            self._children.append((proc, ours))
+
+    def _stop_children(self) -> None:
+        children, self._children = self._children, []
+        for _, conn in children:
+            conn.close()  # an idle child reads EOF and returns
+        for proc, _ in children:
+            proc.join(timeout=1.0)
+            if proc.exitcode is None:
+                proc.terminate()
+                proc.join()
 
     def _commit(self, live: _LiveGroup, trials: list[tuple]) -> GroupResult:
         """Persist a group's checkpoints, then journal its trials and itself."""
@@ -339,6 +397,71 @@ class TrialRunner:
             checkpoints=checkpoints,
             purpose=purpose,
         )
+
+
+def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
+    """(seed, cost, checkpoint, error, wall time) per seed; a failure or
+    a non-finite cost leaves cost and checkpoint None."""
+    trials = []
+    for seed in live.seeds:
+        handle = None if live.resume is None else live.resume.get(seed)
+        t0 = time.perf_counter()
+        cost, ckpt, error = None, None, ""
+        try:
+            cost, ckpt = objective.evaluate(live.config, live.budget, seed, resume=handle)
+        except EvaluationError as err:
+            error = str(err)
+        if cost is not None and not math.isfinite(cost):
+            cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
+        trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
+    return trials
+
+
+def _run_chunk(objective: Objective, chunk: list[_LiveGroup]) -> tuple[list, Exception | None]:
+    """The trials of each group up to the first that raised, and its exception."""
+    done = []
+    try:
+        for live in chunk:
+            done.append(_run_group(objective, live))
+    except Exception as err:
+        return done, err
+    return done, None
+
+
+def _loaded(resume: dict | None) -> dict | None:
+    """``resume`` with every checkpoint's payload read and no open pack."""
+    if resume is None:
+        return None
+    return {
+        seed: None if h is None else dataclasses.replace(h, payload=h.load(), pack=None)
+        for seed, h in resume.items()
+    }
+
+
+def _receive(conn) -> tuple[list, Exception | None]:
+    try:
+        return conn.recv()
+    except EOFError:
+        raise RuntimeError("a worker process ended before it replied") from None
+
+
+def _serve(conn, inherited: list, objective) -> None:
+    """A worker process: evaluate each chunk of groups received on ``conn``
+    and send back its ``_run_chunk`` reply, until the runner closes its end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the runner stops its children
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            chunk = conn.recv()
+        except EOFError:
+            return
+        # a reply that does not pickle ends this process, and the runner
+        # raises for the missing reply
+        try:
+            conn.send(_run_chunk(objective, chunk))
+        except OSError:  # the runner closed its end mid-batch
+            return
 
 
 def _checked_seeds(seeds) -> tuple[int, ...]:

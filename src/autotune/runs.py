@@ -142,10 +142,13 @@ def run_repetition(
             raise ValueError(
                 f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
             )
-        test_costs = []
-        for test_seed in seed_plan.test_seeds:
-            res = runner.evaluate_group(result.incumbent, 1.0, seeds=[test_seed], purpose="test")
-            test_costs.append(res.cost)
+        tests = runner.evaluate_many(
+            [
+                {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}
+                for seed in seed_plan.test_seeds
+            ]
+        )
+        test_costs = [res.cost for res in tests]
         if exports is not None:
             exports.add(directory, journal)
         return RepetitionResult(

@@ -16,7 +16,7 @@ from autotune.journal import Journal
 from autotune.objectives import EvaluationError, NoisySphere
 from autotune.rs import run_rs
 from autotune.runner import TrialRunner
-from autotune.space import ConfigSpace, Configuration, continuous
+from autotune.space import ConfigSpace, Configuration, continuous, from_unit
 
 
 def unit_space(d=2):
@@ -140,11 +140,18 @@ def make_runner(objective=None, seeds=(0,)):
     return TrialRunner(obj, seeds=list(seeds))
 
 
+def select(parent, child_vector, space, runner, budget):
+    """Evaluate the child at ``budget`` as run_dehb does, then select."""
+    result = runner.evaluate_group(from_unit(space, child_vector), budget)
+    return de_select(parent, DeMember(vector=np.asarray(child_vector, dtype=float),
+                                      cost=result.cost))
+
+
 def test_select_child_wins_when_better():
     runner = make_runner()
     parent = DeMember(vector=np.array([0.0, 0.0]), cost=0.5)
     child = np.array([0.5, 0.5])  # cost 0 at the optimum
-    survivor, _ = de_select(parent, child, unit_space(), runner, budget=1.0)
+    survivor = select(parent, child, unit_space(), runner, budget=1.0)
     assert np.array_equal(survivor.vector, child)
     assert survivor.cost == 0.0
 
@@ -152,7 +159,7 @@ def test_select_child_wins_when_better():
 def test_select_parent_survives_when_child_worse():
     runner = make_runner()
     parent = DeMember(vector=np.array([0.5, 0.5]), cost=0.0)
-    survivor, _ = de_select(parent, np.array([0.0, 0.0]), unit_space(), runner, budget=1.0)
+    survivor = select(parent, np.array([0.0, 0.0]), unit_space(), runner, budget=1.0)
     assert survivor is parent
 
 
@@ -165,7 +172,7 @@ def test_select_tie_keeps_child():
     runner = make_runner(Constant(dimension=2))
     parent = DeMember(vector=np.array([0.1, 0.1]), cost=1.0)
     child = np.array([0.9, 0.9])
-    survivor, _ = de_select(parent, child, unit_space(), runner, budget=1.0)
+    survivor = select(parent, child, unit_space(), runner, budget=1.0)
     assert np.array_equal(survivor.vector, child)
 
 
@@ -176,8 +183,13 @@ def test_select_failed_child_keeps_parent():
 
     runner = make_runner(AlwaysFails(dimension=2))
     parent = DeMember(vector=np.array([0.1, 0.1]), cost=0.7)
-    survivor, _ = de_select(parent, np.array([0.9, 0.9]), unit_space(), runner, budget=1.0)
+    survivor = select(parent, np.array([0.9, 0.9]), unit_space(), runner, budget=1.0)
     assert survivor is parent
+
+
+def test_select_failed_child_keeps_a_failed_parent():
+    parent = DeMember(vector=np.array([0.1, 0.1]), cost=math.inf)
+    assert de_select(parent, DeMember(vector=np.array([0.9, 0.9]), cost=math.inf)) is parent
 
 
 def test_select_monotone_over_100_random_steps():
@@ -194,8 +206,26 @@ def test_select_monotone_over_100_random_steps():
         before = pop[idx].cost
         donor = de_mutate([m.vector for m in pop], idx, 0.5, rng)
         child = de_crossover(pop[idx].vector, donor, 0.5, rng)
-        pop[idx], _ = de_select(pop[idx], child, space, runner, budget=1.0)
+        pop[idx] = select(pop[idx], child, space, runner, budget=1.0)
         assert pop[idx].cost <= before
+
+
+def test_each_generation_is_one_batch_in_slot_order():
+    class Counting(TrialRunner):
+        batches = []
+
+        def evaluate_many(self, requests):
+            self.batches.append([r["tags"] for r in requests])
+            return super().evaluate_many(requests)
+
+    runner = Counting(NoisySphere(dimension=2, noise=0.0), [0])
+    run_dehb(unit_space(), runner, np.random.default_rng(3), min_budget=1 / 9, eta=3.0,
+             iterations=3)
+    generations = [tags for tags in runner.batches if "slot" in tags[0]]
+    assert [len(tags) for tags in generations] == [3, 1]  # rungs 1/3 and 1 of iterations 1, 2
+    for tags in generations:
+        assert [t["slot"] for t in tags] == list(range(len(tags)))
+        assert len({(t["iteration"], t["rung"]) for t in tags}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def test_runner_parallel_matches_sequential_results():
     reqs = [{"config": c, "budget": 1.0} for c in cfgs]
     seq = [r.mean_cost for r in runner_seq.evaluate_many(reqs)]
     par = [r.mean_cost for r in runner_par.evaluate_many(reqs)]
+    runner_par.close()
     assert seq == par
 
 

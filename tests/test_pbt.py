@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from autotune.objectives import SeededValley
-from autotune.pbt import run_pbt
+from autotune.pbt import exploit, run_pbt
 from autotune.runner import TrialRunner
 from autotune.space import Configuration
 
@@ -52,3 +52,26 @@ def test_pbt_never_exploits_a_member_with_a_non_finite_cost():
         assert not failed & {winner for _, winner in record["plan"]}
     assert math.isfinite(run.incumbent_cost)
     assert run.incumbent["x0"] >= 0.35
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_population_under_eight_still_exploits_one_pair(n):
+    costs = [float(i) for i in range(n)]  # member 0 is the best, n - 1 the worst
+    assert exploit(costs, 0.125) == [(n - 1, 0)]
+
+
+def test_exploit_plans_floor_q_n_pairs_from_eight_members():
+    assert exploit([float(i) for i in range(16)], 0.125) == [(15, 0), (14, 1)]
+    assert exploit([0.0], 0.125) == []
+
+
+def test_a_small_pbt_run_exploits_and_explores_every_interval():
+    objective = SeededValley()
+    runner = TrialRunner(objective, seeds=[0])
+    run_pbt(
+        objective.default_space(), runner, np.random.default_rng(4), population_size=4,
+        num_intervals=4, quantile=0.125, explore_mode="perturb", warmstart_runs=0,
+    )
+    plans = [record["plan"] for record in runner.journal.of_type("exploit")]
+    assert len(plans) == 3 and all(len(plan) == 1 for plan in plans)
+    assert len(runner.journal.of_type("explore")) == 3

@@ -117,9 +117,10 @@ def test_resume_trims_a_pack_cut_inside_its_last_frame(tmp_path):
 
 @pytest.mark.parametrize("where", ["same", "new"])
 def test_parallel_resume_reads_checkpoints_while_the_pack_grows(tmp_path, where):
-    """Worker threads read replayed checkpoints from a pack while the calling
-    thread appends to its own; more workers than cores and frequent thread
-    switches give a lost update or a torn read every chance to show."""
+    """The calling process reads replayed checkpoints from a pack, and sends
+    them to its worker processes, while it appends to its own pack; asking
+    for more workers than cores must not change the journal. The short
+    switch interval dates from when the workers were threads."""
     full, cut = tmp_path / "full", tmp_path / "cut"
     run(full, "pbt")
     interrupted(cut, "pbt", 4, max_groups=len(journal(full).of_type("group")) // 4)
