@@ -26,7 +26,7 @@ from .objectives import (
 from .pbt import Member, exploit, kernel_restart_check, run_pbt, warmstart
 from .protocol import IncumbentReport, MethodSpec, RankTable, SeedPlan, rank_methods
 from .rs import run_rs
-from .runner import GroupResult, NoIncumbentError, RunInterrupted, TrialRunner, TuneResult
+from .runner import GroupResult, NoIncumbentError, TrialRunner, TuneResult
 from .space import (
     ConfigSpace,
     Configuration,
@@ -58,7 +58,7 @@ __all__ = [
     "Member", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
     "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "rank_methods",
     "run_rs",
-    "GroupResult", "NoIncumbentError", "RunInterrupted", "TrialRunner", "TuneResult",
+    "GroupResult", "NoIncumbentError", "TrialRunner", "TuneResult",
     "ConfigSpace", "Configuration", "Hyperparameter", "SpaceError", "SpaceParseError",
     "categorical", "continuous", "from_unit", "integer", "log_continuous",
     "parse_space", "perturb", "render_space", "sample", "to_unit",

@@ -36,15 +36,13 @@ def _yes_no(value: bool | None) -> str:
     return "yes" if value else "no"
 
 
-def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> ChecklistReport:
+def emit_checklist(journals: list[Journal]) -> ChecklistReport:
     """Render the 17-item checklist from completed run journals.
 
     Seeds and spaces come from the journal headers; item 3 prints each space
-    in the space-file syntax, so it parses back. ``metadata`` may provide
-    ``package``, ``code_url``, ``hardware`` (list of strings),
-    ``environment_bundled`` and ``hardware_comparable``.
+    in the space-file syntax, so it parses back. What no journal records
+    (the code's URL, the software environment, the hardware) is unanswered.
     """
-    metadata = dict(metadata or {})
     headers = [j.header or {} for j in journals]
     methods = [h.get("method", "?") for h in headers]
 
@@ -89,8 +87,6 @@ def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> Che
 
     metrics = sorted({h.get("cost_metric", "") for h in headers if h.get("cost_metric")})
 
-    package = metadata.get("package", "autotune")
-
     items: list[tuple[int, list[str]]] = []
 
     sub = [
@@ -104,11 +100,11 @@ def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> Che
 
     if methods:
         items.append(
-            (2, [f"Hyperparameters were tuned using {package}, based on: "
+            (2, ["Hyperparameters were tuned using autotune, based on: "
                  + ", ".join(sorted(set(methods)))])
         )
     else:
-        items.append((2, [f"Hyperparameters were tuned using {package}, based on: {UNANSWERED}"]))
+        items.append((2, [f"Hyperparameters were tuned using autotune, based on: {UNANSWERED}"]))
 
     space_lines: list[str] = []
     space_sources: dict[str, str] = {}
@@ -149,8 +145,7 @@ def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> Che
                  "(budget counted in full runs, not time)"])
         )
     else:
-        items.append((8, [f"Budget given in time, hardware comparable: "
-                          f"{_yes_no(metadata.get('hardware_comparable'))}"]))
+        items.append((8, [f"Budget given in time, hardware comparable: {UNANSWERED}"]))
 
     tuned_as_described = None
     if headers:
@@ -185,18 +180,11 @@ def emit_checklist(journals: list[Journal], metadata: dict | None = None) -> Che
         (13, ["The final incumbent configurations reported were:"] + (inc_lines or [UNANSWERED]))
     )
 
-    items.append((14, [f"Code for reproducing these experiments: "
-                       f"{metadata.get('code_url', UNANSWERED)}"]))
+    items.append((14, [f"Code for reproducing these experiments: {UNANSWERED}"]))
     items.append((15, [f"The code includes the tuning process: "
                        f"{_yes_no(True if any_trials else None)}"]))
-    items.append((16, [f"An exact software environment is bundled with the code: "
-                       f"{_yes_no(metadata.get('environment_bundled'))}"]))
-    hardware = metadata.get("hardware")
-    if hardware:
-        hw_lines = [f"- {h}" for h in hardware] if isinstance(hardware, (list, tuple)) else [f"- {hardware}"]
-    else:
-        hw_lines = [UNANSWERED]
-    items.append((17, ["The following hardware was used:"] + hw_lines))
+    items.append((16, [f"An exact software environment is bundled with the code: {UNANSWERED}"]))
+    items.append((17, ["The following hardware was used:", UNANSWERED]))
 
     assert [n for n, _ in items] == list(range(1, 18))
     return ChecklistReport(items=items)

@@ -202,11 +202,14 @@ def _cmd_tune(args) -> int:
             workers=args.workers,
             exports=exports,
         )
-        print(
-            f"repetition {rep}: incumbent cost {result.tuning_cost:.6g}, "
-            f"test mean {result.test_mean:.6g} +- {result.test_std:.6g}, "
-            f"spend {result.spend:.3f} runs"
-        )
+        if result.failed:  # no incumbent, or every test seed failed
+            print(f"repetition {rep}: failed")
+        else:
+            print(
+                f"repetition {rep}: incumbent cost {result.tuning_cost:.6g}, "
+                f"test mean {result.test_mean:.6g} +- {result.test_std:.6g}, "
+                f"spend {result.spend:.3f} runs"
+            )
     exports.close()
     print(f"run directory: {out}")
     return EXIT_OK

@@ -9,17 +9,20 @@ tuning budget). Every trial and group lands in the journal; when the journal
 is in replay mode the runner returns recorded results instead of calling the
 objective, which is what makes interrupted runs resumable bit-for-bit.
 
-With ``workers > 1`` the runner forks worker processes that share the
-evaluation of :meth:`TrialRunner.evaluate_many` batches; everything that is
-written (group ids, checkpoints, journal records) stays in the calling
-process and follows request order.
+One rule holds at every worker count: groups are journaled in request order,
+a batch stops at the first group that raised (the groups before it are
+journaled, it and the rest are not), and a group's id is the count of groups
+journaled before it. With ``workers > 1`` the runner forks worker processes
+that evaluate part of each :meth:`TrialRunner.evaluate_many` batch;
+everything that is written (checkpoints, journal records) stays in the
+calling process.
 """
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import os
+import pickle
 import signal
 import time
 from dataclasses import dataclass
@@ -34,10 +37,6 @@ from .objectives import (
     Objective,
 )
 from .space import Configuration
-
-
-class RunInterrupted(RuntimeError):
-    """Raised by the runner when the configured group limit is reached."""
 
 
 class NoIncumbentError(RuntimeError):
@@ -80,9 +79,8 @@ class TuneResult:
 
 @dataclass
 class _LiveGroup:
-    """A group that was started and is not journaled yet."""
+    """A group to evaluate; it gets its id when it is journaled."""
 
-    group: int
     config: Configuration
     budget: float
     seeds: tuple[int, ...]
@@ -109,7 +107,6 @@ class TrialRunner:
         journal: Journal | None = None,
         checkpoint_dir: str | None = None,
         workers: int = 1,
-        max_groups: int | None = None,
     ):
         self.objective = objective
         self.seeds = list(_checked_seeds(seeds))
@@ -118,16 +115,11 @@ class TrialRunner:
             self.journal.write_header({"method": "adhoc"})
         self.checkpoint_dir = checkpoint_dir
         self.workers = max(1, int(workers))
-        self.max_groups = max_groups
-        # next live group id continues after any groups already in the journal
+        # the next live group's id: groups journaled so far, replayed ones too
         self._groups = len(self.journal.of_type(GROUP))
-        self._started = 0
+        self.groups_run = 0  # replayed or journaled by this runner
         self._packs: dict[str, CheckpointPack] = {}  # by directory
         self._children: list = []  # (process, connection) per forked worker
-
-    @property
-    def groups_run(self) -> int:
-        return self._started
 
     def evaluate_group(
         self,
@@ -147,44 +139,40 @@ class TrialRunner:
     def evaluate_many(self, requests: list[dict]) -> list[GroupResult]:
         """Evaluate several groups as ``evaluate_group`` would, one by one.
 
-        With more than one worker the live groups are split into contiguous
-        chunks: this process evaluates the first, and worker processes,
-        forked on the first batch that needs them, evaluate the others.
-        Group ids, checkpoints and journal records stay in this process and
-        follow request order, so the journal is the one a single worker
-        writes.
+        Groups are journaled in request order and numbered as they are
+        journaled; the first group that raises ends the batch, after the
+        groups before it are journaled. The groups the journal replays come
+        first, since a live group starts only once the replay queue is empty.
+        A malformed live request (bad seeds) raises before any live group
+        runs. The live groups are split into contiguous chunks: worker
+        processes, forked on the first batch that needs them, evaluate all
+        but the first, which this process evaluates meanwhile, one group at a
+        time; then it journals theirs. With no worker processes the first
+        chunk is the whole batch.
         """
-        if self.workers == 1 or len(requests) <= 1:
-            return [self.evaluate_group(**req) for req in requests]
-        started, interrupted = [], None
-        for req in requests:
-            try:
-                started.append(self._start(**req))
-            except RunInterrupted as err:
-                interrupted = err
-                break
-        live = [s for s in started if isinstance(s, _LiveGroup)]
-        results, order, error = [], iter(started), None
+        results = []
+        while len(results) < len(requests) and self.journal.replaying:
+            results.append(self.evaluate_group(**requests[len(results)]))
+        live = requests[len(results):]
+        groups = [self._start(**req) for req in live]  # a malformed request raises here
+        if len(live) > 1 and not self._children:
+            self._start_children()
+        n = max(1, min(len(self._children) + 1, len(live)))
+        bounds = [len(live) * i // n for i in range(n + 1)]
+        theirs = list(zip(self._children, bounds[1:], bounds[2:]))
         try:
-            for reply in self._share(live):
-                trials, failure = reply()  # every reply is read, to keep the pipes in step
+            for (_, conn), a, b in theirs:
+                # packs stay open in this process only: send checkpoint payloads
+                conn.send([dataclasses.replace(g, resume=_loaded(g.resume)) for g in groups[a:b]])
+            results.extend(self.evaluate_group(**req) for req in live[: bounds[1]])
+            for (_, conn), a, b in theirs:
+                trials, error = _receive(conn)
+                results.extend(self._commit(g, t) for g, t in zip(groups[a:b], trials))
                 if error is not None:
-                    continue
-                for t in trials:
-                    s = next(order)
-                    while isinstance(s, GroupResult):  # replayed
-                        results.append(s)
-                        s = next(order)
-                    results.append(self._commit(s, t))
-                error = failure
+                    raise error
         except BaseException:
             self._stop_children()  # a child may still be busy; never reuse its pipe
             raise
-        if error is not None:  # raised by the group after the last committed one
-            raise error
-        results.extend(order)  # replayed groups after the last live one
-        if interrupted is not None:
-            raise interrupted
         return results
 
     def complete(self, incumbent: Configuration, cost: float, spend: float) -> TuneResult:
@@ -209,7 +197,7 @@ class TrialRunner:
     # -- helpers -------------------------------------------------------------
 
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
-        """A replayed group's result, or a new group with the next id."""
+        """A replayed group's result, or a live group to evaluate."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
         key = {
             "config": _jsonable_config(config),
@@ -219,33 +207,9 @@ class TrialRunner:
         }
         replayed = self.journal.take_group_if_pending(key)
         if replayed is not None:
-            self._started += 1
+            self.groups_run += 1
             return self._rehydrate(config, budget, seeds, purpose, replayed)
-        if self.max_groups is not None and self._started >= self.max_groups:
-            raise RunInterrupted(f"group limit {self.max_groups} reached")
-        self._started += 1
-        self._groups += 1
-        return _LiveGroup(self._groups - 1, config, budget, seeds, purpose, resume, tags)
-
-    def _share(self, live: list[_LiveGroup]) -> list:
-        """Split ``live`` into contiguous chunks, one per process, and send all
-        but the first to the children. Returns one call per chunk, in order,
-        that gives the chunk's ``_run_chunk`` reply: the first evaluates its
-        chunk here, so the caller commits it while the children work; the
-        others wait for a child. A child gets its resume checkpoints as
-        payloads, since packs stay open in this process only.
-        """
-        if len(live) > 1 and not self._children:
-            self._start_children()
-        n = max(1, min(len(self._children) + 1, len(live)))
-        bounds = [len(live) * i // n for i in range(n + 1)]
-        chunks = [live[a:b] for a, b in zip(bounds, bounds[1:])]
-        conns = [conn for _, conn in self._children[: n - 1]]
-        for conn, chunk in zip(conns, chunks[1:]):
-            conn.send([dataclasses.replace(g, resume=_loaded(g.resume)) for g in chunk])
-        return [functools.partial(_run_chunk, self.objective, chunks[0])] + [
-            functools.partial(_receive, conn) for conn in conns
-        ]
+        return _LiveGroup(config, budget, seeds, purpose, resume, tags)
 
     def _start_children(self) -> None:
         """Fork ``min(workers, CPU count) - 1`` children that inherit the
@@ -279,7 +243,8 @@ class TrialRunner:
                 proc.join()
 
     def _commit(self, live: _LiveGroup, trials: list[tuple]) -> GroupResult:
-        """Persist a group's checkpoints, then journal its trials and itself."""
+        """Persist a group's checkpoints, then journal its trials and itself
+        under the next id."""
         # spend is the incremental training fraction: resuming from a
         # checkpoint at f and training to b costs b - f, not b
         resumed_from = 0.0
@@ -287,8 +252,9 @@ class TrialRunner:
             resumed_from = max(
                 h.trained_fraction for h in live.resume.values() if h is not None
             )
+        group = self._groups
         checkpoints = self._persist(
-            live.group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
+            group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         )
         config = _jsonable_config(live.config)
         per_seed = [cost for _, cost, _, _, _ in trials]
@@ -298,7 +264,7 @@ class TrialRunner:
             self.journal.append(
                 {
                     "t": TRIAL,
-                    "group": live.group,
+                    "group": group,
                     "config": config,
                     "budget": live.budget,
                     "seed": seed,
@@ -313,7 +279,7 @@ class TrialRunner:
             )
         group_rec = {
             "t": GROUP,
-            "group": live.group,
+            "group": group,
             "config": config,
             "budget": live.budget,
             "seeds": list(live.seeds),
@@ -325,8 +291,10 @@ class TrialRunner:
         if live.tags:
             group_rec["tags"] = live.tags
         self.journal.append(group_rec)
+        self._groups += 1
+        self.groups_run += 1
         return GroupResult(
-            group=live.group,
+            group=group,
             config=live.config,
             budget=live.budget,
             seeds=live.seeds,
@@ -417,17 +385,6 @@ def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
     return trials
 
 
-def _run_chunk(objective: Objective, chunk: list[_LiveGroup]) -> tuple[list, Exception | None]:
-    """The trials of each group up to the first that raised, and its exception."""
-    done = []
-    try:
-        for live in chunk:
-            done.append(_run_group(objective, live))
-    except Exception as err:
-        return done, err
-    return done, None
-
-
 def _loaded(resume: dict | None) -> dict | None:
     """``resume`` with every checkpoint's payload read and no open pack."""
     if resume is None:
@@ -447,7 +404,8 @@ def _receive(conn) -> tuple[list, Exception | None]:
 
 def _serve(conn, inherited: list, objective) -> None:
     """A worker process: evaluate each chunk of groups received on ``conn``
-    and send back its ``_run_chunk`` reply, until the runner closes its end."""
+    and send back the trials of each group up to the first that raised, and
+    its exception, until the runner closes its end."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the runner stops its children
     for end in inherited:
         end.close()
@@ -456,12 +414,28 @@ def _serve(conn, inherited: list, objective) -> None:
             chunk = conn.recv()
         except EOFError:
             return
+        done, error = [], None
+        try:
+            for live in chunk:
+                done.append(_run_group(objective, live))
+        except Exception as err:
+            error = _picklable(err)
         # a reply that does not pickle ends this process, and the runner
         # raises for the missing reply
         try:
-            conn.send(_run_chunk(objective, chunk))
+            conn.send((done, error))
         except OSError:  # the runner closed its end mid-batch
             return
+
+
+def _picklable(err: Exception) -> Exception:
+    """``err``, or a RuntimeError naming it if ``err`` does not survive a
+    pickle round trip, so the trials before it still reach the runner."""
+    try:
+        pickle.loads(pickle.dumps(err))
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+    return err
 
 
 def _checked_seeds(seeds) -> tuple[int, ...]:

@@ -18,6 +18,7 @@ seeds, rng seed), and a resumed run whose header differs is refused.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -95,7 +96,6 @@ def run_repetition(
     repetition: int,
     *,
     workers: int = 1,
-    max_groups: int | None = None,
     exports: TuneExports | None = None,
 ) -> RepetitionResult:
     """Run (or resume) one tuning repetition inside ``directory``; once it
@@ -103,7 +103,9 @@ def run_repetition(
 
     The space, the objective and the method's plan are checked before
     anything is written. Tuning must stay within ``budget_runs``: a run that
-    spent more raises ValueError before its incumbent is tested.
+    spent more raises ValueError before its incumbent is tested. The result
+    is the one its journal gives, which ``report`` and ``exports`` show too:
+    a test seed whose group failed does not count.
     """
     space = parse_space(space_text)
     objective = make_objective(objective_spec, space=space)
@@ -116,47 +118,41 @@ def run_repetition(
     )
     if os.path.exists(path):
         journal = Journal.open_for_resume(path)
-        recorded = journal.header or {}
-        if recorded.get("space_digest") != header["space_digest"]:
+    else:
+        journal = Journal.create(path)
+    with contextlib.closing(journal):
+        recorded = journal.header
+        if recorded is not None and recorded.get("space_digest") != header["space_digest"]:
             raise JournalError(
                 "space digest mismatch: journal has "
                 f"{recorded.get('space_digest')}, current space is {header['space_digest']}"
             )
-    else:
-        journal = Journal.create(path)
-    journal.write_header(header)
-
-    runner = TrialRunner(
-        objective,
-        list(seed_plan.tuning_seeds),
-        journal=journal,
-        checkpoint_dir=os.path.join(directory, "checkpoints"),
-        workers=workers,
-        max_groups=max_groups,
-    )
-    rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
-    try:
-        result = run_method(method, space, runner, rng, opts)
-        spend = journal.spend()
-        if spend > budget_runs + 1e-9:
-            raise ValueError(
-                f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
+        journal.write_header(header)
+        runner = TrialRunner(
+            objective,
+            list(seed_plan.tuning_seeds),
+            journal=journal,
+            checkpoint_dir=os.path.join(directory, "checkpoints"),
+            workers=workers,
+        )
+        with contextlib.closing(runner):
+            rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
+            result = run_method(method, space, runner, rng, opts)
+            spend = journal.spend()
+            if spend > budget_runs + 1e-9:
+                raise ValueError(
+                    f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
+                )
+            runner.evaluate_many(
+                [
+                    {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}
+                    for seed in seed_plan.test_seeds
+                ]
             )
-        tests = runner.evaluate_many(
-            [
-                {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}
-                for seed in seed_plan.test_seeds
-            ]
-        )
-        test_costs = [res.cost for res in tests]
-        if exports is not None:
-            exports.add(directory, journal)
-        return RepetitionResult(
-            repetition, result.incumbent, result.incumbent_cost, test_costs, spend=spend
-        )
-    finally:
-        runner.close()
-        journal.close()
+            row = _repetition_row(journal)
+            if exports is not None:
+                exports.add(directory, journal, row)
+            return row[2]
 
 
 def report_from_directories(directories: list[str]) -> list[IncumbentReport]:
@@ -257,11 +253,13 @@ class TuneExports:
             self.directories = sorted(set(_rep_subdirs(run_dir)) | set(planned))
         self._rows: dict[str, tuple] = {}  # directory -> its _repetition_row
 
-    def add(self, directory: str, journal: Journal) -> None:
+    def add(self, directory: str, journal: Journal, row: tuple | None = None) -> None:
+        """Write ``journal``'s trials file and keep its incumbent row:
+        ``row`` when given, else the one the journal gives."""
         if directory in self.directories:
             name = _trials_name(directory, self.directories)
             _write_exports(self.run_dir, {name: trials_csv(journal)})
-            self._rows[directory] = _repetition_row(journal)
+            self._rows[directory] = _repetition_row(journal) if row is None else row
 
     def close(self) -> None:
         if not self.directories:

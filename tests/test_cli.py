@@ -1,8 +1,12 @@
 """``cli.main`` exit codes: 0 success, 2 usage error, 3 objective failure,
 4 journal corruption; and the journal a worker pool writes."""
+import csv
+import gc
+import io
 import json
 import os
 import shutil
+import warnings
 
 import pytest
 
@@ -103,6 +107,34 @@ def test_failing_command_exits_3(space, tmp_path, capsys):
     assert "every random-search trial failed" in capsys.readouterr().err
 
 
+def failing_on_test_seeds(tmp_path, seeds):
+    """An external command that exits 1 for ``seeds`` and costs ``lr`` otherwise."""
+    script = tmp_path / "cost.sh"
+    script.write_text("".join(f'[ "$AUTOTUNE_SEED" = {s} ] && exit 1\n' for s in seeds)
+                      + 'echo "cost=$LR"\n')
+    return ["--objective", f"cmd:sh {script}", "--budget-runs", "2",
+            "--tuning-seeds", "0", "--test-seeds", "5,6,7"]
+
+
+def test_a_failed_test_seed_leaves_tune_and_the_exports_one_result(space, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tune(space, tmp_path / "run", "rs", *failing_on_test_seeds(tmp_path, [6])) == 0
+    [row] = csv.DictReader(io.StringIO((tmp_path / "run/exports/incumbents.csv").read_text()))
+    # the mean over seeds 5 and 7, which cost the same
+    assert float(row["test_mean"]) > 0.0 and row["test_std"] == "0.0"
+    assert (f"test mean {float(row['test_mean']):.6g} +- 0, "
+            in capsys.readouterr().out)
+
+
+def test_a_repetition_whose_every_test_seed_failed_prints_failed(space, tmp_path, capsys):
+    args = failing_on_test_seeds(tmp_path, [5, 6, 7])
+    assert tune(space, tmp_path / "run", "rs", *args) == 0
+    assert "repetition 0: failed\n" in capsys.readouterr().out
+    [row] = csv.DictReader(io.StringIO((tmp_path / "run/exports/incumbents.csv").read_text()))
+    assert row["tuning_cost"] == row["test_mean"] == ""
+
+
 def test_report_on_a_missing_directory_exits_4(tmp_path, capsys):
     assert main(["report", "trials", str(tmp_path / "missing")]) == EXIT_CORRUPT
     assert "no journals under" in capsys.readouterr().err
@@ -119,6 +151,23 @@ def test_corrupt_line_in_the_middle_exits_4(space, tmp_path, capsys):
     assert main(["report", "trials", str(out)]) == EXIT_CORRUPT
     assert "corrupt record" in capsys.readouterr().err
     assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_CORRUPT
+
+
+@pytest.mark.parametrize("change", ["budget", "space"])
+def test_a_refused_resume_closes_its_journal(space, tmp_path, capsys, change):
+    args = ["rs", *VALLEY, *SEEDS, "--budget-runs", "3"]
+    assert tune(space, tmp_path / "run", *args) == EXIT_OK
+    if change == "budget":
+        args[-1] = "4"
+    else:
+        with open(space, "a", encoding="utf-8") as fh:
+            fh.write("decay: (0.0, 1.0)\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert tune(space, tmp_path / "run", *args) == EXIT_CORRUPT
+        gc.collect()
+    assert "journal error" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Resumed runs in file-backed run directories equal uninterrupted ones."""
 import json
+import multiprocessing
 import os
 import shutil
 import sys
@@ -8,9 +9,8 @@ import pytest
 
 from autotune.checkpoints import PACK_NAME, read_checkpoint
 from autotune.journal import Journal
-from autotune.objectives import ObjectiveSpec
+from autotune.objectives import GridworldQ, ObjectiveSpec
 from autotune.protocol import MethodSpec, SeedPlan
-from autotune.runner import RunInterrupted
 from autotune.runs import JOURNAL_NAME, run_repetition
 
 SPACE_TEXT = """\
@@ -31,12 +31,39 @@ METHODS = {  # name -> (method, budget in full runs)
 }
 
 
-def run(directory, method, workers=1, max_groups=None):
+EVALUATE = GridworldQ.evaluate
+
+
+def run(directory, method, workers=1):
     spec, budget = METHODS[method]
     return run_repetition(
         str(directory), spec, SPACE_TEXT, OBJECTIVE, SEEDS, budget, rng_seed=7, repetition=0,
-        workers=workers, max_groups=max_groups,
+        workers=workers,
     )
+
+
+class CtrlC:
+    """Counts the gridworld evaluations this process makes; the one that
+    brings them to ``stop_at`` raises KeyboardInterrupt, as Ctrl-C would.
+    Worker processes never raise."""
+
+    def __init__(self):
+        self.pid, self.calls, self.stop_at = os.getpid(), 0, None
+
+    def evaluate(self, objective, *args, **kwargs):
+        if os.getpid() == self.pid:
+            self.calls += 1
+            if self.calls == self.stop_at:
+                raise KeyboardInterrupt
+        return EVALUATE(objective, *args, **kwargs)
+
+
+@pytest.fixture
+def ctrl_c(monkeypatch):
+    interrupter = CtrlC()
+    monkeypatch.setattr(GridworldQ, "evaluate",
+                        lambda objective, *a, **kw: interrupter.evaluate(objective, *a, **kw))
+    return interrupter
 
 
 def journal(directory):
@@ -55,10 +82,22 @@ def records(directory):
     return out
 
 
-def interrupted(directory, method, workers, max_groups):
-    with pytest.raises(RunInterrupted):
-        run(directory, method, workers, max_groups)
-    assert len(journal(directory).of_type("group")) == max_groups
+def interrupted(directory, method, workers, ctrl_c, share):
+    """Run ``method`` in ``directory`` until Ctrl-C arrives in the first
+    evaluation past ``share`` of those this process makes in a run at
+    ``workers`` that is not interrupted."""
+    uninterrupted = f"{directory}-uninterrupted"
+    ctrl_c.calls = 0
+    run(uninterrupted, method, workers)
+    ctrl_c.calls, ctrl_c.stop_at = 0, int(ctrl_c.calls * share) + 1
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run(directory, method, workers)
+    finally:
+        ctrl_c.stop_at = None
+    assert multiprocessing.active_children() == []
+    groups = len(journal(directory).of_type("group"))
+    assert 0 < groups < len(journal(uninterrupted).of_type("group"))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -73,11 +112,11 @@ def test_parallel_journal_equals_the_sequential_one(tmp_path, method):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("method", METHODS)
-def test_resume_from_a_cut_journal_in_a_new_directory(tmp_path, method, workers):
+def test_resume_from_a_cut_journal_in_a_new_directory(tmp_path, method, workers, ctrl_c):
     full, cut, resumed = tmp_path / "full", tmp_path / "cut", tmp_path / "resumed"
     run(full, method, workers)
     expected = records(full)
-    interrupted(cut, method, workers, max_groups=len(journal(full).of_type("group")) // 2)
+    interrupted(cut, method, workers, ctrl_c, share=1 / 2)
     os.makedirs(resumed)
     shutil.copy(cut / JOURNAL_NAME, resumed / JOURNAL_NAME)  # the journal alone
 
@@ -91,10 +130,10 @@ def test_resume_from_a_cut_journal_in_a_new_directory(tmp_path, method, workers)
         )
 
 
-def test_resume_trims_a_pack_cut_inside_its_last_frame(tmp_path):
+def test_resume_trims_a_pack_cut_inside_its_last_frame(tmp_path, ctrl_c):
     full, cut = tmp_path / "full", tmp_path / "cut"
     run(full, "pbt")
-    interrupted(cut, "pbt", 1, max_groups=len(journal(full).of_type("group")) // 2)
+    interrupted(cut, "pbt", 1, ctrl_c, share=1 / 2)
     # as after a kill while the last group's frames were written: the pack
     # ends inside its last frame, and the group's journal records never landed
     path = cut / JOURNAL_NAME
@@ -116,14 +155,14 @@ def test_resume_trims_a_pack_cut_inside_its_last_frame(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["same", "new"])
-def test_parallel_resume_reads_checkpoints_while_the_pack_grows(tmp_path, where):
+def test_parallel_resume_reads_checkpoints_while_the_pack_grows(tmp_path, where, ctrl_c):
     """The calling process reads replayed checkpoints from a pack, and sends
     them to its worker processes, while it appends to its own pack; asking
     for more workers than cores must not change the journal. The short
     switch interval dates from when the workers were threads."""
     full, cut = tmp_path / "full", tmp_path / "cut"
     run(full, "pbt")
-    interrupted(cut, "pbt", 4, max_groups=len(journal(full).of_type("group")) // 4)
+    interrupted(cut, "pbt", 4, ctrl_c, share=1 / 4)
     target = cut if where == "same" else tmp_path / "resumed"
     if where == "new":
         os.makedirs(target)

@@ -1,4 +1,5 @@
-"""The runner's worker processes: errors, shutdown and how many start.
+"""The runner's worker processes: errors, interruption, shutdown and how
+many start.
 
 Every test here starts at most one worker process.
 """
@@ -7,10 +8,11 @@ import os
 
 import pytest
 
+from autotune.journal import Journal
 from autotune.objectives import ObjectiveSpec, SeededValley
 from autotune.protocol import MethodSpec, SeedPlan
-from autotune.runner import RunInterrupted, TrialRunner
-from autotune.runs import run_repetition
+from autotune.runner import TrialRunner
+from autotune.runs import JOURNAL_NAME, run_repetition
 from autotune.space import Configuration
 
 PARENT = os.getpid()
@@ -29,6 +31,33 @@ def failing_in_a_child(evaluate):
 
 class FailsInAChild(SeededValley):
     evaluate = failing_in_a_child(SeededValley.evaluate)
+
+
+class FailsAtX1One(SeededValley):
+    """Raises ValueError for x1 = 1, in whichever process evaluates it."""
+
+    def evaluate(self, config, budget, seed, resume=None):
+        if config["x1"] == 1.0:
+            raise ValueError("scripted failure at x1=1")
+        return super().evaluate(config, budget, seed, resume=resume)
+
+
+class CodedError(Exception):
+    """An error whose pickle does not load: its ``__init__`` takes two
+    arguments, and ``args`` holds one."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+class CodedErrorAtX0(SeededValley):
+    """Raises CodedError for x0 = 0.75, in whichever process evaluates it."""
+
+    def evaluate(self, config, budget, seed, resume=None):
+        if config["x0"] == 0.75:
+            raise CodedError(7, "scripted failure at x0=0.75")
+        return super().evaluate(config, budget, seed, resume=resume)
 
 
 def requests(n):
@@ -54,9 +83,44 @@ def test_an_error_in_a_child_is_raised_after_the_groups_before_it(two_cpus):
         with pytest.raises(ValueError, match="x0=0.5"):
             runner.evaluate_many(requests(6))
         assert records(runner) == records(sequential)
-        # the pipe to the child stays in step: the next batch works, and its
-        # ids follow every group the failed batch started
-        assert [r.group for r in runner.evaluate_many(requests(6)[:2])] == [6, 7]
+        # the next batch works, and its ids follow the groups journaled
+        assert [r.group for r in runner.evaluate_many(requests(6)[:2])] == [3, 4]
+    finally:
+        runner.close()
+
+
+@pytest.mark.parametrize("failing", [3, 1])  # in the child's chunk, in this process's
+def test_a_raising_group_ends_the_batch_alike_at_every_worker_count(two_cpus, failing):
+    batch = requests(6)
+    batch[failing] = {"config": Configuration({"x0": 0.5, "x1": 1.0}), "budget": 1.0}
+    outcomes = []
+    for workers in (1, 2):
+        runner = TrialRunner(FailsAtX1One(), seeds=[0, 1], workers=workers)
+        try:
+            with pytest.raises(ValueError, match="x1=1"):
+                runner.evaluate_many(batch)
+            journaled = records(runner)
+            next_ids = [r.group for r in runner.evaluate_many(requests(6)[:2])]
+        finally:
+            runner.close()
+        outcomes.append((journaled, next_ids))
+    (w1, ids1), (w2, ids2) = outcomes
+    assert [r["group"] for r in w1 if r["t"] == "group"] == list(range(failing))
+    assert w2 == w1
+    assert ids1 == ids2 == [failing, failing + 1]
+
+
+def test_an_error_that_does_not_unpickle_keeps_the_groups_before_it(two_cpus):
+    # this process evaluates x0 = 0 .. 3/8, the child 4/8 .. 7/8; x0 = 6/8 raises
+    sequential = TrialRunner(CodedErrorAtX0(), seeds=[0])
+    with pytest.raises(CodedError):
+        sequential.evaluate_many(requests(8))
+    runner = TrialRunner(CodedErrorAtX0(), seeds=[0], workers=2)
+    try:
+        with pytest.raises(RuntimeError, match="^CodedError: scripted failure at x0=0.75$"):
+            runner.evaluate_many(requests(8))
+        assert len(runner.journal.of_type("group")) == 6
+        assert records(runner) == records(sequential)
     finally:
         runner.close()
 
@@ -87,15 +151,26 @@ VALLEY = ObjectiveSpec("seeded_valley", {})
 DEHB = MethodSpec("dehb", options={"min_budget": 0.1, "eta": 3.0})
 
 
-def repetition(directory, **kw):
+def repetition(directory):
     return run_repetition(str(directory), DEHB, SPACE_TEXT, VALLEY, SeedPlan([0], [5, 6]), 6,
-                          rng_seed=1, repetition=0, workers=2, **kw)
+                          rng_seed=1, repetition=0, workers=2)
 
 
-def test_children_stop_when_a_repetition_is_interrupted(tmp_path, two_cpus):
-    with pytest.raises(RunInterrupted):
-        repetition(tmp_path, max_groups=4)  # inside the first batch of 9 groups
+def test_children_stop_when_a_repetition_is_interrupted(tmp_path, two_cpus, monkeypatch):
+    evaluate, calls = SeededValley.evaluate, []
+
+    def interrupted_on_the_third_call(self, config, budget, seed, resume=None):
+        if os.getpid() == PARENT:
+            calls.append(config)
+            if len(calls) == 3:
+                raise KeyboardInterrupt  # as Ctrl-C would
+        return evaluate(self, config, budget, seed, resume=resume)
+
+    monkeypatch.setattr(SeededValley, "evaluate", interrupted_on_the_third_call)
+    with pytest.raises(KeyboardInterrupt):
+        repetition(tmp_path)  # inside the first batch of 9 groups
     assert multiprocessing.active_children() == []
+    assert len(Journal.load(str(tmp_path / JOURNAL_NAME)).of_type("group")) == 2
 
 
 def test_children_stop_when_a_child_raises_in_a_repetition(tmp_path, two_cpus, monkeypatch):
