@@ -11,10 +11,10 @@ reproducibility checklist reports; runs journal to disk and resume after
 interruption.
 """
 from ._version import __version__
-from .budgets import BudgetLadder, ladder, rung_capacity
-from .checklist import ChecklistReport, emit_checklist
+from .budgets import ladder, rung_capacity
+from .checklist import emit_checklist
 from .dehb import de_crossover, de_mutate, de_mutate_vectors, de_select, run_dehb
-from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
+from .gp import GpFitError, fit_gp, suggest_candidate
 from .journal import Journal, JournalCorrupt, JournalError, space_digest
 from .objectives import (
     CheckpointHandle,
@@ -23,10 +23,10 @@ from .objectives import (
     ObjectiveSpec,
     make_objective,
 )
-from .pbt import Member, exploit, kernel_restart_check, run_pbt, warmstart
-from .protocol import IncumbentReport, MethodSpec, RankTable, SeedPlan, rank_methods
+from .pbt import exploit, kernel_restart_check, run_pbt, warmstart
+from .protocol import MethodSpec, SeedPlan, rank_methods
 from .rs import run_rs
-from .runner import GroupResult, NoIncumbentError, TrialRunner, TuneResult
+from .runner import NoIncumbentError, TrialRunner, TuneResult
 from .space import (
     ConfigSpace,
     Configuration,
@@ -44,23 +44,23 @@ from .space import (
     sample,
     to_unit,
 )
-from .sweeps import SweepSpec, SweepSummary, SweepTable, run_sweep, worst_vs_best_summary
+from .sweeps import SweepSpec, SweepTable, run_sweep, worst_vs_best_summary
 
 __all__ = [
     "__version__",
-    "BudgetLadder", "ladder", "rung_capacity",
-    "ChecklistReport", "emit_checklist",
+    "ladder", "rung_capacity",
+    "emit_checklist",
     "de_crossover", "de_mutate", "de_mutate_vectors", "de_select", "run_dehb",
-    "GpFitError", "GpModel", "fit_gp", "suggest_candidate",
+    "GpFitError", "fit_gp", "suggest_candidate",
     "Journal", "JournalCorrupt", "JournalError", "space_digest",
     "CheckpointHandle", "EvaluationError", "Objective", "ObjectiveSpec",
     "make_objective",
-    "Member", "exploit", "kernel_restart_check", "run_pbt", "warmstart",
-    "IncumbentReport", "MethodSpec", "RankTable", "SeedPlan", "rank_methods",
+    "exploit", "kernel_restart_check", "run_pbt", "warmstart",
+    "MethodSpec", "SeedPlan", "rank_methods",
     "run_rs",
-    "GroupResult", "NoIncumbentError", "TrialRunner", "TuneResult",
+    "NoIncumbentError", "TrialRunner", "TuneResult",
     "ConfigSpace", "Configuration", "Hyperparameter", "SpaceError", "SpaceParseError",
     "categorical", "continuous", "from_unit", "integer", "log_continuous",
     "parse_space", "perturb", "render_space", "sample", "to_unit",
-    "SweepSpec", "SweepSummary", "SweepTable", "run_sweep", "worst_vs_best_summary",
+    "SweepSpec", "SweepTable", "run_sweep", "worst_vs_best_summary",
 ]

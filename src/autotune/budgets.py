@@ -6,45 +6,29 @@ configurations whose combined cost equals one full run at that fidelity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class BudgetLadder:
-    eta: float
-    min_budget: float
-    max_budget: float
-    rungs: tuple[float, ...]  # ascending; rungs[-1] == max_budget
-
-    @property
-    def n_rungs(self) -> int:
-        return len(self.rungs)
-
-
-def ladder(min_budget: float, max_budget: float, eta: float) -> BudgetLadder:
-    """Build the ladder max_budget / eta**k for k = 0, 1, ... while >= min_budget."""
-    if not (0.0 < min_budget < max_budget <= 1.0):
-        raise ValueError(
-            f"need 0 < min_budget < max_budget <= 1, got {min_budget}, {max_budget}"
-        )
+def ladder(min_budget: float, eta: float) -> tuple[float, ...]:
+    """The rungs 1 / eta**k for k = 0, 1, ... while >= min_budget, ascending;
+    the last is the full budget, 1.0."""
+    if not (0.0 < min_budget < 1.0):
+        raise ValueError(f"need 0 < min_budget < 1, got {min_budget}")
     if not eta > 1.0:
         raise ValueError(f"eta must be > 1, got {eta}")
     rungs = []
     k = 0
     while True:
-        value = max_budget / eta**k
+        value = 1.0 / eta**k
         if value < min_budget:
             break
         rungs.append(value)
         k += 1
-    return BudgetLadder(eta=eta, min_budget=min_budget, max_budget=max_budget, rungs=tuple(reversed(rungs)))
+    return tuple(reversed(rungs))
 
 
-def rung_capacity(lad: BudgetLadder, rung_index: int) -> int:
-    """floor(max_budget / rung budget); always >= 1.
+def rung_capacity(budget: float) -> int:
+    """floor(1 / budget), the runs at ``budget`` one full run pays for; always >= 1.
 
-    The tiny epsilon keeps exact geometric ratios (max/eta**k) from flooring
+    The tiny epsilon keeps exact geometric ratios (1/eta**k) from flooring
     one short after floating-point division.
     """
-    budget = lad.rungs[rung_index]
-    return max(1, int(lad.max_budget / budget + 1e-9))
+    return max(1, int(1.0 / budget + 1e-9))

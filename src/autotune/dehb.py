@@ -27,7 +27,11 @@ import numpy as np
 from .budgets import ladder, rung_capacity
 from .journal import INCUMBENT
 from .runner import NoIncumbentError, TrialRunner, TuneResult
-from .space import ConfigSpace, from_unit
+from .space import ConfigSpace, check_settings, from_unit
+
+# run_dehb's settings with a range of their own: name -> (test, its range in
+# words); ``ladder`` checks min_budget and eta
+RULES = {"iterations": (lambda v: v >= 1, ">= 1")}
 
 
 @dataclass
@@ -97,12 +101,10 @@ def run_dehb(
     F: float = 0.5,
     CR: float = 0.5,
 ) -> TuneResult:
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    lad = ladder(min_budget, 1.0, eta)
+    check_settings(RULES, locals())  # locals() holds just the arguments here
+    rungs = ladder(min_budget, eta)
     d = space.dimension
-    rungs = list(lad.rungs)
-    caps = [rung_capacity(lad, i) for i in range(len(rungs))]
+    caps = [rung_capacity(b) for b in rungs]
     pops: dict[int, list[DeMember]] = {}  # rung index -> its latest population
     incumbent_vec = None
     incumbent_cost = math.inf
@@ -117,7 +119,7 @@ def run_dehb(
                     "t": INCUMBENT,
                     "config": dict(from_unit(space, vector).values),
                     "cost": cost,
-                    "budget": lad.max_budget,
+                    "budget": 1.0,
                 }
             )
 
@@ -140,7 +142,7 @@ def run_dehb(
         for v, res in zip(vectors, results):
             members.append(DeMember(vector=np.asarray(v, dtype=float), cost=res.cost))
             total_spend += budget
-            if budget == lad.max_budget and not res.failed:
+            if budget == 1.0 and not res.failed:
                 note_incumbent(v, res.cost)
         return members
 

@@ -6,19 +6,24 @@ mid-run (population-based training) get exact continuation: resuming a run at
 fraction f and training on to b yields bit-identical cost to a fresh run to b
 when the configuration is unchanged.
 
-Built-in objectives:
+Every objective has a ``name``, a ``cost_metric`` and ``evaluate``. The
+built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
 
-* ``noisy_sphere``   -- squared distance to a (optionally seed-shifted) optimum
-  in unit space plus bounded deterministic noise. Budget has no effect.
-* ``seeded_valley``  -- like the sphere but the optimum moves with the seed
-  (controlled by ``sigma``) and partial budgets pay a (1 - b) * 0.5 penalty;
-  reproduces tuning-seed overfitting at desk scale.
-* ``gridworld_q``    -- tabular Q-learning on a 5x5 gridworld; cost is the
-  negative mean return of the greedy policy over 100 evaluation episodes.
-* ``external_command`` -- run a user command; it must print ``cost=<float>``
-  as the final line of stdout. Configuration values are passed as uppercased
-  environment variables, plus AUTOTUNE_BUDGET, AUTOTUNE_SEED and
-  AUTOTUNE_CHECKPOINT (a file path the command may read and should write).
+* ``seeded_valley`` (``dimension=2, sigma=0.25, noise=0.05``) -- squared
+  distance in unit space to an optimum the seed moves by ``sigma``, plus a
+  (1 - b) * 0.5 penalty for partial budgets and bounded deterministic noise;
+  reproduces tuning-seed overfitting at desk scale. Given a space,
+  :func:`make_objective` measures in it instead of ``dimension`` unit axes.
+* ``noisy_sphere`` (``dimension=2, noise=0.1, shift_sigma=0.0``) --
+  ``seeded_valley`` without the penalty, with ``shift_sigma`` for ``sigma``.
+* ``gridworld_q`` (``total_steps=2000``) -- tabular Q-learning on a 5x5
+  gridworld; cost is the negative mean return of the greedy policy over 100
+  evaluation episodes.
+* ``external_command`` (``command, workdir=None, timeout=None``) -- run a
+  user command; it must print ``cost=<float>`` as the final line of stdout.
+  Configuration values are passed as uppercased environment variables, plus
+  AUTOTUNE_BUDGET, AUTOTUNE_SEED and AUTOTUNE_CHECKPOINT (a file path the
+  command may read and should write).
 """
 from __future__ import annotations
 
@@ -114,22 +119,12 @@ class ObjectiveSpec:
     def as_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObjectiveSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
-
 
 class Objective:
     """Interface every objective implements."""
 
     name: str = "objective"
     cost_metric: str = "cost (lower is better)"
-
-    def default_space(self) -> ConfigSpace:
-        raise NotImplementedError
-
-    def spec(self) -> ObjectiveSpec:
-        raise NotImplementedError
 
     def evaluate(
         self,
@@ -147,10 +142,6 @@ class Objective:
             raise ValueError(
                 f"resume fraction {resume.trained_fraction} must be < budget {budget}"
             )
-
-
-def _unit_space(dimension: int) -> ConfigSpace:
-    return ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(dimension)])
 
 
 def _bounded_noise(tag: str, digest: str, seed: int) -> float:
@@ -177,12 +168,32 @@ def _seed_direction(tag: str, seed: int, dimension: int) -> np.ndarray:
     return v
 
 
-class _UnitObjective(Objective):
-    """An objective whose cost depends on the configuration through its unit
-    vector in ``space`` and its digest."""
+class SeededValley(Objective):
+    """Sphere with a seed-dependent optimum and a partial-budget penalty.
 
-    space: ConfigSpace
+    cost(z, b, s) = ||z - z*(s)||^2 + (1 - b) * penalty + noise * eps(config, s)
+    with z*(s) = 0.5 + sigma * u(s) for a unit vector u(s) derived from the
+    seed. With sigma = 0 all per-seed optima coincide.
+    """
+
+    name = "seeded_valley"
+    cost_metric = "seed-shifted squared distance plus partial-budget penalty"
+    penalty = 0.5  # cost of each fraction of a full run left untrained
     _memo: tuple | None = None  # (config, its items, unit vector, digest)
+
+    def __init__(
+        self,
+        dimension: int = 2,
+        sigma: float = 0.25,
+        noise: float = 0.05,
+        space: ConfigSpace | None = None,
+    ):
+        self.dimension = int(space.dimension if space is not None else dimension)
+        self.sigma = float(sigma)
+        self.noise = float(noise)
+        if space is None:
+            space = ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(self.dimension)])
+        self.space = space
 
     def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
         """Unit vector (read-only) and digest of ``config``.
@@ -209,89 +220,6 @@ class _UnitObjective(Objective):
         self._memo = (config, items, z, digest)
         return z, digest
 
-
-class NoisySphere(_UnitObjective):
-    """Squared distance to the optimum in unit space; budget-independent."""
-
-    name = "noisy_sphere"
-    cost_metric = "squared distance to optimum in unit space"
-
-    def __init__(
-        self,
-        dimension: int = 2,
-        noise: float = 0.1,
-        shift_sigma: float = 0.0,
-        space: ConfigSpace | None = None,
-    ):
-        self.dimension = int(space.dimension if space is not None else dimension)
-        self.noise = float(noise)
-        self.shift_sigma = float(shift_sigma)
-        self.space = space if space is not None else _unit_space(self.dimension)
-
-    def default_space(self) -> ConfigSpace:
-        return self.space
-
-    def spec(self) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            self.name,
-            {
-                "dimension": self.dimension,
-                "noise": self.noise,
-                "shift_sigma": self.shift_sigma,
-            },
-        )
-
-    def optimum(self, seed: int) -> np.ndarray:
-        center = np.full(self.dimension, 0.5)
-        if self.shift_sigma == 0.0:
-            return center
-        return center + self.shift_sigma * _seed_direction(self.name, seed, self.dimension)
-
-    def evaluate(self, config, budget, seed, resume=None):
-        self._check_budget(budget, resume)
-        z, digest = self._encoded(config)
-        dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
-        cost = dist2 + self.noise * _bounded_noise(self.name, digest, seed)
-        ckpt = CheckpointHandle(
-            key=f"{self.name}:{digest[:12]}:{seed}",
-            trained_fraction=budget,
-            payload=b"",
-        )
-        return cost, ckpt
-
-
-class SeededValley(_UnitObjective):
-    """Sphere with a seed-dependent optimum and a partial-budget penalty.
-
-    cost(z, b, s) = ||z - z*(s)||^2 + (1 - b) * 0.5 + noise * eps(config, s)
-    with z*(s) = 0.5 + sigma * u(s) for a unit vector u(s) derived from the
-    seed. With sigma = 0 all per-seed optima coincide.
-    """
-
-    name = "seeded_valley"
-    cost_metric = "seed-shifted squared distance plus partial-budget penalty"
-
-    def __init__(
-        self,
-        dimension: int = 2,
-        sigma: float = 0.25,
-        noise: float = 0.05,
-        space: ConfigSpace | None = None,
-    ):
-        self.dimension = int(space.dimension if space is not None else dimension)
-        self.sigma = float(sigma)
-        self.noise = float(noise)
-        self.space = space if space is not None else _unit_space(self.dimension)
-
-    def default_space(self) -> ConfigSpace:
-        return self.space
-
-    def spec(self) -> ObjectiveSpec:
-        return ObjectiveSpec(
-            self.name,
-            {"dimension": self.dimension, "sigma": self.sigma, "noise": self.noise},
-        )
-
     def optimum(self, seed: int) -> np.ndarray:
         center = np.full(self.dimension, 0.5)
         if self.sigma == 0.0:
@@ -302,7 +230,7 @@ class SeededValley(_UnitObjective):
         self._check_budget(budget, resume)
         z, digest = self._encoded(config)
         dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
-        cost = dist2 + (1.0 - budget) * 0.5
+        cost = dist2 + (1.0 - budget) * self.penalty
         cost += self.noise * _bounded_noise(self.name, digest, seed)
         ckpt = CheckpointHandle(
             key=f"{self.name}:{digest[:12]}:{seed}",
@@ -310,6 +238,28 @@ class SeededValley(_UnitObjective):
             payload=b"",
         )
         return cost, ckpt
+
+
+class NoisySphere(SeededValley):
+    """The valley without its penalty, so budget has no effect; its optimum
+    moves with the seed only when ``shift_sigma`` is set."""
+
+    name = "noisy_sphere"
+    cost_metric = "squared distance to optimum in unit space"
+    penalty = 0.0  # dist2 + (1 - b) * 0.0 is dist2, bit for bit
+
+    def __init__(
+        self,
+        dimension: int = 2,
+        noise: float = 0.1,
+        shift_sigma: float = 0.0,
+        space: ConfigSpace | None = None,
+    ):
+        super().__init__(dimension, sigma=shift_sigma, noise=noise, space=space)
+
+    # bound here as well as in SeededValley: perfbench/spans.py times each
+    # objective class's own ``evaluate``
+    evaluate = SeededValley.evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +323,19 @@ class GridworldQ(Objective):
     name = "gridworld_q"
     cost_metric = "negative mean greedy-policy return over 100 evaluation episodes"
 
+    space = ConfigSpace(
+        [
+            log_continuous("learning_rate", 1e-7, 1.0),
+            continuous("epsilon", 0.0, 1.0),
+            continuous("gamma", 0.5, 0.999),
+            continuous("epsilon_decay", 0.9, 1.0),
+        ]
+    )
+
     def __init__(self, total_steps: int = 2000):
         self.total_steps = int(total_steps)
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
-
-    def default_space(self) -> ConfigSpace:
-        return ConfigSpace(
-            [
-                log_continuous("learning_rate", 1e-7, 1.0),
-                continuous("epsilon", 0.0, 1.0),
-                continuous("gamma", 0.5, 0.999),
-                continuous("epsilon_decay", 0.9, 1.0),
-            ]
-        )
-
-    def spec(self) -> ObjectiveSpec:
-        return ObjectiveSpec(self.name, {"total_steps": self.total_steps})
 
     def _fresh_state(self, seed: int) -> dict:
         rng = _derived_rng(self.name, "train", seed)
@@ -526,7 +472,6 @@ class ExternalCommand(Objective):
     def __init__(
         self,
         command: str,
-        space: ConfigSpace | None = None,
         workdir: str | None = None,
         timeout: float | None = None,
     ):
@@ -535,20 +480,8 @@ class ExternalCommand(Objective):
         if timeout is not None and not (float(timeout) > 0.0):
             raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
         self.command = command
-        self.space = space
         self.workdir = workdir
         self.timeout = None if timeout is None else float(timeout)
-
-    def default_space(self) -> ConfigSpace:
-        if self.space is None:
-            raise SpaceRequired("external_command needs an explicit space")
-        return self.space
-
-    def spec(self) -> ObjectiveSpec:
-        params = {"command": self.command}
-        if self.timeout is not None:
-            params["timeout"] = self.timeout
-        return ObjectiveSpec(self.name, params)
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
@@ -620,10 +553,6 @@ class ExternalCommand(Objective):
                 os.unlink(ckpt_path)
 
 
-class SpaceRequired(ValueError):
-    pass
-
-
 _BUILTINS = {
     NoisySphere.name: NoisySphere,
     SeededValley.name: SeededValley,
@@ -632,21 +561,16 @@ _BUILTINS = {
 }
 
 
-def make_objective(spec: ObjectiveSpec | str, space: ConfigSpace | None = None, **params) -> Objective:
-    """Build an objective from a spec, a kind name, or a ``cmd:...`` string."""
-    if isinstance(spec, ObjectiveSpec):
-        kind, kw = spec.kind, dict(spec.params)
-    else:
-        kind, kw = str(spec), dict(params)
-    if kind.startswith("cmd:"):
-        kw.setdefault("command", kind[len("cmd:") :])
-        kind = ExternalCommand.name
-    if kind not in _BUILTINS:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    cls = _BUILTINS[kind]
-    if space is not None and kind in (NoisySphere.name, SeededValley.name, ExternalCommand.name):
+def make_objective(spec: ObjectiveSpec, space: ConfigSpace | None = None) -> Objective:
+    """Build the objective ``spec`` describes; ``space``, when given, is the
+    space ``noisy_sphere`` and ``seeded_valley`` measure distance in."""
+    if spec.kind not in _BUILTINS:
+        raise ValueError(f"unknown objective kind {spec.kind!r}")
+    cls = _BUILTINS[spec.kind]
+    kw = dict(spec.params)
+    if space is not None and issubclass(cls, SeededValley):
         kw["space"] = space
     try:
         return cls(**kw)
     except TypeError as err:  # a parameter the objective does not take
-        raise ValueError(f"bad parameters for objective {kind!r}: {err}") from err
+        raise ValueError(f"bad parameters for objective {spec.kind!r}: {err}") from err

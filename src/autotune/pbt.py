@@ -30,10 +30,31 @@ from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
 from .journal import EXPLOIT, EXPLORE, INCUMBENT
 from .objectives import CheckpointHandle
 from .runner import NoIncumbentError, TrialRunner, TuneResult
-from .space import ConfigSpace, Configuration, from_unit, perturb, sample, to_unit
+from .space import (
+    PERTURB_RULES,
+    ConfigSpace,
+    Configuration,
+    check_settings,
+    from_unit,
+    perturb,
+    sample,
+    to_unit,
+)
 
 PERTURB = "perturb"
 GP = "gp"
+
+# run_pbt's settings: name -> (test, its range in words)
+RULES = {
+    "population_size": (lambda v: v >= 2, ">= 2"),
+    "num_intervals": (lambda v: v >= 1, ">= 1"),
+    "quantile": (lambda v: 0.0 < v <= 0.5, "in (0, 0.5]"),
+    "explore_mode": (lambda v: v in (PERTURB, GP), "'perturb' or 'gp'"),
+    "warmstart_runs": (lambda v: v >= 0, ">= 0"),
+    "restart_patience": (lambda v: v is None or v >= 1, ">= 1"),
+    "gp_target": (lambda v: v in (None, "cost", "improvement"), "'cost' or 'improvement'"),
+    **PERTURB_RULES,
+}
 
 
 @dataclass
@@ -49,14 +70,13 @@ class Member:
 
 def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
     """Truncation plan: pair the worst k = max(1, floor(q*n)) members with
-    the best k, so every population of two or more exploits.
+    the best k, so every population of two or more exploits; ``quantile``
+    lies in (0, 0.5] (see ``RULES``).
 
     Returns (loser index, winner index) pairs; rank-1 loser (the very worst)
     copies the rank-1 winner (the very best). Ties rank by member index:
     among equal costs the lowest index is the better member.
     """
-    if not (0.0 < quantile <= 0.5):
-        raise ValueError(f"quantile must lie in (0, 0.5], got {quantile}")
     n = len(costs)
     if n < 2:
         return []
@@ -71,9 +91,7 @@ def kernel_restart_check(
     best_costs: list[float], patience: int, tolerance: float = 1e-6
 ) -> str:
     """'restart' iff the best interval cost has not improved by more than
-    ``tolerance`` for ``patience`` consecutive intervals."""
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
+    ``tolerance`` for ``patience`` (>= 1) consecutive intervals."""
     if len(best_costs) < 2:
         return "keep"
     best = best_costs[0]
@@ -97,8 +115,6 @@ def warmstart(
     Returns the completed results (for preloading a model) and the sampled
     configurations ranked best-first by cost; failures are dropped.
     """
-    if warmstart_runs < 0:
-        raise ValueError("warmstart_runs must be >= 0")
     configs = [sample(space, rng) for _ in range(warmstart_runs)]
     results = runner.evaluate_many(
         [{"config": c, "budget": 1.0, "purpose": "warmstart"} for c in configs]
@@ -128,17 +144,10 @@ def run_pbt(
     noise_variance: float = 1e-4,
     restart_patience: int | None = 3,
 ) -> TuneResult:
-    if population_size < 2:
-        raise ValueError("population_size must be >= 2")
-    if num_intervals < 1:
-        raise ValueError("num_intervals must be >= 1")
-    if explore_mode not in (PERTURB, GP):
-        raise ValueError(f"explore_mode must be 'perturb' or 'gp', got {explore_mode!r}")
+    check_settings(RULES, locals())  # locals() holds just the arguments here
     if gp_target is None:
         # warmstart points are full-run costs, so model raw cost when present
         gp_target = "cost" if warmstart_runs > 0 else "improvement"
-    if gp_target not in ("cost", "improvement"):
-        raise ValueError(f"gp_target must be 'cost' or 'improvement', got {gp_target!r}")
 
     warm_results, warm_ranked = ([], [])
     if warmstart_runs > 0:

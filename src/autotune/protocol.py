@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dehb, pbt, rs
 from .budgets import ladder, rung_capacity
 from .dehb import run_dehb
 from .pbt import run_pbt
 from .rs import run_rs
 from .runner import TrialRunner, TuneResult
-from .space import ConfigSpace, Configuration
+from .space import ConfigSpace, Configuration, check_settings
 
 
 @dataclass(frozen=True)
@@ -61,21 +62,23 @@ class MethodSpec:
     def plan(self, budget_runs: int) -> dict:
         """Concrete settings that keep total spend within ``budget_runs``.
 
-        Raises ValueError when the settings spend more than the budget: a
-        budget below one full run, below one DEHB iteration (a whole ladder),
-        or below an explicit DEHB iteration count or PBT population.
+        Raises ValueError when a setting lies outside the range its tuner
+        takes, or when the settings spend more than the budget: a budget
+        below one full run, below one DEHB iteration (a whole ladder), or
+        below an explicit DEHB iteration count or PBT population.
         """
         if budget_runs < 1:
             raise ValueError("budget_runs must be >= 1")
         opts = dict(self.options)
+        check_settings({"rs": rs, "dehb": dehb, "pbt": pbt}[self.kind].RULES, opts)
         if self.kind == "rs":
             opts.setdefault("n_configs", int(budget_runs))
             spend = opts["n_configs"]
         elif self.kind == "dehb":
             eta = opts.setdefault("eta", 1.9)
             min_budget = opts.setdefault("min_budget", 0.01)
-            lad = ladder(min_budget, 1.0, eta)
-            n = lad.n_rungs
+            rungs = ladder(min_budget, eta)
+            n = len(rungs)
             if "iterations" not in opts:
                 spend, iters = 0.0, 0
                 while iters < n and spend + (n - iters) <= budget_runs + 1e-9:
@@ -89,9 +92,9 @@ class MethodSpec:
                 opts["iterations"] = iters
             # what run_dehb spends: each active rung filled to capacity
             spend = sum(
-                rung_capacity(lad, i) * lad.rungs[i]
+                rung_capacity(b) * b
                 for it in range(min(opts["iterations"], n))
-                for i in range(it, n)
+                for b in rungs[it:]
             )
         else:
             warm = opts.setdefault("warmstart_runs", 0)

@@ -10,14 +10,16 @@ import numpy as np
 
 from .journal import INCUMBENT
 from .runner import NoIncumbentError, TrialRunner, TuneResult
-from .space import ConfigSpace, sample
+from .space import ConfigSpace, check_settings, sample
+
+# run_rs's settings: name -> (test, its range in words)
+RULES = {"n_configs": (lambda v: v >= 1, ">= 1")}
 
 
 def run_rs(
     space: ConfigSpace, runner: TrialRunner, rng: np.random.Generator, *, n_configs: int
 ) -> TuneResult:
-    if n_configs < 1:
-        raise ValueError("n_configs must be >= 1")
+    check_settings(RULES, locals())  # locals() holds just the arguments here
     configs = [sample(space, rng) for _ in range(n_configs)]
     results = runner.evaluate_many(
         [{"config": c, "budget": 1.0, "purpose": "tune"} for c in configs]

@@ -436,6 +436,25 @@ def sample(space: ConfigSpace, rng: np.random.Generator) -> Configuration:
 # Perturbation (the explore move used by population-based training)
 
 
+def check_settings(rules: dict, settings: dict, error: type = ValueError) -> None:
+    """Raise ``error`` for the first of ``settings`` outside its range.
+
+    ``rules`` maps a setting's name to (test, its range in words). Settings
+    without a rule, and rules for settings left out, are skipped.
+    """
+    for name, (ok, allowed) in rules.items():
+        if name in settings and not ok(settings[name]):
+            raise error(f"{name} must be {allowed}, got {settings[name]!r}")
+
+
+# perturb's settings: name -> (test, its range in words)
+PERTURB_RULES = {
+    "factor_up": (lambda v: v > 0, "> 0"),
+    "factor_down": (lambda v: v > 0, "> 0"),
+    "resample_prob": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+}
+
+
 def perturb(
     space: ConfigSpace,
     config: Configuration,
@@ -450,10 +469,7 @@ def perturb(
     Ranged kinds act in their native domain; integers round half away from
     zero and move by at least 1 when the chosen factor is not 1.
     """
-    if factor_up <= 0 or factor_down <= 0:
-        raise SpaceError("perturbation factors must be > 0")
-    if not (0.0 <= resample_prob <= 1.0):
-        raise SpaceError("resample_prob must lie in [0, 1]")
+    check_settings(PERTURB_RULES, locals(), SpaceError)  # locals() holds just the arguments here
     space.validate(config)
     new = {}
     for p in space.params:

@@ -73,6 +73,34 @@ def test_overspent_budget_fails_the_audit_before_testing(space, tmp_path, capsys
         assert not out.exists()
 
 
+VALLEY4 = ["--objective", "seeded_valley", "--budget-runs", "4", *SEEDS]
+LADDER = ["--min-budget", "0.25", "--eta", "2"]
+
+
+@pytest.mark.parametrize(
+    "bad, good",
+    [
+        (["pbt", "--population", "1"], ["pbt", "--population", "2"]),
+        (["pbt", "--intervals", "0"], ["pbt", "--intervals", "2"]),
+        (["dehb", *LADDER, "--iterations", "0"], ["dehb", *LADDER, "--iterations", "1"]),
+        (["pbt", "--quantile", "0.9"], ["pbt", "--quantile", "0.5"]),
+        (["pbt", "--factor-up", "-1"], ["pbt", "--factor-up", "1.5"]),
+        (["pbt", "--resample-prob", "2"], ["pbt", "--resample-prob", "0.5"]),
+        (["pbt", "--explore", "gp", "--restart-patience", "0", "--intervals", "6"],
+         ["pbt", "--explore", "gp", "--restart-patience", "1", "--intervals", "6"]),
+        (["pbt", "--warmstart-runs", "-1"], ["pbt", "--warmstart-runs", "1"]),
+    ],
+    ids=["population", "intervals", "iterations", "quantile", "factor-up", "resample-prob",
+         "restart-patience", "warmstart-runs"],
+)
+def test_a_tuner_setting_out_of_range_exits_2_before_writing(space, tmp_path, capsys, bad, good):
+    out = tmp_path / "run"
+    assert tune(space, out, *bad, *VALLEY4) == EXIT_USAGE
+    assert " must be " in capsys.readouterr().err
+    assert not out.exists()
+    assert tune(space, out, *good, *VALLEY4) == EXIT_OK
+
+
 def test_budget_audit_fails_before_testing(space, tmp_path, capsys, monkeypatch):
     plan = MethodSpec.plan
     monkeypatch.setattr(MethodSpec, "plan", lambda self, budget_runs: plan(self, 100))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from autotune.budgets import ladder, rung_capacity
+from autotune.budgets import rung_capacity
 from autotune.dehb import (
     DeMember,
     de_crossover,
@@ -24,10 +24,12 @@ def unit_space(d=2):
 
 
 def tune(space, obj, lad, iterations, seeds, rng, journal=None):
-    """run_dehb on ``lad``'s ladder with a fresh runner; result and journal."""
+    """run_dehb on the ladder ``lad`` = (min_budget, eta) with a fresh
+    runner; result and journal."""
     runner = TrialRunner(obj, seeds, journal=journal)
-    run = run_dehb(space, runner, np.random.default_rng(rng), min_budget=lad.min_budget,
-                   eta=lad.eta, iterations=iterations)
+    min_budget, eta = lad
+    run = run_dehb(space, runner, np.random.default_rng(rng), min_budget=min_budget,
+                   eta=eta, iterations=iterations)
     return run, runner.journal
 
 
@@ -233,7 +235,7 @@ def test_each_generation_is_one_batch_in_slot_order():
 
 
 def test_degenerate_single_rung_ladder():
-    lad = ladder(0.5, 1.0, 3.0)
+    lad = (0.5, 3.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     run, journal = tune(unit_space(), obj, lad, iterations=1, seeds=[0], rng=0)
     assert len(iterations_of(journal)) == 1
@@ -242,21 +244,21 @@ def test_degenerate_single_rung_ladder():
 
 
 def test_iteration_budget_schedule_drops_lowest():
-    lad = ladder(0.01, 1.0, 5.0)
+    lad = (0.01, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     _, journal = tune(unit_space(), obj, lad, iterations=3, seeds=[0], rng=1)
     assert [b for b, _ in iterations_of(journal)] == [(0.04, 0.2, 1.0), (0.2, 1.0), (1.0,)]
 
 
 def test_iterations_capped_once_only_full_budget_left():
-    lad = ladder(0.01, 1.0, 5.0)
+    lad = (0.01, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     _, journal = tune(unit_space(), obj, lad, iterations=10, seeds=[0], rng=1)
     assert len(iterations_of(journal)) == 3  # ladder has 3 rungs
 
 
 def test_per_iteration_spend_matches_rung_count_within_flooring():
-    lad = ladder(0.01, 1.0, 5.0)
+    lad = (0.01, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
@@ -264,7 +266,7 @@ def test_per_iteration_spend_matches_rung_count_within_flooring():
     for budgets, spend in iterations_of(journal):
         n = len(budgets)
         cap_spend = sum(
-            rung_capacity(lad, lad.rungs.index(b)) * b for b in budgets
+            rung_capacity(b) * b for b in budgets
         )
         assert spend == pytest.approx(cap_spend)
         assert spend <= n + 1e-9
@@ -273,7 +275,7 @@ def test_per_iteration_spend_matches_rung_count_within_flooring():
 
 
 def test_rung_populations_sized_by_capacity():
-    lad = ladder(0.01, 1.0, 5.0)
+    lad = (0.01, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
@@ -287,7 +289,7 @@ def test_rung_populations_sized_by_capacity():
 
 
 def test_incumbent_comes_from_full_budget_only():
-    lad = ladder(0.01, 1.0, 5.0)
+    lad = (0.01, 5.0)
     obj = NoisySphere(dimension=2, noise=0.0)
     journal = Journal()
     journal.write_header({"method": "dehb"})
@@ -300,7 +302,7 @@ def test_incumbent_comes_from_full_budget_only():
 
 
 def test_incumbent_cost_monotone_in_journal():
-    lad = ladder(0.05, 1.0, 2.0)
+    lad = (0.05, 2.0)
     obj = NoisySphere(dimension=3, noise=0.05)
     journal = Journal()
     journal.write_header({"method": "dehb"})
@@ -310,7 +312,7 @@ def test_incumbent_cost_monotone_in_journal():
 
 
 def test_deterministic_given_seed():
-    lad = ladder(0.04, 1.0, 5.0)
+    lad = (0.04, 5.0)
     obj = NoisySphere(dimension=2, noise=0.1)
     a, _ = tune(unit_space(), obj, lad, 2, [0, 1], rng=13)
     b, _ = tune(unit_space(), obj, lad, 2, [0, 1], rng=13)
@@ -320,7 +322,7 @@ def test_deterministic_given_seed():
 def test_dehb_beats_rs_at_equal_spend():
     """Median incumbent over 20 paired repetitions; equal full-run budgets."""
     space = unit_space(8)
-    lad = ladder(0.01, 1.0, 1.9)
+    lad = (0.01, 1.9)
     dehb_costs, rs_costs = [], []
     for rep in range(20):
         obj = NoisySphere(dimension=8, noise=0.05)

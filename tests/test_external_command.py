@@ -6,7 +6,7 @@ import time
 import pytest
 
 from autotune.objectives import EvaluationError, ExternalCommand
-from autotune.space import ConfigSpace, Configuration, continuous
+from autotune.space import Configuration
 
 
 def _alive(pid: int) -> bool:
@@ -25,7 +25,6 @@ def _alive(pid: int) -> bool:
 def test_timeout_kills_the_children_of_the_command(tmp_path):
     obj = ExternalCommand(
         "sh -c 'sleep 30 & echo $! > pidfile; wait'",
-        space=ConfigSpace([continuous("x", 0.0, 1.0)]),
         workdir=str(tmp_path),
         timeout=0.2,
     )

@@ -227,7 +227,7 @@ def _pbt_gp_run(monkeypatch, fit):
     obj = NoisySphere(dimension=3, noise=0.05)
     journal = Journal()
     journal.write_header({"method": "pbt-gp"})
-    run_pbt(obj.default_space(), TrialRunner(obj, [0, 1, 2], journal=journal),
+    run_pbt(obj.space, TrialRunner(obj, [0, 1, 2], journal=journal),
             np.random.default_rng(3), population_size=8, num_intervals=8, quantile=0.25,
             explore_mode="gp", warmstart_runs=0, restart_patience=1)
     records = [{k: v for k, v in r.items() if k != "wall_time"} for r in journal.records]

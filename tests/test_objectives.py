@@ -22,12 +22,21 @@ from autotune.objectives import (
     _derived_rng,
     _first_max,
     _seed_direction,
+    config_digest,
     make_objective,
 )
+from autotune.cli import _objective_spec
 from autotune.journal import Journal
 from autotune.rs import run_rs
 from autotune.runner import TrialRunner
-from autotune.space import ConfigSpace, Configuration, continuous, from_unit
+from autotune.space import (
+    ConfigSpace,
+    Configuration,
+    continuous,
+    from_unit,
+    log_continuous,
+    to_unit,
+)
 
 sys.path.insert(0, os.path.dirname(__file__))
 from reference_q import (  # noqa: E402
@@ -62,7 +71,7 @@ def test_sphere_seed_shifted_optimum():
     obj = NoisySphere(dimension=2, noise=0.0, shift_sigma=0.2)
     for seed in range(3):
         z = obj.optimum(seed)
-        cfg = from_unit(obj.default_space(), z)
+        cfg = from_unit(obj.space, z)
         cost, _ = obj.evaluate(cfg, 1.0, seed)
         assert cost < 1e-20
 
@@ -145,6 +154,65 @@ def test_seed_direction_keys_do_not_share_entries():
     assert not np.array_equal(one, true)
     sphere = NoisySphere(dimension=2, noise=0.0, shift_sigma=0.25)
     assert not np.array_equal(SeededValley(dimension=2, sigma=0.25).optimum(5), sphere.optimum(5))
+
+
+# ---------------------------------------------------------------------------
+# sphere and valley costs, bit for bit against a formula written here
+
+
+def reference_unit_cost(kind, space, config, budget, seed, sigma, noise):
+    """||z - z*(s)||^2 [+ (1 - b) * 0.5 for the valley] + noise * eps(config, s)."""
+    z = to_unit(space, config)
+    optimum = np.full(len(z), 0.5)
+    if sigma != 0.0:
+        optimum = optimum + sigma * _seed_direction(kind, seed, len(z))
+    dist2 = float(np.sum((z - optimum) ** 2))
+    eps = 2.0 * float(_derived_rng(kind, config_digest(config), seed).random()) - 1.0
+    if kind == "seeded_valley":
+        return dist2 + (1.0 - budget) * 0.5 + noise * eps
+    return dist2 + noise * eps
+
+
+MIXED_SPACE = ConfigSpace([continuous("x", -1.0, 2.0), log_continuous("lr", 1e-4, 1.0)])
+
+
+@st.composite
+def _unit_cases(draw):
+    """(space, config, budget, seed, sigma, noise): the unit cube of 1 to 4
+    dimensions, or a space with a shifted and a log parameter."""
+    if draw(st.booleans()):
+        space = ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(draw(st.integers(1, 4)))])
+    else:
+        space = MIXED_SPACE
+    values = {p.name: draw(st.floats(p.lower, p.upper)) for p in space.params}
+    return (
+        space,
+        Configuration(values),
+        draw(st.floats(0.0, 1.0, exclude_min=True)),
+        draw(st.integers(0, 2**31)),
+        draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0)),
+        draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_cases())
+def test_sphere_and_valley_costs_match_the_reference_bit_for_bit(case):
+    space, config, budget, seed, sigma, noise = case
+    sphere = NoisySphere(noise=noise, shift_sigma=sigma, space=space)
+    valley = SeededValley(sigma=sigma, noise=noise, space=space)
+    for kind, obj in (("noisy_sphere", sphere), ("seeded_valley", valley)):
+        want = reference_unit_cost(kind, space, config, budget, seed, sigma, noise)
+        for _ in range(2):  # the second call reuses the encoded configuration
+            cost, ckpt = obj.evaluate(config, budget, seed)
+            assert cost == want
+            assert ckpt.trained_fraction == budget
+
+
+def test_each_objective_class_binds_its_own_evaluate():
+    # the benchmark's tracer wraps ``evaluate`` in each class's own namespace
+    for cls in (NoisySphere, SeededValley, GridworldQ):
+        assert "evaluate" in vars(cls)
 
 
 def test_optimum_is_the_uncached_value_and_writable_by_its_caller():
@@ -306,7 +374,7 @@ _budgets = st.floats(1e-3, 1.0)
 )
 def test_gridworld_matches_reference_inside_default_space(unit, budget, split, seed, total):
     obj = GridworldQ(total_steps=total)
-    cfg = from_unit(obj.default_space(), np.array(unit))
+    cfg = from_unit(obj.space, np.array(unit))
     want = reference_cost(
         cfg["learning_rate"], cfg["epsilon"], cfg["gamma"], cfg["epsilon_decay"],
         budget, seed, total_steps=total,
@@ -435,7 +503,7 @@ def test_external_command_reads_env_and_reports_cost(tmp_path):
         "print(f'cost={(x - 0.25) ** 2 + (1 - b) * 0.1 + s * 0.0}')\n",
     )
     space = ConfigSpace([continuous("x", 0.0, 1.0)])
-    obj = ExternalCommand(cmd, space=space)
+    obj = ExternalCommand(cmd)
     cost, ckpt = obj.evaluate(Configuration({"x": 0.75}), 0.5, 3)
     assert cost == pytest.approx(0.25 + 0.05)
     assert ckpt.trained_fraction == 0.5
@@ -453,7 +521,7 @@ def test_external_command_checkpoint_round_trip(tmp_path):
         "print(f'cost={float(n)}')\n",
     )
     space = ConfigSpace([continuous("x", 0.0, 1.0)])
-    obj = ExternalCommand(cmd, space=space)
+    obj = ExternalCommand(cmd)
     cost0, ckpt = obj.evaluate(Configuration({"x": 0.5}), 0.5, 0)
     assert cost0 == 0.0
     assert ckpt.load() == b"1"
@@ -464,7 +532,7 @@ def test_external_command_checkpoint_round_trip(tmp_path):
 
 def test_external_command_nonzero_exit_fails_with_output(tmp_path):
     cmd = _write_script(tmp_path, "import sys\nprint('boom')\nsys.exit(3)\n")
-    obj = ExternalCommand(cmd, space=ConfigSpace([continuous("x", 0.0, 1.0)]))
+    obj = ExternalCommand(cmd)
     with pytest.raises(EvaluationError) as err:
         obj.evaluate(Configuration({"x": 0.5}), 1.0, 0)
     assert "status 3" in str(err.value)
@@ -473,11 +541,11 @@ def test_external_command_nonzero_exit_fails_with_output(tmp_path):
 
 def test_external_command_malformed_cost_fails(tmp_path):
     cmd = _write_script(tmp_path, "print('cost=not-a-number')\n")
-    obj = ExternalCommand(cmd, space=ConfigSpace([continuous("x", 0.0, 1.0)]))
+    obj = ExternalCommand(cmd)
     with pytest.raises(EvaluationError, match="malformed cost"):
         obj.evaluate(Configuration({"x": 0.5}), 1.0, 0)
     cmd2 = _write_script(tmp_path, "print('no cost line here')\n")
-    obj2 = ExternalCommand(cmd2, space=ConfigSpace([continuous("x", 0.0, 1.0)]))
+    obj2 = ExternalCommand(cmd2)
     with pytest.raises(EvaluationError, match="cost="):
         obj2.evaluate(Configuration({"x": 0.5}), 1.0, 0)
 
@@ -485,7 +553,6 @@ def test_external_command_malformed_cost_fails(tmp_path):
 def test_external_command_timeout_fails_with_output():
     obj = ExternalCommand(
         "sh -c 'echo started; exec sleep 5'",
-        space=ConfigSpace([continuous("x", 0.0, 1.0)]),
         timeout=0.2,
     )
     t0 = time.perf_counter()
@@ -501,7 +568,7 @@ def test_external_command_timeout_fails_the_trial_and_the_run_goes_on():
     space = ConfigSpace([continuous("x", 0.0, 1.0)])
     journal = Journal()
     journal.write_header({"method": "rs"})
-    obj = ExternalCommand(cmd, space=space, timeout=0.2)
+    obj = ExternalCommand(cmd, timeout=0.2)
     run = run_rs(space, TrialRunner(obj, [0], journal=journal), np.random.default_rng(0),
                  n_configs=6)
     trials = journal.of_type("trial")
@@ -516,18 +583,13 @@ def test_external_command_timeout_fails_the_trial_and_the_run_goes_on():
     assert journal.is_complete()
 
 
-def test_external_command_spec_names_timeout_only_when_set():
-    space = ConfigSpace([continuous("x", 0.0, 1.0)])
-    assert ExternalCommand("echo cost=1", space=space).spec().as_dict() == {
-        "kind": "external_command",
-        "params": {"command": "echo cost=1"},
-    }
-    spec = ExternalCommand("echo cost=1", space=space, timeout=2).spec()
-    assert spec.params == {"command": "echo cost=1", "timeout": 2.0}
-    assert make_objective(spec, space=space).timeout == 2.0
+def test_external_command_takes_a_positive_timeout_from_its_spec():
+    spec = ObjectiveSpec("external_command", {"command": "echo cost=1", "timeout": 2})
+    assert make_objective(spec).timeout == 2.0
+    assert ExternalCommand("echo cost=1").timeout is None
     for bad in (0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="timeout"):
-            ExternalCommand("echo cost=1", space=space, timeout=bad)
+            ExternalCommand("echo cost=1", timeout=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +597,32 @@ def test_external_command_spec_names_timeout_only_when_set():
 
 
 def test_make_objective_round_trips_spec():
-    obj = make_objective("seeded_valley", dimension=3, sigma=0.1, noise=0.0)
-    assert isinstance(obj, SeededValley)
-    spec = obj.spec()
-    again = make_objective(spec)
-    assert again.spec() == spec
+    space = ConfigSpace([continuous("x", 0.0, 1.0)])
+    params = {"dimension": 3, "sigma": 0.1, "noise": 0.0}
+    valley = make_objective(ObjectiveSpec("seeded_valley", params))
+    assert isinstance(valley, SeededValley)
+    assert (valley.dimension, valley.sigma, valley.noise) == (3, 0.1, 0.0)
+    assert valley.space.dimension == 3
+    sphere = make_objective(ObjectiveSpec("noisy_sphere", {"shift_sigma": 0.2}), space=space)
+    assert type(sphere) is NoisySphere
+    assert (sphere.space, sphere.dimension, sphere.sigma, sphere.noise) == (space, 1, 0.2, 0.1)
+    grid = make_objective(ObjectiveSpec("gridworld_q", {"total_steps": 50}), space=space)
+    assert grid.total_steps == 50 and grid.space is GridworldQ.space
+    # each kind takes the parameters of its own constructor only
+    with pytest.raises(ValueError, match="bad parameters for objective 'noisy_sphere'"):
+        make_objective(ObjectiveSpec("noisy_sphere", {"sigma": 0.2}))
 
 
 def test_make_objective_cmd_prefix():
-    obj = make_objective("cmd:echo cost=1.0", space=ConfigSpace([continuous("x", 0, 1)]))
+    # the command line turns ``cmd:<command>`` into an external_command spec
+    spec = _objective_spec("cmd:echo cost=1.0", {"timeout": 2})
+    assert spec == ObjectiveSpec("external_command", {"command": "echo cost=1.0", "timeout": 2})
+    obj = make_objective(spec, space=ConfigSpace([continuous("x", 0, 1)]))
     assert isinstance(obj, ExternalCommand)
-    assert obj.command == "echo cost=1.0"
+    assert (obj.command, obj.timeout) == ("echo cost=1.0", 2.0)
 
 
 def test_make_objective_unknown_kind():
-    with pytest.raises(ValueError):
-        make_objective("nope")
+    for kind in ("nope", "cmd:echo cost=1"):  # the command line parses the cmd: form
+        with pytest.raises(ValueError, match="unknown objective kind"):
+            make_objective(ObjectiveSpec(kind))

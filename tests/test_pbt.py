@@ -35,7 +35,7 @@ def test_pbt_never_exploits_a_member_with_a_non_finite_cost():
     objective = NonFinite()
     runner = TrialRunner(objective, seeds=[0, 1])
     run = run_pbt(
-        objective.default_space(), runner, np.random.default_rng(15), population_size=8,
+        objective.space, runner, np.random.default_rng(15), population_size=8,
         num_intervals=4, quantile=0.25, explore_mode="perturb", warmstart_runs=0,
     )
     journal = runner.journal
@@ -69,7 +69,7 @@ def test_a_small_pbt_run_exploits_and_explores_every_interval():
     objective = SeededValley()
     runner = TrialRunner(objective, seeds=[0])
     run_pbt(
-        objective.default_space(), runner, np.random.default_rng(4), population_size=4,
+        objective.space, runner, np.random.default_rng(4), population_size=4,
         num_intervals=4, quantile=0.125, explore_mode="perturb", warmstart_runs=0,
     )
     plans = [record["plan"] for record in runner.journal.of_type("exploit")]

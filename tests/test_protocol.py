@@ -117,7 +117,7 @@ def test_dehb_plan_fits_whole_iterations_into_the_budget():
 def test_dehb_plan_defaults_to_the_eight_rung_ladder():
     opts = MethodSpec("dehb").plan(16)
     assert (opts["eta"], opts["min_budget"]) == (1.9, 0.01)
-    assert ladder(0.01, 1.0, 1.9).n_rungs == 8
+    assert len(ladder(0.01, 1.9)) == 8
     assert opts["iterations"] == 2  # 8 + 7 rungs fit in 16, a third iteration does not
 
 
@@ -160,7 +160,7 @@ def test_run_method_journals_exactly_one_complete_record(kind, options, budget):
     runner = TrialRunner(objective, [0, 1])
     method = MethodSpec(kind, options=options)
     result = run_method(
-        method, objective.default_space(), runner, np.random.default_rng(3), method.plan(budget)
+        method, objective.space, runner, np.random.default_rng(3), method.plan(budget)
     )
     assert isinstance(result, TuneResult)
     (complete,) = runner.journal.of_type("complete")
@@ -171,8 +171,7 @@ def test_run_method_journals_exactly_one_complete_record(kind, options, budget):
         "rs": 4.0,
         # two iterations of the 0.25/0.5/1 ladder, each rung at capacity
         "dehb": sum(
-            rung_capacity(ladder(0.25, 1.0, 2.0), i) * (0.25, 0.5, 1.0)[i]
-            for it in range(2) for i in range(it, 3)
+            rung_capacity(b) * b for it in range(2) for b in ladder(0.25, 2.0)[it:]
         ),
         "pbt": 4.0 + 2.0,  # population plus warmstart runs
     }[kind]
