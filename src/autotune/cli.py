@@ -179,6 +179,8 @@ def _method_from_args(args) -> MethodSpec:
 
 
 def _cmd_tune(args) -> int:
+    if args.repetitions < 1:
+        raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     with open(args.space, "r", encoding="utf-8") as fh:
         space_text = fh.read()
     method = _method_from_args(args)

@@ -31,7 +31,11 @@ from .space import ConfigSpace, check_settings, from_unit
 
 # run_dehb's settings with a range of their own: name -> (test, its range in
 # words); ``ladder`` checks min_budget and eta
-RULES = {"iterations": (lambda v: v >= 1, ">= 1")}
+RULES = {
+    "iterations": (lambda v: v >= 1, ">= 1"),
+    "F": (lambda v: 0.0 < v <= 2.0, "in (0, 2]"),
+    "CR": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+}
 
 
 @dataclass

@@ -296,7 +296,14 @@ _TRANSITIONS = tuple(
 
 def _first_max(row: list[float]) -> int:
     """Index of the first maximum of ``row``, or of its first NaN if it has
-    one: the index ``np.argmax`` returns."""
+    one: the index ``np.argmax`` returns.
+
+    On a row without NaN, ``row.index(max(row))`` picks the same index and
+    ``max(row)`` is the entry there: ``max`` keeps the first of equal
+    maxima, ``index`` finds the first entry equal to it, and ``==`` and
+    ``>`` agree on every float but NaN (-0.0 == 0.0 ties, like any other).
+    Greedy picks use those C-level forms and call this only on a table that
+    holds a NaN, where ``max`` would depend on the NaN's position."""
     best = 0
     top = row[0]
     for i, v in enumerate(row):
@@ -307,6 +314,29 @@ def _first_max(row: list[float]) -> int:
     return best
 
 
+# most uniforms drawn from the training stream at once; bounds the memory a
+# trial takes whatever ``total_steps`` is
+_DRAW_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=None)  # at most 2 * _EPISODE_CAP entries
+def _mean_return(length: int, goal: bool) -> float:
+    """Mean return over _EVAL_EPISODES greedy episodes that each take
+    ``length`` steps, the last reaching the goal when ``goal``.
+
+    Every step is worth _STEP_REWARD and the goal adds _GOAL_REWARD, so the
+    return depends on these two alone; it is summed a step at a time, and
+    once per episode, to keep the float rounding of a rollout of each.
+    """
+    ep = 0.0
+    for k in range(1, length + 1):
+        ep += _STEP_REWARD + _GOAL_REWARD if goal and k == length else _STEP_REWARD
+    total = 0.0
+    for _ in range(_EVAL_EPISODES):
+        total += ep
+    return total / _EVAL_EPISODES
+
+
 class GridworldQ(Objective):
     """Tabular Q-learning on a deterministic 5x5 grid.
 
@@ -315,9 +345,26 @@ class GridworldQ(Objective):
     checkpoints capture the full training state so continuation is exact.
     Cost = -(mean undiscounted return of the greedy policy over 100 episodes).
     The greedy policy and the grid are deterministic, so all 100 episodes are
-    the same: evaluation rolls out one episode and adds its return 100 times,
-    which gives the 100-episode mean bit for bit, and ``cost_metric`` keeps
-    its meaning.
+    the same, and an episode that comes back to a state loops until the
+    step cap: evaluation rolls out one episode up to the goal or the first
+    repeated state, and :func:`_mean_return` gives the 100-episode mean of
+    its return bit for bit, so ``cost_metric`` keeps its meaning.
+
+    Each training step takes one uniform from the seed's stream, and a
+    second when it explores, in the order a scalar ``rng.random()`` per draw
+    would give. Training computes the same bits as that scalar loop:
+
+    * uniforms come in contiguous blocks of ``Generator.random(n)``, which
+      yields the values of n scalar draws in turn; at the end the stream is
+      set back to where the call found it and advanced by the draws used,
+      so the checkpoint's ``rng`` state is the scalar loop's, byte for byte;
+    * epsilon, ``epsilon * epsilon_decay**episode``, is fixed within an
+      episode, so it is computed at the first step a call takes in each
+      episode, and an overflow fails the trial at that same step;
+    * greedy picks use ``row.index(max(row))`` and ``max`` while the table
+      holds no NaN (see :func:`_first_max`), and ``_first_max`` from the
+      step that writes the first NaN on, or from the start when a resumed
+      table holds one.
     """
 
     name = "gridworld_q"
@@ -336,12 +383,18 @@ class GridworldQ(Objective):
         self.total_steps = int(total_steps)
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        # seed's text, on which the stream is keyed -> the start state of its
+        # training stream; a derivation costs a good share of a short trial
+        self._streams: dict[str, dict] = {}
 
     def _fresh_state(self, seed: int) -> dict:
-        rng = _derived_rng(self.name, "train", seed)
+        stream = self._streams.get(str(seed))
+        if stream is None:
+            stream = _derived_rng(self.name, "train", seed).bit_generator.state
+            self._streams[str(seed)] = stream
         return {
             "q": np.zeros((_GRID * _GRID, len(_MOVES))),
-            "rng": rng.bit_generator.state,
+            "rng": stream,
             "step": 0,
             "episode": 0,
             "pos": (0, 0),
@@ -369,46 +422,75 @@ class GridworldQ(Objective):
             state = pickle.loads(resume.load())
         else:
             state = self._fresh_state(seed)
-        rng = np.random.default_rng()
+        # a fixed seed spares drawing OS entropy; the state set next replaces it
+        rng = np.random.Generator(np.random.PCG64(0))
         rng.bit_generator.state = state["rng"]
         q = state["q"]
         # nested Python lists: indexing a row and updating a float there costs
         # a fraction of the numpy scalar round trips; the arithmetic is the same
         rows = q.tolist()
+        nan = bool(np.isnan(q).any())
         s = state["pos"][0] * _GRID + state["pos"][1]
         step = state["step"]
         episode = state["episode"]
         steps_in_episode = state["steps_in_episode"]
 
         target_steps = self._steps_for(budget)
+        moves = len(_MOVES)
+        # the stream's uniforms from draws[i] on, drawn in contiguous blocks and
+        # consumed in order, one or two a step, so each step sees the value a
+        # scalar draw would give; used: draws consumed before draws[0]
+        draws: list[float] = []
+        i = used = 0
         while step < target_steps:
-            row = rows[s]
+            # one segment: the steps left of this episode, up to the target, all
+            # at one epsilon
             try:
                 eps = eps0 * (decay**episode)
             except OverflowError as err:  # epsilon_decay > 1 over many episodes
                 raise EvaluationError(
                     f"gridworld_q: epsilon_decay**{episode} overflows: {config.values}"
                 ) from err
-            if rng.random() < eps:
-                action = min(int(rng.random() * len(_MOVES)), len(_MOVES) - 1)
-            else:
-                action = _first_max(row)
-            ns, reward, done = _TRANSITIONS[s][action]
-            steps_in_episode += 1
-            capped = steps_in_episode >= _EPISODE_CAP
-            if done:
-                target = reward
-            else:
-                next_row = rows[ns]
-                target = reward + gamma * next_row[_first_max(next_row)]
-            row[action] += lr * (target - row[action])
-            step += 1
-            if done or capped:
+            n = min(target_steps - step, _EPISODE_CAP - steps_in_episode)
+            if len(draws) - i < 2 * n:  # each step takes at most two draws
+                block = min(2 * (target_steps - step), _DRAW_BLOCK)
+                draws = draws[i:] + rng.random(block).tolist()
+                used += i
+                i = 0
+            for taken in range(1, n + 1):
+                row = rows[s]
+                if draws[i] < eps:
+                    action = min(int(draws[i + 1] * moves), moves - 1)
+                    i += 2
+                else:
+                    action = _first_max(row) if nan else row.index(max(row))
+                    i += 1
+                ns, reward, done = _TRANSITIONS[s][action]
+                if done:
+                    target = reward
+                else:
+                    next_row = rows[ns]
+                    best = next_row[_first_max(next_row)] if nan else max(next_row)
+                    target = reward + gamma * best
+                v = row[action]
+                v += lr * (target - v)
+                row[action] = v
+                if v != v:
+                    nan = True
+                if done:
+                    break
+                s = ns
+            step += taken
+            steps_in_episode += taken
+            if done or steps_in_episode == _EPISODE_CAP:
                 s = 0
                 steps_in_episode = 0
                 episode += 1
-            else:
-                s = ns
+        if draws:
+            # the blocks overdraw: leave the stream where the scalar loop would,
+            # just past the draws used
+            rng.bit_generator.state = state["rng"]
+            rng.bit_generator.advance(used + i)
 
         state = {
             "q": np.array(rows, dtype=q.dtype),
@@ -428,19 +510,18 @@ class GridworldQ(Objective):
     @staticmethod
     def _greedy_return(q: np.ndarray) -> float:
         rows = q.tolist()
+        nan = bool(np.isnan(q).any())
+        seen = [False] * len(rows)
         s = 0
-        ep = 0.0
-        for _ in range(_EPISODE_CAP):
-            s, reward, done = _TRANSITIONS[s][_first_max(rows[s])]
-            ep += reward
-            if done:
+        for length in range(1, _EPISODE_CAP + 1):
+            if seen[s]:  # the policy and the grid are deterministic: a loop
                 break
-        # every evaluation episode returns ep; summing it once per episode keeps
-        # the float rounding of the mean over _EVAL_EPISODES episodes
-        total = 0.0
-        for _ in range(_EVAL_EPISODES):
-            total += ep
-        return total / _EVAL_EPISODES
+            seen[s] = True
+            row = rows[s]
+            s, _, done = _TRANSITIONS[s][_first_max(row) if nan else row.index(max(row))]
+            if done:
+                return _mean_return(length, True)
+        return _mean_return(_EPISODE_CAP, False)
 
     def untrained_cost(self) -> float:
         return -self._greedy_return(np.zeros((_GRID * _GRID, len(_MOVES))))

@@ -53,6 +53,7 @@ RULES = {
     "warmstart_runs": (lambda v: v >= 0, ">= 0"),
     "restart_patience": (lambda v: v is None or v >= 1, ">= 1"),
     "gp_target": (lambda v: v in (None, "cost", "improvement"), "'cost' or 'improvement'"),
+    "explore_prob": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     **PERTURB_RULES,
 }
 

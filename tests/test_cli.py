@@ -89,9 +89,14 @@ LADDER = ["--min-budget", "0.25", "--eta", "2"]
         (["pbt", "--explore", "gp", "--restart-patience", "0", "--intervals", "6"],
          ["pbt", "--explore", "gp", "--restart-patience", "1", "--intervals", "6"]),
         (["pbt", "--warmstart-runs", "-1"], ["pbt", "--warmstart-runs", "1"]),
+        (["dehb", *LADDER, "--de-f", "-3"], ["dehb", *LADDER, "--de-f", "2"]),
+        (["dehb", *LADDER, "--de-cr", "5"], ["dehb", *LADDER, "--de-cr", "1"]),
+        (["pbt", "--explore-prob", "7"], ["pbt", "--explore-prob", "0"]),
+        # a run of no repetitions used to end in "no journals under DIR", exit 4
+        (["rs", "--repetitions", "0"], ["rs", "--repetitions", "1"]),
     ],
     ids=["population", "intervals", "iterations", "quantile", "factor-up", "resample-prob",
-         "restart-patience", "warmstart-runs"],
+         "restart-patience", "warmstart-runs", "de-f", "de-cr", "explore-prob", "repetitions"],
 )
 def test_a_tuner_setting_out_of_range_exits_2_before_writing(space, tmp_path, capsys, bad, good):
     out = tmp_path / "run"

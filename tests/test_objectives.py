@@ -43,6 +43,7 @@ from reference_q import (  # noqa: E402
     numpy_reference_state,
     reference_cost,
     reference_greedy_return,
+    training_stream,
 )
 
 GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "data", "gridworld_golden.json")))
@@ -354,7 +355,38 @@ def test_first_max_picks_what_argmax_picks(row):
     assert _first_max(row) == int(np.argmax(row))
 
 
+_finite_or_inf = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]) | st.floats(
+    -2.0, 2.0, allow_nan=False
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example([-0.0, 0.0, -1.0, -0.0])
+@example([0.0, -0.0, 0.0, 0.0])
+@example([-math.inf] * 4)
+@example([1.0, math.inf, 2.0, math.inf])
+@given(st.lists(_finite_or_inf, min_size=4, max_size=4))
+def test_index_of_max_is_first_max_on_rows_without_nan(row):
+    # the pick and the bootstrap value training and evaluation use on NaN-free tables
+    i = _first_max(row)
+    assert row.index(max(row)) == i
+    assert max(row).hex() == row[i].hex()  # the sign of a zero too
+
+
+def _cycle(*steps):
+    """Zero table whose greedy policy takes (state, action) ``steps``."""
+    q = np.zeros((25, 4))
+    for s, a in steps:
+        q[s, a] = 1.0
+    return q
+
+
 @settings(max_examples=100, deadline=None)
+@example(np.zeros((25, 4)))  # up from the start, into the wall, for 50 steps
+@example(_cycle((0, 3), (1, 2)))  # right, left, right, ...
+@example(_cycle((0, 3), (1, 1), (6, 2), (5, 0)))  # a loop through four states
+# down the left edge, then along the bottom to the goal in 8 steps
+@example(_cycle((0, 1), (5, 1), (10, 1), (15, 1), (20, 3), (21, 3), (22, 3), (23, 3)))
 @given(_q_tables())
 def test_greedy_return_matches_the_100_episode_reference(q):
     assert GridworldQ._greedy_return(q).hex() == reference_greedy_return(q).hex()
@@ -415,6 +447,110 @@ def test_divergent_q_tables_match_numpy_training(lr, epsilon, gamma, decay, budg
     assert np.array_equal(got_q, want_q, equal_nan=True)
     assert got == want
     assert cost.hex() == (-reference_greedy_return(want_q)).hex()
+
+
+# the training kernel draws its uniforms in blocks, fixes epsilon per episode
+# and picks greedily with ``max`` until the table holds a NaN; each must give
+# the bits of one scalar draw, one epsilon and one ``_first_max`` per step
+
+
+def test_a_block_of_draws_is_the_scalar_draws_in_turn():
+    for seed in (0, 7):
+        block, scalar = training_stream(seed), training_stream(seed)
+        assert block.random(5000).tolist() == [scalar.random() for _ in range(5000)]
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "epsilon, decay",
+    [(0.5, 0.999), (1.0, 1.0), (0.0, 1.0)],  # explore often, always (two draws), never
+)
+def test_training_across_several_draw_blocks_matches_the_references(epsilon, decay):
+    # 12,000 steps take 12,000 to 24,000 draws: several blocks of at most 4,096
+    total, seed = 12_000, 4
+    values = {"learning_rate": 0.2, "epsilon": epsilon, "gamma": 0.95, "epsilon_decay": decay}
+    cfg = Configuration(values)
+    obj = GridworldQ(total_steps=total)
+    cost, ckpt = obj.evaluate(cfg, 1.0, seed)
+    assert cost == reference_cost(0.2, epsilon, 0.95, decay, 1.0, seed, total_steps=total)
+    got = pickle.loads(ckpt.load())
+    want = numpy_reference_state(0.2, epsilon, 0.95, decay, 1.0, seed, total)
+    assert got.pop("q").tobytes() == want.pop("q").tobytes()
+    assert got == want
+    _, part = obj.evaluate(cfg, 0.37, seed)
+    assert obj.evaluate(cfg, 1.0, seed, resume=part)[1].load() == ckpt.load()
+
+
+def test_a_resume_chain_leaves_the_scalar_loops_stream_state():
+    cfg = golden_config()
+    values = [cfg[k] for k in ("learning_rate", "epsilon", "gamma", "epsilon_decay")]
+    obj = GridworldQ(total_steps=5000)
+    ckpt = None
+    for budget in (0.013, 0.4, 0.41, 1.0):
+        _, ckpt = obj.evaluate(cfg, budget, 6, resume=ckpt)
+        got = pickle.loads(ckpt.load())
+        want = numpy_reference_state(*values, budget, 6, 5000)
+        assert got["rng"] == want["rng"]
+        assert got["step"] == want["step"]
+
+
+def test_epsilon_overflow_fails_at_the_step_the_scalar_loop_fails():
+    # the third episode's epsilon overflows: a run that ends before its first
+    # step succeeds, one that takes that step fails
+    cfg = Configuration(
+        {"learning_rate": 0.1, "epsilon": 0.5, "gamma": 0.9, "epsilon_decay": 1e200}
+    )
+    outcomes = set()
+    for total in range(1, 160):
+        try:
+            numpy_reference_state(0.1, 0.5, 0.9, 1e200, 1.0, 0, total)
+            want = "ok"
+        except OverflowError:
+            want = "overflow"
+        try:
+            GridworldQ(total_steps=total).evaluate(cfg, 1.0, 0)
+            got = "ok"
+        except EvaluationError:
+            got = "overflow"
+        assert got == want, total
+        outcomes.add(got)
+    assert outcomes == {"ok", "overflow"}
+
+
+# lr 1000 on seed 3 over 600 steps: the first NaN enters the table at step 315
+NAN_CONFIG = {"learning_rate": 1000.0, "epsilon": 0.5, "gamma": 0.9, "epsilon_decay": 0.99}
+# sha256 of that run's checkpoint, fresh or resumed, as the scalar loop wrote it
+NAN_RUN_SHA256 = "3243ddb05e0eda3f009318b86c283dea6a69720e57fca174abd198634f6e3737"
+
+
+@pytest.mark.parametrize("split", [None, 0.5, 2 / 3], ids=["fresh", "nan-mid-call", "nan-resumed"])
+def test_a_nan_in_the_table_switches_to_the_argmax_rule(split):
+    cfg = Configuration(NAN_CONFIG)
+    obj = GridworldQ(total_steps=600)
+    resume = None
+    if split is not None:
+        _, resume = obj.evaluate(cfg, split, 3)
+        assert np.isnan(pickle.loads(resume.load())["q"]).any() == (split > 315 / 600)
+    cost, ckpt = obj.evaluate(cfg, 1.0, 3, resume=resume)
+    got = pickle.loads(ckpt.load())
+    want = numpy_reference_state(1000.0, 0.5, 0.9, 0.99, 1.0, 3, 600)
+    got_q, want_q = got.pop("q"), want.pop("q")
+    assert np.isnan(got_q).any()
+    assert np.array_equal(got_q, want_q, equal_nan=True)  # NaN sign bits may differ
+    assert got == want
+    assert cost.hex() == (-reference_greedy_return(want_q)).hex()
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # digests of numpy 2 pickles
+        assert ckpt.digest() == NAN_RUN_SHA256
+
+
+def test_fresh_streams_are_kept_per_seed_text():
+    # the stream is keyed on the seed's text, so 1 and True train apart
+    cfg = golden_config()
+    obj = GridworldQ(total_steps=300)
+    for seed in (1, True, 1, True):
+        _, ckpt = obj.evaluate(cfg, 0.5, seed)
+        assert ckpt.load() == GridworldQ(total_steps=300).evaluate(cfg, 0.5, seed)[1].load()
+    assert obj.evaluate(cfg, 0.5, 1)[1].load() != obj.evaluate(cfg, 0.5, True)[1].load()
 
 
 def test_gridworld_zero_learning_rate_never_improves():
