@@ -47,15 +47,17 @@ class UsageError(ValueError):
 
 
 def parse_seed_list(text: str) -> list[int]:
-    """Accept '0,1,2' and '5..14' (inclusive), or a mix."""
+    """Accept '0,1,2' and '5..14' (inclusive), or a mix; a range runs up."""
     seeds: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in chunk.split("..", 1))
+            if hi < lo:
+                raise UsageError(f"seed range {chunk!r} runs down; write it as {hi}..{lo}")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(chunk))
     if not seeds:
@@ -230,6 +232,13 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _integral(param: str, text: str) -> int:
+    value = float(text)
+    if not value.is_integer():
+        raise UsageError(f"{param} takes integers, got {text!r}")
+    return int(value)
+
+
 def _cmd_sweep(args) -> int:
     with open(args.space, "r", encoding="utf-8") as fh:
         space_text = fh.read()
@@ -246,7 +255,7 @@ def _cmd_sweep(args) -> int:
     p = space[args.param]
     raw = [v.strip() for v in args.values.split(",") if v.strip()]
     if p.kind == "integer":
-        values = [int(float(v)) for v in raw]
+        values = [_integral(args.param, v) for v in raw]
     elif p.kind == "categorical":
         values = raw
     else:

@@ -16,6 +16,10 @@ built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
   :func:`make_objective` measures in it instead of ``dimension`` unit axes.
 * ``noisy_sphere`` (``dimension=2, noise=0.1, shift_sigma=0.0``) --
   ``seeded_valley`` without the penalty, with ``shift_sigma`` for ``sigma``.
+  Both memoise per instance the distance and noise terms of each
+  (configuration, seed) pair, which the budget does not change, so a run
+  derives each pair's terms once. ``sigma``, ``shift_sigma`` and ``noise``
+  must be finite.
 * ``gridworld_q`` (``total_steps=2000``) -- tabular Q-learning on a 5x5
   gridworld; cost is the negative mean return of the greedy policy over 100
   evaluation episodes.
@@ -101,12 +105,15 @@ def config_digest(config: Configuration) -> str:
 
 
 def _derived_rng(*entropy) -> np.random.Generator:
-    """Deterministic stream keyed on strings/ints; independent of caller rngs."""
-    words = []
-    for item in entropy:
-        h = hashlib.sha256(str(item).encode("utf-8")).digest()
-        words.extend(int.from_bytes(h[i : i + 4], "little") for i in range(0, 16, 4))
-    return np.random.default_rng(np.random.SeedSequence(words))
+    """Deterministic stream keyed on strings/ints; independent of caller rngs.
+
+    Each item's text is hashed, and the first 16 bytes of each hash are read
+    as four little-endian 32-bit words. ``SeedSequence`` takes them as one
+    ``uint32`` array, the same words a list of Python ints would give it,
+    which it reads several times faster.
+    """
+    blob = b"".join(hashlib.sha256(str(item).encode("utf-8")).digest()[:16] for item in entropy)
+    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(blob, dtype="<u4")))
 
 
 @dataclass(frozen=True)
@@ -168,12 +175,31 @@ def _seed_direction(tag: str, seed: int, dimension: int) -> np.ndarray:
     return v
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+# most (config digest, seed) entries one valley or sphere instance remembers;
+# the memo is emptied when it is full
+_TERMS_CAP = 1 << 16
+
+
 class SeededValley(Objective):
     """Sphere with a seed-dependent optimum and a partial-budget penalty.
 
     cost(z, b, s) = ||z - z*(s)||^2 + (1 - b) * penalty + noise * eps(config, s)
     with z*(s) = 0.5 + sigma * u(s) for a unit vector u(s) derived from the
     seed. With sigma = 0 all per-seed optima coincide.
+
+    Neither ||z - z*(s)||^2 nor eps(config, s) depends on the budget, so
+    each instance keeps both per (config digest, seed's text) and derives
+    them once for every pair it sees; the seed's text is the key because
+    the streams are keyed on it (``1`` and ``True`` compare equal but derive
+    different ones). A hit adds the budget's penalty and the noise in the
+    order a miss does, so the cost is the same bits.
     """
 
     name = "seeded_valley"
@@ -189,11 +215,13 @@ class SeededValley(Objective):
         space: ConfigSpace | None = None,
     ):
         self.dimension = int(space.dimension if space is not None else dimension)
-        self.sigma = float(sigma)
-        self.noise = float(noise)
+        self.sigma = _finite("sigma", sigma)
+        self.noise = _finite("noise", noise)
         if space is None:
             space = ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(self.dimension)])
         self.space = space
+        # (config digest, str(seed)) -> (squared distance, noise draw)
+        self._terms: dict[tuple[str, str], tuple[float, float]] = {}
 
     def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
         """Unit vector (read-only) and digest of ``config``.
@@ -202,8 +230,9 @@ class SeededValley(Objective):
         last one is remembered. A hit needs that object holding the very
         same value objects, so after ``values`` changes, even from ``1`` to
         ``1.0`` or ``True`` or from ``0.0`` to ``-0.0``, it is encoded again.
-        The memo is one attribute holding a tuple, replaced whole, so threads
-        that share the objective never see it half-written.
+        Under ``--workers`` each forked worker evaluates on its own copy of
+        the objective, so this memo and ``_terms`` fill separately in each
+        process and are never shared; a cost never depends on what they hold.
         """
         items = tuple(config.values.items())
         memo = self._memo
@@ -229,9 +258,17 @@ class SeededValley(Objective):
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
         z, digest = self._encoded(config)
-        dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
+        key = (digest, str(seed))
+        terms = self._terms.get(key)
+        if terms is None:
+            dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
+            terms = (dist2, _bounded_noise(self.name, digest, seed))
+            if len(self._terms) >= _TERMS_CAP:
+                self._terms.clear()
+            self._terms[key] = terms
+        dist2, eps = terms
         cost = dist2 + (1.0 - budget) * self.penalty
-        cost += self.noise * _bounded_noise(self.name, digest, seed)
+        cost += self.noise * eps
         ckpt = CheckpointHandle(
             key=f"{self.name}:{digest[:12]}:{seed}",
             trained_fraction=budget,
@@ -255,7 +292,9 @@ class NoisySphere(SeededValley):
         shift_sigma: float = 0.0,
         space: ConfigSpace | None = None,
     ):
-        super().__init__(dimension, sigma=shift_sigma, noise=noise, space=space)
+        super().__init__(
+            dimension, sigma=_finite("shift_sigma", shift_sigma), noise=noise, space=space
+        )
 
     # bound here as well as in SeededValley: perfbench/spans.py times each
     # objective class's own ``evaluate``

@@ -28,12 +28,18 @@ GOAL_REWARD = 1.0
 CAP = 50
 
 
-def training_stream(seed: int) -> np.random.Generator:
+def derived_stream(*entropy) -> np.random.Generator:
+    """The derivation written out: four little-endian 32-bit words from the
+    sha256 of each item's text, as a list of Python ints."""
     words = []
-    for item in ("gridworld_q", "train", seed):
+    for item in entropy:
         h = hashlib.sha256(str(item).encode("utf-8")).digest()
         words.extend(int.from_bytes(h[i : i + 4], "little") for i in range(0, 16, 4))
     return np.random.default_rng(np.random.SeedSequence(words))
+
+
+def training_stream(seed: int) -> np.random.Generator:
+    return derived_stream("gridworld_q", "train", seed)
 
 
 def _move(pos, action):

@@ -127,6 +127,51 @@ def test_unknown_objective_parameter_exits_2_and_writes_nothing(space, tmp_path,
     assert not out.exists()
 
 
+def test_a_descending_seed_range_exits_2_before_writing(space, tmp_path, capsys):
+    # "0,3..1" used to tune on seed 0 alone
+    out = tmp_path / "run"
+    rc = tune(space, out, "rs", *VALLEY, "--tuning-seeds", "0,3..1", "--test-seeds", "5")
+    assert rc == EXIT_USAGE
+    assert "'3..1'" in capsys.readouterr().err
+    assert not out.exists()
+    assert tune(space, out, "rs", *VALLEY, "--tuning-seeds", "0,1..3", "--test-seeds", "5",
+                "--budget-runs", "2") == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "objective, param",
+    [("seeded_valley", "sigma=nan"), ("seeded_valley", "sigma=inf"),
+     ("seeded_valley", "noise=-inf"), ("noisy_sphere", "shift_sigma=nan"),
+     ("noisy_sphere", "noise=inf")],
+)
+def test_a_non_finite_objective_parameter_exits_2_before_writing(
+    space, tmp_path, capsys, objective, param
+):
+    out = tmp_path / "run"
+    rc = tune(space, out, "rs", "--objective", objective, "--objective-param", param,
+              *SEEDS, "--budget-runs", "2")
+    assert rc == EXIT_USAGE
+    assert f"{param.split('=')[0]} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def sweep(space, out, values):
+    return main(["sweep", "--space", space, "--objective", "seeded_valley", "--param", "layers",
+                 "--values", values, "--seeds", "0,1", "--out", str(out)])
+
+
+def test_sweep_refuses_a_non_integral_value_for_an_integer_parameter(space, tmp_path, capsys):
+    # 2.7 used to be truncated to 2 and swept as 2
+    out = tmp_path / "sweep"
+    assert sweep(space, out, "2.7,3") == EXIT_USAGE
+    assert "'2.7'" in capsys.readouterr().err
+    assert not out.exists()
+    assert sweep(space, out, "2.0,3") == EXIT_OK
+    [path] = out.iterdir()
+    rows = csv.DictReader(io.StringIO(path.read_text()))
+    assert [row["value"] for row in rows if row["seed"] == "0"] == ["2", "3"]
+
+
 def test_deterministic_flag_is_a_usage_error(space, tmp_path):
     with pytest.raises(SystemExit) as err:
         tune(space, tmp_path / "run", "rs", *VALLEY, "--deterministic")

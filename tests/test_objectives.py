@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import autotune.objectives as objectives_module
 from autotune.objectives import (
     CheckpointHandle,
     EvaluationError,
@@ -40,6 +41,7 @@ from autotune.space import (
 
 sys.path.insert(0, os.path.dirname(__file__))
 from reference_q import (  # noqa: E402
+    derived_stream,
     numpy_reference_state,
     reference_cost,
     reference_greedy_return,
@@ -223,6 +225,116 @@ def test_optimum_is_the_uncached_value_and_writable_by_its_caller():
     assert first.tobytes() == want.tobytes()
     first[:] = 0.0
     assert obj.optimum(9).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stream derivation, and the valley's terms derived once per (config, seed)
+
+_entropy_items = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, True, False, -1, 2**32, 2**64 + 3, 1.0, -0.0, "", "seeded_valley"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entropy_items, min_size=1, max_size=4))
+@example([0])
+@example(["gridworld_q", "train", True])
+@example(["seeded_valley", "0" * 64, -(2**40)])
+def test_derived_rng_is_the_list_of_ints_derivation(entropy):
+    got, want = _derived_rng(*entropy), derived_stream(*entropy)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(4).tobytes() == want.random(4).tobytes()
+
+
+def _memo_objective(cls):
+    if cls is SeededValley:
+        return SeededValley(sigma=0.25, noise=0.1, space=MIXED_SPACE)
+    return NoisySphere(shift_sigma=0.2, noise=0.1, space=MIXED_SPACE)
+
+
+_mixed_configs = st.builds(
+    lambda x, lr: Configuration({"x": x, "lr": lr}),
+    st.floats(-1.0, 2.0) | st.sampled_from([0.0, -0.0]),
+    st.floats(1e-4, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cls=st.sampled_from([SeededValley, NoisySphere]),
+    configs=st.lists(_mixed_configs, min_size=1, max_size=3),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([0.1, 0.5, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+            st.sampled_from([0, 1, True, 1.0, 7]),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_repeated_reordered_and_budget_varied_calls_give_a_fresh_instance_costs(
+    cls, configs, calls
+):
+    obj = _memo_objective(cls)
+    for i, budget, seed in calls:
+        config = configs[i % len(configs)]
+        cost, ckpt = obj.evaluate(config, budget, seed)
+        want, want_ckpt = _memo_objective(cls).evaluate(
+            Configuration(dict(config.values)), budget, seed
+        )
+        assert cost.hex() == want.hex()
+        assert ckpt.key == want_ckpt.key
+
+
+@pytest.mark.parametrize("cls", [SeededValley, NoisySphere])
+def test_terms_are_derived_once_per_config_and_seed(cls, monkeypatch):
+    derived = []
+    real = objectives_module._bounded_noise
+
+    def counting(tag, digest, seed):
+        derived.append((digest, seed))
+        return real(tag, digest, seed)
+
+    monkeypatch.setattr(objectives_module, "_bounded_noise", counting)
+    obj = _memo_objective(cls)
+    configs = [Configuration({"x": k / 3, "lr": 0.01}) for k in range(3)]
+    for budget in (0.25, 1.0, 0.5):
+        for config in configs:
+            for seed in range(4):
+                obj.evaluate(config, budget, seed)
+    # an equal configuration in another object hits the same entries
+    obj.evaluate(Configuration({"x": 0.0, "lr": 0.01}), 0.75, 2)
+    assert len(derived) == len(set(derived)) == 12 == len(obj._terms)
+    # the memo lives on the instance: another one derives the pair again
+    _memo_objective(cls).evaluate(configs[0], 1.0, 0)
+    assert len(derived) == 13
+
+
+def test_seeds_and_zeros_that_compare_equal_never_share_a_memo_entry():
+    zero, negative_zero = (Configuration({"x": v, "lr": 0.01}) for v in (0.0, -0.0))
+    calls = [(zero, 1), (zero, True), (zero, 1.0), (negative_zero, 1)]
+    for order in (calls, calls[::-1]):
+        obj = _memo_objective(SeededValley)
+        costs = [obj.evaluate(config, 0.5, seed)[0] for config, seed in order]
+        fresh = [_memo_objective(SeededValley).evaluate(config, 0.5, seed)[0]
+                 for config, seed in order]
+        assert [c.hex() for c in costs] == [c.hex() for c in fresh]
+        assert len(obj._terms) == 4 and len(set(costs)) == 4
+
+
+def test_the_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(objectives_module, "_TERMS_CAP", 5)
+    obj = _memo_objective(SeededValley)
+    for k in range(23):
+        config = Configuration({"x": k / 23, "lr": 0.01})
+        for seed in range(3):
+            cost = obj.evaluate(config, 1.0, seed)[0]
+            assert 1 <= len(obj._terms) <= 5
+            want = _memo_objective(SeededValley).evaluate(config, 1.0, seed)[0]
+            assert cost.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
