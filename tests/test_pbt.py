@@ -1,11 +1,17 @@
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from autotune.objectives import SeededValley
+from autotune.journal import Journal
+from autotune.objectives import ObjectiveSpec, SeededValley
 from autotune.pbt import exploit, run_pbt
+from autotune.protocol import MethodSpec, SeedPlan
 from autotune.runner import TrialRunner
+from autotune.runs import JOURNAL_NAME, run_repetition
 from autotune.space import Configuration
 
 
@@ -75,3 +81,61 @@ def test_a_small_pbt_run_exploits_and_explores_every_interval():
     plans = [record["plan"] for record in runner.journal.of_type("exploit")]
     assert len(plans) == 3 and all(len(plan) == 1 for plan in plans)
     assert len(runner.journal.of_type("explore")) == 3
+
+
+# ---------------------------------------------------------------------------
+# Journal digests of PBT branches no golden covers: GP with a warmstart (the
+# GP models raw cost), perturb with explore_prob < 1 (some losers keep the
+# winner's configuration), and GP on a mixed valley space with model restarts
+
+GRIDWORLD_SPACE = """\
+learning_rate: log(1e-07, 1.0)
+epsilon: (0.0, 1.0)
+gamma: (0.5, 0.999)
+epsilon_decay: (0.9, 1.0)
+"""
+MIXED_SPACE = "lr: log(1e-05, 1.0)\nmomentum: (0.0, 0.99)\nlayers: int[1, 8]\nact: {a, b, c}\n"
+GRIDWORLD = ObjectiveSpec("gridworld_q", {"total_steps": 300})
+PINNED = {  # name -> (space, objective, options, budget, digest, explore modes)
+    "gp-warmstart": (
+        GRIDWORLD_SPACE, GRIDWORLD,
+        {"explore_mode": "gp", "warmstart_runs": 3, "num_intervals": 5, "quantile": 0.25}, 9,
+        "502b5f28d6ea04e1f48f2aeef86de26f77302ef5b13ba313f0dc882eca7b0b70", {"gp"},
+    ),
+    "perturb-half": (
+        GRIDWORLD_SPACE, GRIDWORLD,
+        {"explore_mode": "perturb", "explore_prob": 0.5, "num_intervals": 5, "quantile": 0.25},
+        8, "4da55eed4d33f74de8b35f5b8bd280f1d44e15abd29b4babba1b0a6381473ff6",
+        {"keep", "perturb"},
+    ),
+    "gp-valley-restarts": (
+        MIXED_SPACE, ObjectiveSpec("seeded_valley", {"sigma": 0.25}),
+        {"explore_mode": "gp", "warmstart_runs": 2, "restart_patience": 1, "num_intervals": 8,
+         "quantile": 0.25}, 10,
+        "87c69d0bfb71033e3fae4917bf6505eca6e506ebf18b72ef753cbd44c3bb61c7", {"gp"},
+    ),
+}
+
+
+def journal_digest(journal):
+    """sha256 of the header and records, without wall time and with checkpoint
+    names only, since each run writes into its own directory."""
+    records = []
+    for record in [journal.header, *journal.records]:
+        record = {k: v for k, v in record.items() if k != "wall_time"}
+        if record.get("ckpt"):
+            record["ckpt"] = os.path.basename(record["ckpt"])
+        records.append(record)
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pbt_branches_write_their_pinned_journals(tmp_path, case, workers):
+    space_text, objective, options, budget, digest, modes = PINNED[case]
+    run_repetition(str(tmp_path), MethodSpec("pbt", options=options), space_text, objective,
+                   SeedPlan([1, 2], [7, 8]), budget, rng_seed=5, repetition=0,
+                   workers=workers)
+    journal = Journal.load(str(tmp_path / JOURNAL_NAME))
+    assert {r["mode"] for r in journal.of_type("explore")} == modes
+    assert journal_digest(journal) == digest
