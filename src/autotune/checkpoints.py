@@ -8,15 +8,19 @@ frame. When a name occurs twice, the later frame wins.
 
 Appends are buffered until :meth:`CheckpointPack.flush`; a frame whose flush
 returned survives a process kill. A kill during a write can leave a torn
-last frame. Opening a pack for appending truncates it; reading ignores it.
+last frame. Opening a pack for appending truncates it, with a logged
+warning; reading ignores it.
 A frame header that does not parse is :class:`PackError`.
 """
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 PACK_NAME = "checkpoints.pack"
+
+log = logging.getLogger(__name__)
 
 
 class PackError(RuntimeError):
@@ -51,6 +55,7 @@ class CheckpointPack:
             if torn:
                 os.truncate(pack.path, pack._end)
                 pack.warnings.append(f"dropped a torn last frame of {torn} bytes")
+                log.warning("%s: %s", pack.path, pack.warnings[-1])
         else:
             pack._index = {}
         pack._writer = open(pack.path, "ab")

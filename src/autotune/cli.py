@@ -8,12 +8,15 @@
 
 ``report`` with one DIR writes DIR/exports/ and prints the paths; with
 several DIRs it prints the combined report to stdout. ``trials`` takes one
-DIR. AUTOTUNE_RUN_DIR overrides --out. Exit codes: 0 success, 2 usage
-error, 3 objective failure, 4 journal corruption.
+DIR. AUTOTUNE_RUN_DIR overrides --out. Results go to stdout; errors, and
+warnings the ``autotune`` logger gives (such as torn records a resume
+drops), go to stderr. Exit codes: 0 success, 2 usage error, 3 objective
+failure, 4 journal corruption.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -183,6 +186,8 @@ def _method_from_args(args) -> MethodSpec:
 def _cmd_tune(args) -> int:
     if args.repetitions < 1:
         raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
+    if args.workers < 1:
+        raise UsageError(f"workers must be >= 1, got {args.workers}")
     with open(args.space, "r", encoding="utf-8") as fh:
         space_text = fh.read()
     method = _method_from_args(args)
@@ -281,6 +286,10 @@ def _cmd_sweep(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("autotune")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    logger.addHandler(handler)
     try:
         if args.command == "tune":
             return _cmd_tune(args)
@@ -299,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     except JournalError as err:
         print(f"journal error: {err}", file=sys.stderr)
         return EXIT_CORRUPT
+    finally:
+        logger.removeHandler(handler)
 
 
 def main_tune(argv: list[str] | None = None) -> int:

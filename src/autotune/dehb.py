@@ -50,18 +50,13 @@ def de_mutate_vectors(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, F: float) 
 
 
 def de_mutate(
-    pop: list[np.ndarray],
-    target_index: int,
-    F: float,
-    rng: np.random.Generator,
-    dimension: int | None = None,
+    pop: list[np.ndarray], target_index: int, F: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Pick three distinct non-target members as donors; when the population
     is too small, missing donors are drawn uniformly from the cube."""
-    others = [i for i in range(len(pop)) if i != target_index]
-    dim = dimension if dimension is not None else len(pop[target_index])
+    dim = len(pop[target_index])
+    pool = [i for i in range(len(pop)) if i != target_index]
     picks = []
-    pool = list(others)
     for _ in range(3):
         if pool:
             j = int(rng.integers(len(pool)))
@@ -110,27 +105,14 @@ def run_dehb(
     d = space.dimension
     caps = [rung_capacity(b) for b in rungs]
     pops: dict[int, list[DeMember]] = {}  # rung index -> its latest population
-    incumbent_vec = None
+    incumbent = None  # the best full-budget configuration so far
     incumbent_cost = math.inf
     total_spend = 0.0
-
-    def note_incumbent(vector: np.ndarray, cost: float) -> None:
-        nonlocal incumbent_vec, incumbent_cost
-        if cost < incumbent_cost:
-            incumbent_vec, incumbent_cost = np.array(vector), cost
-            runner.journal.append(
-                {
-                    "t": INCUMBENT,
-                    "config": dict(from_unit(space, vector).values),
-                    "cost": cost,
-                    "budget": 1.0,
-                }
-            )
 
     def evaluate_population(vectors, rung_index, iteration, slots=False) -> list[DeMember]:
         """One batch at the rung's budget; ``slots`` tags each group with its
         index, as a DE generation's children are tagged with their parent's."""
-        nonlocal total_spend
+        nonlocal incumbent, incumbent_cost, total_spend
         budget = rungs[rung_index]
         tags = [{"iteration": iteration, "rung": rung_index} for _ in vectors]
         if slots:
@@ -146,8 +128,16 @@ def run_dehb(
         for v, res in zip(vectors, results):
             members.append(DeMember(vector=np.asarray(v, dtype=float), cost=res.cost))
             total_spend += budget
-            if budget == 1.0 and not res.failed:
-                note_incumbent(v, res.cost)
+            if budget == 1.0 and not res.failed and res.cost < incumbent_cost:
+                incumbent, incumbent_cost = res.config, res.cost
+                runner.journal.append(
+                    {
+                        "t": INCUMBENT,
+                        "config": dict(incumbent.values),
+                        "cost": incumbent_cost,
+                        "budget": 1.0,
+                    }
+                )
         return members
 
     n_rungs = len(rungs)
@@ -164,7 +154,7 @@ def run_dehb(
             prev = pops[lowest]
             vectors = [m.vector for m in prev]
             children = [
-                de_crossover(parent.vector, de_mutate(vectors, idx, F, rng, dimension=d), CR, rng)
+                de_crossover(parent.vector, de_mutate(vectors, idx, F, rng), CR, rng)
                 for idx, parent in enumerate(prev)
             ]
             evaluated = evaluate_population(children, lowest, it, slots=True)
@@ -175,6 +165,6 @@ def run_dehb(
             promoted = [m.vector for m in ranked[: caps[rung_index]]]
             pops[rung_index] = evaluate_population(promoted, rung_index, it)
 
-    if incumbent_vec is None:
+    if incumbent is None:
         raise NoIncumbentError("no incumbent: every full-budget trial failed")
-    return runner.complete(from_unit(space, incumbent_vec), incumbent_cost, total_spend)
+    return runner.complete(incumbent, incumbent_cost, total_spend)

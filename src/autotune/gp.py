@@ -22,6 +22,9 @@ class GpFitError(RuntimeError):
 
 _JITTERS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
+# uniform candidates that suggest_candidate scores
+N_CANDIDATES = 1000
+
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = np.sum(a * a, axis=1)[:, None]
@@ -35,20 +38,17 @@ class GpModel:
 
     x_config: np.ndarray
     x_time: np.ndarray
-    y: np.ndarray
     length_scale_config: float
     length_scale_time: float
-    noise_variance: float
     y_mean: float
     y_scale: float
-    jitter: float
     log_marginal_likelihood: float
     _chol: np.ndarray = field(repr=False, default=None)
     _alpha: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_points(self) -> int:
-        return len(self.y)
+        return len(self.x_time)
 
     @property
     def signal_variance(self) -> float:
@@ -107,13 +107,13 @@ def fit_gp(
         scale = 1.0
     yn = (y - mu) / scale
 
+    dt = (x_time[:, None] - x_time[None, :]) ** 2
     best = None
     for lc in length_scale_grid:
         kc = np.exp(-0.5 * _sq_dists(x_config, x_config) / lc**2)
         for lt in time_scale_grid:
-            dt = (x_time[:, None] - x_time[None, :]) ** 2
             k = kc * np.exp(-0.5 * dt / lt**2) + noise_variance * np.eye(n)
-            chol, jitter = _chol_with_jitter(k)
+            chol = _chol_with_jitter(k)
             if chol is None:
                 continue
             alpha = _chol_solve(chol, yn)
@@ -123,33 +123,30 @@ def fit_gp(
                 - 0.5 * n * math.log(2.0 * math.pi)
             )
             if best is None or lml > best[0]:
-                best = (lml, float(lc), float(lt), chol, alpha, jitter)
+                best = (lml, float(lc), float(lt), chol, alpha)
     if best is None:
         raise GpFitError("covariance degenerate for every length scale")
-    lml, lc, lt, chol, alpha, jitter = best
+    lml, lc, lt, chol, alpha = best
     return GpModel(
         x_config=x_config,
         x_time=x_time,
-        y=y,
         length_scale_config=lc,
         length_scale_time=lt,
-        noise_variance=noise_variance,
         y_mean=mu,
         y_scale=scale,
-        jitter=jitter,
         log_marginal_likelihood=lml,
         _chol=chol,
         _alpha=alpha,
     )
 
 
-def _chol_with_jitter(k: np.ndarray):
+def _chol_with_jitter(k: np.ndarray) -> np.ndarray | None:
     for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(k + jitter * np.eye(len(k))), jitter
+            return np.linalg.cholesky(k + jitter * np.eye(len(k)))
         except np.linalg.LinAlgError:
             continue
-    return None, None
+    return None
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,9 +160,9 @@ def suggest_candidate(
     dimension: int,
     rng: np.random.Generator,
     kappa: float = 1.0,
-    n_candidates: int = 1000,
 ) -> np.ndarray:
-    """Optimistic pick: argmax of -mean + kappa * std over uniform candidates.
+    """Optimistic pick: argmax of -mean + kappa * std over ``N_CANDIDATES``
+    uniform candidates.
 
     The target is lower-is-better, so this maximizes expected improvement
     pressure while kappa scales exploration. Deterministic given ``rng``.
@@ -180,7 +177,7 @@ def suggest_candidate(
     """
     if model.n_points < 1:
         raise GpFitError("model has no training points")
-    cands = rng.random((int(n_candidates), dimension))
+    cands = rng.random((N_CANDIDATES, dimension))
     mean, std = model.predict(cands, np.full(len(cands), float(time_value)))
     scores = -mean + kappa * std
     return cands[int(np.argmax(scores))]

@@ -9,12 +9,13 @@ A journal opened for resume replays its existing records: every append made
 by the re-run is verified against the recorded one (ignoring wall time) and
 consumed instead of written, so a resumed run continues exactly where the
 interrupted one stopped. A truncated trailing line (torn write) is dropped
-with a warning; corruption before the last record is a hard error.
+with a logged warning; corruption before the last record is a hard error.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,6 +27,8 @@ EXPLOIT = "exploit"
 EXPLORE = "explore"
 INCUMBENT = "incumbent"
 COMPLETE = "complete"
+
+log = logging.getLogger(__name__)
 
 # fields excluded when comparing a replayed record to the recorded one
 _VOLATILE = ("seq", "wall_time")
@@ -78,6 +81,7 @@ class Journal:
     def load(cls, path: str) -> "Journal":
         """Read-only parse (for reports and exports)."""
         header, records, warnings = _parse_lines(path, _read_lines(path))
+        _log_drops(path, warnings)
         return cls(path=path, header=header, records=records, warnings=warnings)
 
     @classmethod
@@ -85,6 +89,7 @@ class Journal:
         lines = _read_lines(path)
         header, records, warnings = _parse_lines(path, lines)
         records = _trim_torn_group(records, warnings)
+        _log_drops(path, warnings)
         if len(lines) > 1 + len(records):
             # torn or incomplete trailing records were dropped: rewrite the
             # file so the on-disk journal matches the replayed state
@@ -182,10 +187,10 @@ class Journal:
     def of_type(self, kind: str) -> list[dict]:
         return [r for r in self.records if r["t"] == kind]
 
-    def spend(self, purposes: tuple[str, ...] = ("tune", "warmstart")) -> float:
-        return float(
-            sum(r["spend"] for r in self.of_type(GROUP) if r.get("purpose") in purposes)
-        )
+    def spend(self) -> float:
+        """Full-run equivalents spent on tuning: tune and warmstart groups."""
+        groups = self.of_type(GROUP)
+        return float(sum(r["spend"] for r in groups if r.get("purpose") in ("tune", "warmstart")))
 
     def final_incumbent(self) -> dict | None:
         incs = self.of_type(INCUMBENT)
@@ -234,6 +239,11 @@ def _parse_lines(path: str, raw_lines: list[str]):
             raise JournalCorrupt(f"{path}: sequence break at record {seq!r}")
         last = seq
     return header, records, warnings
+
+
+def _log_drops(path: str, warnings: list[str]) -> None:
+    for warning in warnings:
+        log.warning("%s: %s", path, warning)
 
 
 def _trim_torn_group(records: list[dict], warnings: list[str]) -> list[dict]:

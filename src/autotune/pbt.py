@@ -12,6 +12,12 @@ member after the final interval. The lineage lives in the journal: each
 the configuration it adopted, so the schedule any member trained can be
 read back from those records.
 
+The GP's target follows from the warmstart: with ``warmstart_runs > 0`` it
+models raw cost, since the warmstart points are full-run costs; without one
+it models each interval's change in cost (lower is better), and an interval
+that follows no finite cost (a member's first, or one after a failure) adds
+no point.
+
 Optional extensions: full-budget warmstart runs that preload the model and
 seed the initial population with their best configurations, and model
 restarts when the best interval cost stagnates.
@@ -28,7 +34,6 @@ import numpy as np
 
 from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
 from .journal import EXPLOIT, EXPLORE, INCUMBENT
-from .objectives import CheckpointHandle
 from .runner import NoIncumbentError, TrialRunner, TuneResult
 from .space import (
     PERTURB_RULES,
@@ -52,7 +57,6 @@ RULES = {
     "explore_mode": (lambda v: v in (PERTURB, GP), "'perturb' or 'gp'"),
     "warmstart_runs": (lambda v: v >= 0, ">= 0"),
     "restart_patience": (lambda v: v is None or v >= 1, ">= 1"),
-    "gp_target": (lambda v: v in (None, "cost", "improvement"), "'cost' or 'improvement'"),
     "explore_prob": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     **PERTURB_RULES,
 }
@@ -63,10 +67,7 @@ class Member:
     id: int
     config: Configuration
     checkpoints: dict = field(default_factory=dict)  # seed -> CheckpointHandle
-    cost_history: list = field(default_factory=list)  # one entry per interval
-
-    def current_cost(self) -> float:
-        return self.cost_history[-1] if self.cost_history else math.inf
+    cost: float = math.inf  # the last interval's, or its winner's after an exploit
 
 
 def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
@@ -88,17 +89,19 @@ def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
     return [(l, w) for l, w in zip(losers, winners)]
 
 
-def kernel_restart_check(
-    best_costs: list[float], patience: int, tolerance: float = 1e-6
-) -> str:
+# the least drop in the best interval cost that counts as an improvement
+RESTART_TOLERANCE = 1e-6
+
+
+def kernel_restart_check(best_costs: list[float], patience: int) -> str:
     """'restart' iff the best interval cost has not improved by more than
-    ``tolerance`` for ``patience`` (>= 1) consecutive intervals."""
+    ``RESTART_TOLERANCE`` for ``patience`` (>= 1) consecutive intervals."""
     if len(best_costs) < 2:
         return "keep"
     best = best_costs[0]
     stagnant = 0
     for cost in best_costs[1:]:
-        if cost < best - tolerance:
+        if cost < best - RESTART_TOLERANCE:
             best = cost
             stagnant = 0
         else:
@@ -140,19 +143,11 @@ def run_pbt(
     factor_down: float = 0.8,
     resample_prob: float = 0.25,
     explore_prob: float = 1.0,
-    kappa: float = 1.0,
-    gp_target: str | None = None,  # "improvement" | "cost"; default per mode
-    noise_variance: float = 1e-4,
     restart_patience: int | None = 3,
 ) -> TuneResult:
     check_settings(RULES, locals())  # locals() holds just the arguments here
-    if gp_target is None:
-        # warmstart points are full-run costs, so model raw cost when present
-        gp_target = "cost" if warmstart_runs > 0 else "improvement"
-
-    warm_results, warm_ranked = ([], [])
-    if warmstart_runs > 0:
-        warm_results, warm_ranked = warmstart(space, runner, rng, warmstart_runs)
+    model_cost = warmstart_runs > 0  # the GP's target; see the module docstring
+    warm_results, warm_ranked = warmstart(space, runner, rng, warmstart_runs)
 
     members = []
     for i in range(population_size):
@@ -162,7 +157,7 @@ def run_pbt(
     # model history: (unit config vector, normalized time, target)
     gp_points: list[tuple[np.ndarray, float, float]] = []
     warm_points: list[tuple[np.ndarray, float, float]] = []
-    if gp_target == "cost":
+    if model_cost:
         for res in warm_results:
             warm_points.append((to_unit(space, res.config), 1.0, res.cost))
         gp_points = list(warm_points)
@@ -184,7 +179,6 @@ def run_pbt(
                     np.array([p[0] for p in gp_points]),
                     np.array([p[1] for p in gp_points]),
                     np.array([p[2] for p in gp_points]),
-                    noise_variance=noise_variance,
                     length_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
                     time_scale_grid=np.geomspace(0.05, 2.0, 5) * grid_scale,
                 )
@@ -202,7 +196,6 @@ def run_pbt(
                     time_value=(interval + 1) / num_intervals,
                     dimension=space.dimension,
                     rng=rng,
-                    kappa=kappa,
                 )
                 return from_unit(space, vec), GP
             return (
@@ -226,21 +219,20 @@ def run_pbt(
             ]
         )
         for m, res in zip(members, results):
-            m.cost_history.append(res.cost)
+            prev, m.cost = m.cost, res.cost
             for seed, ckpt in res.checkpoints.items():
                 old = m.checkpoints.get(seed)
                 if old is not None and ckpt.trained_fraction < old.trained_fraction:
                     raise RuntimeError("checkpoint fraction regressed within a lineage")
                 m.checkpoints[seed] = ckpt
-            prev = m.cost_history[-2] if len(m.cost_history) >= 2 else None
             if not res.failed:
-                if gp_target == "cost":
+                if model_cost:
                     gp_points.append((to_unit(space, m.config), budget, res.cost))
-                elif prev is not None and math.isfinite(prev):
+                elif math.isfinite(prev):
                     # cost change, lower (more negative) is better
                     gp_points.append((to_unit(space, m.config), budget, res.cost - prev))
 
-        costs = [m.current_cost() for m in members]
+        costs = [m.cost for m in members]
         finite = [c for c in costs if math.isfinite(c)]
         if finite:
             best_per_interval.append(min(finite))
@@ -259,17 +251,8 @@ def run_pbt(
         )
         for loser_i, winner_i in plan:
             loser, winner = members[loser_i], members[winner_i]
-            copied = {
-                seed: CheckpointHandle(
-                    key=f"m{loser.id}:i{interval}:{seed}",
-                    trained_fraction=ckpt.trained_fraction,
-                    payload=ckpt.load(),
-                    path=ckpt.path,
-                )
-                for seed, ckpt in winner.checkpoints.items()
-            }
-            loser.checkpoints = copied
-            loser.cost_history[-1] = winner.cost_history[-1]
+            loser.checkpoints = dict(winner.checkpoints)  # handles are never written to
+            loser.cost = winner.cost
             if float(rng.random()) < explore_prob:
                 new_cfg, mode = explore_config(winner.config, interval)
             else:
@@ -293,19 +276,16 @@ def run_pbt(
                 gp_restarts += 1
                 grid_scale = float(np.exp(rng.uniform(-0.5, 0.5)))
 
-    ranked = sorted(members, key=lambda m: (m.current_cost(), m.id))
-    best = ranked[0]
-    if not math.isfinite(best.current_cost()):
+    best = min(members, key=lambda m: (m.cost, m.id))
+    if not math.isfinite(best.cost):
         raise NoIncumbentError("no incumbent: every member failed its final interval")
 
     runner.journal.append(
         {
             "t": INCUMBENT,
             "config": dict(best.config.values),
-            "cost": best.current_cost(),
+            "cost": best.cost,
             "budget": 1.0,
         }
     )
-    return runner.complete(
-        best.config, best.current_cost(), population_size * 1.0 + warmstart_runs * 1.0
-    )
+    return runner.complete(best.config, best.cost, population_size * 1.0 + warmstart_runs * 1.0)

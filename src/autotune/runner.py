@@ -108,13 +108,15 @@ class TrialRunner:
         checkpoint_dir: str | None = None,
         workers: int = 1,
     ):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.objective = objective
         self.seeds = list(_checked_seeds(seeds))
         self.journal = journal if journal is not None else Journal()
         if self.journal.header is None:
             self.journal.write_header({"method": "adhoc"})
         self.checkpoint_dir = checkpoint_dir
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         # the next live group's id: groups journaled so far, replayed ones too
         self._groups = len(self.journal.of_type(GROUP))
         self.groups_run = 0  # replayed or journaled by this runner

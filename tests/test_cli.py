@@ -94,9 +94,12 @@ LADDER = ["--min-budget", "0.25", "--eta", "2"]
         (["pbt", "--explore-prob", "7"], ["pbt", "--explore-prob", "0"]),
         # a run of no repetitions used to end in "no journals under DIR", exit 4
         (["rs", "--repetitions", "0"], ["rs", "--repetitions", "1"]),
+        # the runner used to run -3 workers as 1
+        (["rs", "--workers", "-3"], ["rs", "--workers", "1"]),
     ],
     ids=["population", "intervals", "iterations", "quantile", "factor-up", "resample-prob",
-         "restart-patience", "warmstart-runs", "de-f", "de-cr", "explore-prob", "repetitions"],
+         "restart-patience", "warmstart-runs", "de-f", "de-cr", "explore-prob", "repetitions",
+         "workers"],
 )
 def test_a_tuner_setting_out_of_range_exits_2_before_writing(space, tmp_path, capsys, bad, good):
     out = tmp_path / "run"
@@ -211,6 +214,37 @@ def test_a_repetition_whose_every_test_seed_failed_prints_failed(space, tmp_path
     assert "repetition 0: failed\n" in capsys.readouterr().out
     [row] = csv.DictReader(io.StringIO((tmp_path / "run/exports/incumbents.csv").read_text()))
     assert row["tuning_cost"] == row["test_mean"] == ""
+
+
+def test_a_resume_names_the_torn_records_it_drops_on_stderr(space, tmp_path, capsys):
+    args = ["rs", *VALLEY, *SEEDS, "--budget-runs", "3"]
+    assert tune(space, tmp_path / "whole", *args) == EXIT_OK
+    out = tmp_path / "run"
+    assert tune(space, out, *args) == EXIT_OK
+    path = out / "rep000" / JOURNAL_NAME
+    text = path.read_text()
+    mid = text.index("\n", len(text) // 2) + 10  # ten bytes into a record
+    path.write_text(text[:mid])
+    with open(out / "rep000" / "checkpoints" / "checkpoints.pack", "ab") as fh:
+        fh.write(b"{\"")
+    capsys.readouterr()
+    assert tune(space, out, *args) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "dropped torn trailing record" in captured.err
+    assert "dropped a torn last frame of 2 bytes" in captured.err
+    assert "dropped" not in captured.out and "repetition 0: incumbent cost" in captured.out
+    whole = (tmp_path / "whole" / "exports" / "incumbents.csv").read_bytes()
+    assert (out / "exports" / "incumbents.csv").read_bytes() == whole
+
+
+def test_a_report_names_a_torn_last_record_on_stderr(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
+    path = out / "rep000" / JOURNAL_NAME
+    path.write_text(path.read_text()[:-10])
+    capsys.readouterr()
+    assert main(["report", "trials", str(out)]) == EXIT_OK
+    assert "dropped torn trailing record" in capsys.readouterr().err
 
 
 def test_report_on_a_missing_directory_exits_4(tmp_path, capsys):

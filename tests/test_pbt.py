@@ -2,12 +2,16 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autotune.checkpoints import read_checkpoint
 from autotune.journal import Journal
-from autotune.objectives import ObjectiveSpec, SeededValley
+from autotune.objectives import GridworldQ, ObjectiveSpec, SeededValley
 from autotune.pbt import exploit, run_pbt
 from autotune.protocol import MethodSpec, SeedPlan
 from autotune.runner import TrialRunner
@@ -139,3 +143,111 @@ def test_pbt_branches_write_their_pinned_journals(tmp_path, case, workers):
     journal = Journal.load(str(tmp_path / JOURNAL_NAME))
     assert {r["mode"] for r in journal.of_type("explore")} == modes
     assert journal_digest(journal) == digest
+
+
+# ---------------------------------------------------------------------------
+# Lineage invariants on a small gridworld, read back from the journal
+
+
+class RecordingGridworld(GridworldQ):
+    """Gridworld that records, per evaluation, the sha256 of the checkpoint
+    it resumes from (None for a fresh start)."""
+
+    def __init__(self):
+        super().__init__(total_steps=60)
+        self.resumed = []
+
+    def evaluate(self, config, budget, seed, resume=None):
+        self.resumed.append(None if resume is None else hashlib.sha256(resume.load()).hexdigest())
+        return super().evaluate(config, budget, seed, resume=resume)
+
+
+pbt_settings = st.fixed_dictionaries({
+    "population_size": st.integers(2, 5),
+    "num_intervals": st.integers(2, 4),
+    "quantile": st.sampled_from([0.125, 0.25, 0.5]),
+    "explore_mode": st.sampled_from(["perturb", "gp"]),
+    "warmstart_runs": st.integers(0, 2),
+    "explore_prob": st.sampled_from([0.0, 0.5, 1.0]),
+})
+
+
+def traced_pbt(settings_, seeds, rng_seed):
+    """Run PBT on a small gridworld with a file-backed checkpoint pack.
+
+    Returns the journal, the digest each evaluation resumed from (in
+    evaluation order, which is journal order at one worker), the sha256 of
+    every checkpoint frame by path, and per trial record the checkpoint its
+    member held when it started, as (path, fraction), or None.
+    """
+    objective = RecordingGridworld()
+    with tempfile.TemporaryDirectory() as directory:
+        runner = TrialRunner(objective, seeds=seeds, checkpoint_dir=directory)
+        run_pbt(objective.space, runner, np.random.default_rng(rng_seed), **settings_)
+        runner.close()
+        journal = runner.journal
+        frames = {t["ckpt"]: hashlib.sha256(read_checkpoint(t["ckpt"])).hexdigest()
+                  for t in journal.of_type("trial") if t["ckpt"]}
+    held = {}  # member -> {seed: (path, fraction)} of its latest checkpoints
+    sources, trials = [], []
+    for record in journal.records:
+        if record["t"] == "trial":
+            trials.append(record)
+        elif record["t"] == "group":
+            member = record.get("tags", {}).get("member")
+            mine = held.setdefault(member, {}) if member is not None else {}
+            sources.extend(mine.get(t["seed"]) for t in trials)
+            mine.update({t["seed"]: (t["ckpt"], t["frac"]) for t in trials if t["ckpt"]})
+            trials = []
+        elif record["t"] == "exploit":
+            held.update({loser: dict(held[winner]) for loser, winner in record["plan"]})
+    return journal, objective.resumed, frames, sources
+
+
+def tune_trials(journal):
+    """(interval, member, seed) -> trial record of every PBT interval."""
+    groups = {g["group"]: g["tags"] for g in journal.of_type("group") if "tags" in g}
+    return {(groups[t["group"]]["interval"], groups[t["group"]]["member"], t["seed"]): t
+            for t in journal.of_type("trial") if t["group"] in groups}
+
+
+@settings(max_examples=15, deadline=None)
+@given(pbt_settings, st.sampled_from([[0], [3, 4]]), st.integers(0, 2**16))
+def test_a_loser_resumes_from_the_bytes_of_its_winners_checkpoint(settings_, seeds, rng_seed):
+    journal, resumed, frames, sources = traced_pbt(settings_, seeds, rng_seed)
+    assert resumed == [None if s is None else frames[s[0]] for s in sources]
+    trials = tune_trials(journal)
+    explores = journal.of_type("explore")
+    assert explores  # every interval but the last exploits at least one pair
+    for record in explores:
+        for seed in seeds:
+            winner = trials[record["interval"], record["source"], seed]
+            loser_next = trials[record["interval"] + 1, record["member"], seed]
+            index = journal.of_type("trial").index(loser_next)
+            assert resumed[index] == frames[winner["ckpt"]]
+
+
+@settings(max_examples=15, deadline=None)
+@given(pbt_settings, st.sampled_from([[0], [3, 4]]), st.integers(0, 2**16))
+def test_checkpoint_fractions_never_decrease_along_a_lineage(settings_, seeds, rng_seed):
+    journal, _, _, sources = traced_pbt(settings_, seeds, rng_seed)
+    trials = journal.of_type("trial")
+    for trial, source in zip(trials, sources):
+        if source is not None and trial["frac"] is not None:
+            assert source[1] <= trial["frac"]
+    for group in journal.of_type("group"):
+        if "tags" in group:
+            # spend is the training past the checkpoint the member held
+            start = max((s[1] for t, s in zip(trials, sources)
+                         if t["group"] == group["group"] and s is not None), default=0.0)
+            assert group["spend"] == group["budget"] - start
+
+
+@settings(max_examples=15, deadline=None)
+@given(pbt_settings, st.integers(0, 2**16))
+def test_pbt_spends_one_run_per_member_and_warmstart(settings_, rng_seed):
+    objective = GridworldQ(total_steps=60)
+    runner = TrialRunner(objective, seeds=[0])
+    run_pbt(objective.space, runner, np.random.default_rng(rng_seed), **settings_)
+    want = settings_["population_size"] + settings_["warmstart_runs"]
+    assert runner.journal.spend() == pytest.approx(want)

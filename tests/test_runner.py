@@ -178,3 +178,9 @@ def test_children_stop_when_a_child_raises_in_a_repetition(tmp_path, two_cpus, m
     with pytest.raises(ValueError, match="scripted failure"):
         repetition(tmp_path)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        TrialRunner(SeededValley(), seeds=[0], workers=workers)
