@@ -4,14 +4,17 @@
          --tuning-seeds 0,1,2,3,4 --test-seeds 5..14 --repetitions R
          --rng-seed S --workers W --out DIR
     report {checklist,ranks,incumbents,trials} DIR...
-    sweep --space F --objective NAME --param NAME --values ... --seeds ...
+    sweep --space F --objective NAME|cmd:... --param NAME --values ... --seeds ...
+          --budget B --base K=V --out DIR
 
 ``report`` with one DIR writes DIR/exports/ and prints the paths; with
 several DIRs it prints the combined report to stdout. ``trials`` takes one
-DIR. AUTOTUNE_RUN_DIR overrides --out. Results go to stdout; errors, and
-warnings the ``autotune`` logger gives (such as torn records a resume
-drops), go to stderr. Exit codes: 0 success, 2 usage error, 3 objective
-failure, 4 journal corruption.
+DIR. ``sweep`` journals into DIR/sweeps/ and writes its table to DIR; run
+again with the same arguments, it resumes from that journal. As with
+``tune``, a rerun whose arguments differ is refused. AUTOTUNE_RUN_DIR
+overrides --out. Results go to stdout; errors, and warnings the ``autotune``
+logger gives (such as torn records a resume drops), go to stderr. Exit
+codes: 0 success, 2 usage error, 3 objective failure, 4 journal corruption.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .journal import JournalCorrupt, JournalError
+from .journal import JournalCorrupt, JournalError, space_digest
 from .objectives import EvaluationError, ObjectiveSpec, make_objective
 from .protocol import MethodSpec, SeedPlan
 from .runner import NoIncumbentError
@@ -31,6 +34,7 @@ from .runs import (
     TuneExports,
     default_run_dir,
     export,
+    opened_run,
     render,
     rep_dir,
     repetition_dirs,
@@ -248,11 +252,8 @@ def _cmd_sweep(args) -> int:
     with open(args.space, "r", encoding="utf-8") as fh:
         space_text = fh.read()
     space = parse_space(space_text)
-    objective = make_objective(
-        _objective_spec(args.objective, _parse_params(args.objective_param)), space=space
-    )
-    if args.param not in space:
-        raise UsageError(f"unknown parameter {args.param!r}")
+    objective_spec = _objective_spec(args.objective, _parse_params(args.objective_param))
+    objective = make_objective(objective_spec, space=space)
     base_values = {}
     midpoint = from_unit(space, np.full(space.dimension, 0.5))
     base_values.update(midpoint.values)
@@ -273,9 +274,21 @@ def _cmd_sweep(args) -> int:
         parse_seed_list(args.seeds),
         budget=args.budget,
     )
-    table = run_sweep(spec, objective)
+    header = {
+        "method": "sweep",
+        "space_text": space_text,
+        "space_digest": space_digest(space_text),
+        "objective": objective_spec.as_dict(),
+        "base": dict(spec.base_config.values),
+        "param": spec.param,
+        "values": list(spec.values),
+        "seeds": list(spec.seeds),
+        "budget": spec.budget,
+    }
     out_dir = os.environ.get("AUTOTUNE_RUN_DIR") or args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    directory = os.path.join(out_dir, "sweeps", f"{objective.name}_{spec.param}")
+    with opened_run(directory, header, objective, spec.seeds) as runner:
+        table = run_sweep(spec, runner)
     path = os.path.join(out_dir, table.csv_name())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table.to_csv())

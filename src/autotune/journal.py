@@ -106,8 +106,16 @@ class Journal:
         line = json.dumps({**header, "t": HEADER}, sort_keys=True)
         header = json.loads(line)
         if self.header is not None:
-            if _strip_volatile(header) != _strip_volatile(self.header):
-                raise ReplayMismatch("resumed run has a different header")
+            recorded, current = _strip_volatile(self.header), _strip_volatile(header)
+            if current != recorded:
+                key = min(  # ... marks a missing key; no JSON value equals it
+                    k for k in recorded.keys() | current.keys()
+                    if recorded.get(k, ...) != current.get(k, ...)
+                )
+                raise ReplayMismatch(
+                    f"resumed run has a different header: {key} is "
+                    f"{recorded.get(key)!r} in the journal, {current.get(key)!r} now"
+                )
             return
         self.header = header
         self._write_line(line)

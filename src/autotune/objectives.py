@@ -38,6 +38,7 @@ import math
 import os
 import pickle
 import shlex
+import shutil
 import signal
 import subprocess
 import tempfile
@@ -575,6 +576,9 @@ def _kill_group(proc: subprocess.Popen) -> None:
     proc.wait()
 
 
+_COMMAND_VARIABLES = ("AUTOTUNE_BUDGET", "AUTOTUNE_SEED", "AUTOTUNE_CHECKPOINT")
+
+
 class ExternalCommand(Objective):
     """Run a user-provided command as the objective.
 
@@ -584,6 +588,12 @@ class ExternalCommand(Objective):
     state there). The final stdout line must be ``cost=<float>``. With a
     ``timeout`` (seconds), a command still running after it is killed,
     together with every process it started, and the trial fails.
+
+    A program that cannot be found (on PATH, or relative to ``workdir`` when
+    its name holds a ``/``) is refused when the objective is built, and so is
+    a ``space`` with a parameter whose variable would replace one of the
+    three above or one the command inherits. A program that cannot start
+    later fails its trial.
     """
 
     name = "external_command"
@@ -594,11 +604,24 @@ class ExternalCommand(Objective):
         command: str,
         workdir: str | None = None,
         timeout: float | None = None,
+        space: ConfigSpace | None = None,
     ):
         if not command.strip():
             raise ValueError("external command must be non-empty")
         if timeout is not None and not (float(timeout) > 0.0):
             raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
+        program = shlex.split(command)[0]
+        # Popen looks a program with a "/" up relative to its cwd, others on PATH
+        lookup = os.path.join(workdir or "", program) if "/" in program else program
+        if shutil.which(lookup) is None:
+            raise ValueError(f"command {program!r} is not an executable program")
+        taken = {*_COMMAND_VARIABLES, *os.environ}
+        for name in () if space is None else space.names:
+            if name.upper() in taken:
+                raise ValueError(
+                    f"hyperparameter {name!r} would replace the command's "
+                    f"environment variable {name.upper()}"
+                )
         self.command = command
         self.workdir = workdir
         self.timeout = None if timeout is None else float(timeout)
@@ -620,15 +643,19 @@ class ExternalCommand(Objective):
         try:
             # in a session of its own, the command and every process it
             # starts form one process group, which a timeout kills whole
-            with subprocess.Popen(
-                shlex.split(self.command),
-                env=env,
-                cwd=self.workdir,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            ) as proc:
+            try:
+                proc = subprocess.Popen(
+                    shlex.split(self.command),
+                    env=env,
+                    cwd=self.workdir,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    start_new_session=True,
+                )
+            except OSError as err:  # such as a program removed since it was found
+                raise EvaluationError(f"command could not start: {err}") from err
+            with proc:
                 try:
                     stdout, stderr = proc.communicate(timeout=self.timeout)
                 except subprocess.TimeoutExpired as err:
@@ -683,12 +710,13 @@ _BUILTINS = {
 
 def make_objective(spec: ObjectiveSpec, space: ConfigSpace | None = None) -> Objective:
     """Build the objective ``spec`` describes; ``space``, when given, is the
-    space ``noisy_sphere`` and ``seeded_valley`` measure distance in."""
+    space ``noisy_sphere`` and ``seeded_valley`` measure distance in, and the
+    one whose names ``external_command`` checks against its environment."""
     if spec.kind not in _BUILTINS:
         raise ValueError(f"unknown objective kind {spec.kind!r}")
     cls = _BUILTINS[spec.kind]
     kw = dict(spec.params)
-    if space is not None and issubclass(cls, SeededValley):
+    if space is not None and issubclass(cls, (SeededValley, ExternalCommand)):
         kw["space"] = space
     try:
         return cls(**kw)

@@ -1,20 +1,24 @@
 """Run directories: journals on disk, resume, CSV and report export.
 
-Layout for one tuning invocation::
+Layout of one ``--out`` directory::
 
     <out>/
-      rep000/journal.log                     one journal per repetition
+      rep000/journal.log                     one journal per tuning repetition
       rep000/checkpoints/checkpoints.pack    its checkpoint payloads, appended
       exports/                               trials.csv, incumbents.csv, ...
+      sweeps/<objective>_<param>/            one sweep's journal and checkpoints
+      sweep_<objective>_<param>.csv          that sweep's table
 
 A trial record's ``ckpt`` is ``rep000/checkpoints/<name>``: the pack in that
 directory holds the payload in its frame ``<name>`` (see
-:mod:`autotune.checkpoints`).
+:mod:`autotune.checkpoints`). Reports read only the rep*/ journals.
 
-Resuming re-runs the optimizer deterministically against the recorded
-journal: run ``tune`` again with the same ``--out``. The header stores
-everything the run depends on (method, options, space text, objective spec,
-seeds, rng seed), and a resumed run whose header differs is refused.
+Every run, repetition or sweep, opens its directory through
+:func:`opened_run`. Resuming re-runs the optimizer or sweep
+deterministically against the recorded journal: run ``tune`` or ``sweep``
+again with the same ``--out``. The header stores everything the run depends
+on (for a repetition: method, options, space text, objective spec, seeds,
+rng seed), and a resumed run whose header differs is refused.
 """
 from __future__ import annotations
 
@@ -110,49 +114,47 @@ def run_repetition(
     space = parse_space(space_text)
     objective = make_objective(objective_spec, space=space)
     opts = method.plan(budget_runs)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, JOURNAL_NAME)
     header = make_header(
         method, space_text, objective_spec, objective.cost_metric, seed_plan,
         budget_runs, rng_seed, repetition,
     )
-    if os.path.exists(path):
-        journal = Journal.open_for_resume(path)
-    else:
-        journal = Journal.create(path)
-    with contextlib.closing(journal):
-        recorded = journal.header
-        if recorded is not None and recorded.get("space_digest") != header["space_digest"]:
-            raise JournalError(
-                "space digest mismatch: journal has "
-                f"{recorded.get('space_digest')}, current space is {header['space_digest']}"
+    with opened_run(directory, header, objective, seed_plan.tuning_seeds, workers) as runner:
+        rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
+        result = run_method(method, space, runner, rng, opts)
+        spend = runner.journal.spend()
+        if spend > budget_runs + 1e-9:
+            raise ValueError(
+                f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
             )
-        journal.write_header(header)
-        runner = TrialRunner(
-            objective,
-            list(seed_plan.tuning_seeds),
-            journal=journal,
-            checkpoint_dir=os.path.join(directory, "checkpoints"),
-            workers=workers,
+        runner.evaluate_many(
+            [
+                {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}
+                for seed in seed_plan.test_seeds
+            ]
         )
-        with contextlib.closing(runner):
-            rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
-            result = run_method(method, space, runner, rng, opts)
-            spend = journal.spend()
-            if spend > budget_runs + 1e-9:
-                raise ValueError(
-                    f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
-                )
-            runner.evaluate_many(
-                [
-                    {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}
-                    for seed in seed_plan.test_seeds
-                ]
+        row = _repetition_row(runner.journal)
+        if exports is not None:
+            exports.add(directory, runner.journal, row)
+        return row[2]
+
+
+@contextlib.contextmanager
+def opened_run(directory: str, header: dict, objective, seeds, workers: int = 1):
+    """A :class:`TrialRunner` that journals into ``directory`` and packs its
+    checkpoints in ``directory``/checkpoints. The journal there is resumed,
+    and must hold ``header``; with none there, a new one starts with
+    ``header``. Runner and journal close on exit."""
+    path = os.path.join(directory, JOURNAL_NAME)
+    journal = Journal.open_for_resume(path) if os.path.exists(path) else Journal.create(path)
+    with contextlib.closing(journal):
+        journal.write_header(header)
+        with contextlib.closing(
+            TrialRunner(
+                objective, list(seeds), journal=journal,
+                checkpoint_dir=os.path.join(directory, "checkpoints"), workers=workers,
             )
-            row = _repetition_row(journal)
-            if exports is not None:
-                exports.add(directory, journal, row)
-            return row[2]
+        ) as runner:
+            yield runner
 
 
 def report_from_directories(directories: list[str]) -> list[IncumbentReport]:

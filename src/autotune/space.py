@@ -160,7 +160,7 @@ class ConfigSpace:
         for p in self.params:
             if p.name == name:
                 return p
-        raise KeyError(name)
+        raise SpaceError(f"unknown parameter {name!r}")
 
     def __contains__(self, name: str) -> bool:
         return any(p.name == name for p in self.params)

@@ -2,8 +2,10 @@
 
 A sweep holds everything else at a base configuration and varies one
 parameter over an explicit value list, running every (value, seed) pair at a
-fixed budget. Trials run through a :class:`~autotune.runner.TrialRunner`, so
-a sweep trial fails by the same rule as a tuning trial. Output rows are
+fixed budget. Trials run through the :class:`~autotune.runner.TrialRunner`
+the caller gives, so a sweep trial fails by the same rule as a tuning trial,
+and a sweep whose runner journals to disk (``autotune sweep`` does, see
+:mod:`autotune.runs`) resumes as a tuning run does. Output rows are
 ordered by value position and carry per-seed costs plus mean, std and median
 over the survivors. A failed or non-finite trial is a blank cell that the
 count column leaves out.
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import Objective
 from .runner import TrialRunner
 from .space import ConfigSpace, Configuration
 
@@ -40,15 +41,12 @@ class SweepSpec:
             raise ValueError("value list must be non-empty")
         if len(set(values)) != len(values):
             raise ValueError("sweep values must be distinct")
-        p = space[param]
         for v in values:
-            if not p.contains(v):
-                raise ValueError(f"value {v!r} outside bounds of {param}")
+            space.validate(base_config.with_value(param, v))
         if not seeds or len(set(seeds)) != len(seeds):
             raise ValueError("seeds must be non-empty and distinct")
         if not (0.0 < budget <= 1.0):
             raise ValueError("budget must lie in (0, 1]")
-        space.validate(base_config.with_value(param, values[0]))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "base_config", base_config)
         object.__setattr__(self, "param", param)
@@ -109,19 +107,19 @@ class SweepTable:
         return buf.getvalue()
 
 
-def run_sweep(spec: SweepSpec, objective: Objective) -> SweepTable:
-    """Evaluate |values| x |seeds| trials; rows ordered by value position."""
-    runner = TrialRunner(objective, list(spec.seeds))
+def run_sweep(spec: SweepSpec, runner: TrialRunner) -> SweepTable:
+    """Evaluate |values| x |seeds| trials on ``runner``; rows ordered by
+    value position."""
     results = runner.evaluate_many(
         [
             {"config": spec.base_config.with_value(spec.param, v), "budget": spec.budget,
-             "purpose": "sweep"}
+             "seeds": spec.seeds, "purpose": "sweep"}
             for v in spec.values
         ]
     )
     rows = [SweepRow(value=v, per_seed=r.per_seed_cost) for v, r in zip(spec.values, results)]
     return SweepTable(
-        objective=objective.name, param=spec.param, seeds=spec.seeds, budget=spec.budget,
+        objective=runner.objective.name, param=spec.param, seeds=spec.seeds, budget=spec.budget,
         rows=rows,
     )
 

@@ -170,9 +170,90 @@ def test_sweep_refuses_a_non_integral_value_for_an_integer_parameter(space, tmp_
     assert "'2.7'" in capsys.readouterr().err
     assert not out.exists()
     assert sweep(space, out, "2.0,3") == EXIT_OK
-    [path] = out.iterdir()
+    [path] = out.glob("sweep_*.csv")
     rows = csv.DictReader(io.StringIO(path.read_text()))
     assert [row["value"] for row in rows if row["seed"] == "0"] == ["2", "3"]
+
+
+SWEEP = ["sweep", "--objective", "seeded_valley", "--param", "momentum", "--values", "0.1,0.5",
+         "--seeds", "0,1"]
+SWEEP_CSV = "sweep_seeded_valley_momentum.csv"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--param", "decay"], "unknown parameter 'decay'"),
+        (["--values", ","], "value list must be non-empty"),
+        (["--values", "0.1,0.1"], "sweep values must be distinct"),
+        (["--values", "0.1,1.5"], "momentum: value 1.5 outside"),
+        (["--seeds", "0,0"], "seeds must be non-empty and distinct"),
+        (["--seeds", "3..1"], "'3..1'"),
+        (["--budget", "0"], "budget must lie in (0, 1]"),
+        (["--base", "lr=2.0"], "lr: value 2.0 outside"),
+        (["--base", "decay=0.5"], "unknown parameters in configuration: ['decay']"),
+        (["--objective", "no_such_objective"], "unknown objective kind"),
+        (["--objective-param", "bogus=1"], "bogus"),
+        (["--objective", "cmd:no_such_prog"], "'no_such_prog'"),
+        (["--objective", "cmd:true"], "'layers' would replace"),
+    ],
+)
+def test_a_sweep_usage_error_exits_2_before_writing(space, tmp_path, capsys, monkeypatch,
+                                                    args, message):
+    monkeypatch.setenv("LAYERS", "4")  # a variable a cmd: objective would lose
+    out = tmp_path / "run"
+    assert main([*SWEEP, *args, "--space", space, "--out", str(out)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [["--values", "0.1,0.6"], ["--seeds", "0,2"], ["--base", "lr=0.01"], ["--budget", "0.5"],
+     ["--objective-param", "sigma=0.5"]],
+)
+def test_a_changed_sweep_into_the_same_out_exits_4_and_keeps_its_table(
+    space, tmp_path, capsys, change
+):
+    out = tmp_path / "run"
+    assert main([*SWEEP, "--space", space, "--out", str(out)]) == EXIT_OK
+    table = (out / SWEEP_CSV).read_bytes()
+    assert main([*SWEEP, *change, "--space", space, "--out", str(out)]) == EXIT_CORRUPT
+    assert "resumed run has a different header" in capsys.readouterr().err
+    assert (out / SWEEP_CSV).read_bytes() == table
+
+
+def test_a_sweep_beside_a_tune_run_leaves_its_reports_unchanged(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
+
+    def reports():
+        for kind in ("ranks", "incumbents"):
+            assert main(["report", kind, str(out)]) == EXIT_OK
+        return {name: (out / "exports" / name).read_bytes()
+                for name in ("ranks.csv", "incumbents.csv")}
+
+    before = reports()
+    assert main([*SWEEP, "--space", space, "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["exports", "rep000", SWEEP_CSV, "sweeps"]
+    assert reports() == before
+
+
+def test_a_program_that_cannot_be_found_exits_2_before_writing(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", "--objective", "cmd:no_such_prog") == EXIT_USAGE
+    assert "'no_such_prog' is not an executable program" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_parameter_named_after_an_inherited_variable_exits_2_before_writing(
+    space, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("MOMENTUM", "0.9")
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", "--objective", "cmd:true") == EXIT_USAGE
+    assert "environment variable MOMENTUM" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_deterministic_flag_is_a_usage_error(space, tmp_path):
@@ -265,8 +346,12 @@ def test_corrupt_line_in_the_middle_exits_4(space, tmp_path, capsys):
     assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_CORRUPT
 
 
-@pytest.mark.parametrize("change", ["budget", "space"])
-def test_a_refused_resume_closes_its_journal(space, tmp_path, capsys, change):
+@pytest.mark.parametrize(
+    "change, message",
+    [("budget", "budget_runs is 3 in the journal, 4 now"), ("space", "space_digest is '")],
+    ids=["budget", "space"],
+)
+def test_a_refused_resume_closes_its_journal(space, tmp_path, capsys, change, message):
     args = ["rs", *VALLEY, *SEEDS, "--budget-runs", "3"]
     assert tune(space, tmp_path / "run", *args) == EXIT_OK
     if change == "budget":
@@ -278,7 +363,9 @@ def test_a_refused_resume_closes_its_journal(space, tmp_path, capsys, change):
         warnings.simplefilter("always")
         assert tune(space, tmp_path / "run", *args) == EXIT_CORRUPT
         gc.collect()
-    assert "journal error" in capsys.readouterr().err
+    assert f"journal error: resumed run has a different header: {message}" in (
+        capsys.readouterr().err
+    )
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -153,9 +154,17 @@ def test_replay_divergence_is_rejected(tmp_path):
 def test_resume_header_mismatch_rejected(tmp_path):
     path = str(tmp_path / "journal.log")
     make_journal(path).close()
-    resumed = Journal.open_for_resume(path)
-    with pytest.raises(ReplayMismatch):
-        resumed.write_header({**HEADER, "budget_runs": 99})
+    for header, message in [
+        ({**HEADER, "budget_runs": 99}, "budget_runs is 4 in the journal, 99 now"),
+        # the first key in sorted order that differs is named
+        ({**HEADER, "space_digest": "xyz", "budget_runs": 5}, "budget_runs is 4 in the journal"),
+        ({**HEADER, "space_digest": "xyz"}, "space_digest is 'abc' in the journal, 'xyz' now"),
+        ({**HEADER, "extra": None}, "extra is None in the journal"),  # absent is not None
+    ]:
+        resumed = Journal.open_for_resume(path)
+        with pytest.raises(ReplayMismatch, match=f"different header: {re.escape(message)}"):
+            resumed.write_header(header)
+        resumed.close()
 
 
 def test_space_digest_stability():

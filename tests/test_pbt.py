@@ -99,17 +99,19 @@ gamma: (0.5, 0.999)
 epsilon_decay: (0.9, 1.0)
 """
 MIXED_SPACE = "lr: log(1e-05, 1.0)\nmomentum: (0.0, 0.99)\nlayers: int[1, 8]\nact: {a, b, c}\n"
-GRIDWORLD = ObjectiveSpec("gridworld_q", {"total_steps": 300})
+# at 300 steps every trial cost the same, and a digest could not tell which
+# checkpoint a PBT loser resumed from; at 1000 the costs differ
+GRIDWORLD = ObjectiveSpec("gridworld_q", {"total_steps": 1000})
 PINNED = {  # name -> (space, objective, options, budget, digest, explore modes)
     "gp-warmstart": (
         GRIDWORLD_SPACE, GRIDWORLD,
         {"explore_mode": "gp", "warmstart_runs": 3, "num_intervals": 5, "quantile": 0.25}, 9,
-        "502b5f28d6ea04e1f48f2aeef86de26f77302ef5b13ba313f0dc882eca7b0b70", {"gp"},
+        "c7634fe78b3e96310e176ea68d41a10127be52bf2f7bf8b16d379e0595236032", {"gp"},
     ),
     "perturb-half": (
         GRIDWORLD_SPACE, GRIDWORLD,
         {"explore_mode": "perturb", "explore_prob": 0.5, "num_intervals": 5, "quantile": 0.25},
-        8, "4da55eed4d33f74de8b35f5b8bd280f1d44e15abd29b4babba1b0a6381473ff6",
+        8, "056e71026bd68c7e51a4fee0010381395da707ee28667b3fc7cfd1c718f0747a",
         {"keep", "perturb"},
     ),
     "gp-valley-restarts": (

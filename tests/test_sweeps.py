@@ -1,10 +1,15 @@
 """Sweeps: trials fail by the runner's rule, rows follow value order, the
-CSV layout, the worst-versus-best summary and ``SweepSpec``'s input checks."""
+CSV layout, the worst-versus-best summary, ``SweepSpec``'s input checks, and
+``autotune sweep`` resuming from its journal."""
+import json
 import math
 
 import pytest
 
-from autotune.objectives import CheckpointHandle, EvaluationError
+from autotune.cli import EXIT_OK, main
+from autotune.objectives import CheckpointHandle, EvaluationError, SeededValley
+from autotune.runner import TrialRunner
+from autotune.runs import JOURNAL_NAME
 from autotune.space import ConfigSpace, Configuration, continuous
 from autotune.sweeps import SweepRow, SweepSpec, SweepTable, run_sweep, worst_vs_best_summary
 
@@ -28,7 +33,8 @@ class ScriptedCosts:
 
 
 def sweep(costs, values, seeds=(0, 1)):
-    return run_sweep(SweepSpec(SPACE, BASE, "x", values, seeds), ScriptedCosts(costs))
+    return run_sweep(SweepSpec(SPACE, BASE, "x", values, seeds),
+                     TrialRunner(ScriptedCosts(costs), seeds))
 
 
 def test_non_finite_costs_are_blank_cells_that_count_leaves_out():
@@ -118,3 +124,74 @@ def test_worst_vs_best_summary_needs_a_table():
 def test_sweep_spec_rejects_bad_input(param, values, seeds, budget):
     with pytest.raises(ValueError):
         SweepSpec(SPACE, BASE, param, values, seeds, budget=budget)
+
+
+SWEEP = ["sweep", "--objective", "seeded_valley", "--param", "momentum",
+         "--values", "0.1,0.5,0.9", "--seeds", "0,1"]
+CSV = "sweep_seeded_valley_momentum.csv"
+
+
+@pytest.fixture
+def run_sweep_into(tmp_path):
+    """Run ``autotune sweep`` into a directory under ``tmp_path``; returns
+    its exit code."""
+    space = tmp_path / "space.txt"
+    space.write_text("lr: log(1e-05, 1.0)\nmomentum: (0.0, 0.99)\n")
+    return lambda out: main([*SWEEP, "--space", str(space), "--out", str(out)])
+
+
+class Calls(list):
+    """(momentum, seed) per valley evaluation."""
+
+    interrupt_at = None  # the call number that raises KeyboardInterrupt
+
+
+def recorded_calls(monkeypatch) -> Calls:
+    calls = Calls()
+    evaluate = SeededValley.evaluate
+
+    def recorded(self, config, budget, seed, resume=None):
+        calls.append((config["momentum"], seed))
+        if len(calls) == calls.interrupt_at:
+            raise KeyboardInterrupt
+        return evaluate(self, config, budget, seed, resume=resume)
+
+    monkeypatch.setattr(SeededValley, "evaluate", recorded)
+    return calls
+
+
+def test_an_interrupted_sweep_resumes_without_evaluating_its_journaled_groups(
+    tmp_path, monkeypatch, run_sweep_into
+):
+    assert run_sweep_into(tmp_path / "whole") == EXIT_OK
+    out = tmp_path / "run"
+    calls = recorded_calls(monkeypatch)
+    calls.interrupt_at = 4  # the second seed of the second value
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep_into(out)
+    assert not (out / CSV).exists()
+    calls.clear()
+    calls.interrupt_at = None
+    assert run_sweep_into(out) == EXIT_OK
+    assert calls == [(0.5, 0), (0.5, 1), (0.9, 0), (0.9, 1)]
+    assert (out / CSV).read_bytes() == (tmp_path / "whole" / CSV).read_bytes()
+    calls.clear()
+    assert run_sweep_into(out) == EXIT_OK  # a finished sweep replays whole
+    assert calls == []
+
+
+def test_a_sweep_journal_cut_with_a_torn_last_line_resumes(tmp_path, run_sweep_into):
+    out = tmp_path / "run"
+    assert run_sweep_into(out) == EXIT_OK
+    table = (out / CSV).read_bytes()
+    path = out / "sweeps" / "seeded_valley_momentum" / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 3 * 3  # the header, then two trials and a group per value
+    path.write_text("".join(lines[:4]) + lines[4][:15])  # the first group, a torn trial
+    (out / CSV).unlink()
+    assert run_sweep_into(out) == EXIT_OK
+    assert (out / CSV).read_bytes() == table
+    resumed = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [{k: v for k, v in r.items() if k != "wall_time"} for r in resumed] == [
+        {k: v for k, v in json.loads(line).items() if k != "wall_time"} for line in lines
+    ]
