@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,73 @@ def test_time_dimension_matters():
     early, _ = model.predict(np.array([[0.5]]), np.array([0.0]))
     late, _ = model.predict(np.array([[0.5]]), np.array([1.0]))
     assert float(early[0]) > float(late[0])
+
+
+# ---------------------------------------------------------------------------
+# Bit pins: sha256 of what a fit keeps and of predictions, recorded from the
+# code that rebuilt every kernel factor inside the grid loops
+
+
+def _case(n, offset=0.0, grid_scale=1.0, noise_variance=1e-4):
+    rng = np.random.default_rng(n)
+    x = offset + rng.random((n, 3)) * (0.05 if offset else 1.0)
+    t = rng.integers(1, 11, n) / 10.0  # PBT's interval times
+    y = rng.standard_normal(n)
+    grid = np.geomspace(0.05, 2.0, 5) * grid_scale
+    return fit_gp(x, t, y, noise_variance, length_scale_grid=grid, time_scale_grid=grid)
+
+
+def _fit_digest(model):
+    h = hashlib.sha256()
+    for a in (model._chol, model._alpha):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((model.log_marginal_likelihood, model.length_scale_config,
+                   model.length_scale_time)).encode())
+    return h.hexdigest()
+
+
+FIT_PINS = {
+    (2, 0.0, 1.0, 1e-4): "0402d62e8b929dd291e62ab2c46f0b71909e8bc39e58d9d16b96751ef1e4a54c",
+    (16, 0.0, 1.0, 1e-4): "56907cb1909fd8b431314c259c24f66b323867f3fe20ec154d623ade03b7de45",
+    (128, 0.0, 0.8, 1e-4): "1c7a7ea35e0149c2489afab0d576cdf00d0d21da785fa8199c0876e1e3921c90",
+    # points 1e4 from the origin lose the distance bits that keep the kernel
+    # positive definite, so the Cholesky factorisations escalate jitter
+    (24, 1e4, 1.0, 1e-12): "5d20b1ff063046f647c02f925dd31f40a59aeb31e75ee95c3c403428cb9d1b0f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_PINS))
+def test_fit_keeps_its_pinned_bits(case):
+    assert _fit_digest(_case(*case)) == FIT_PINS[case]
+
+
+def test_the_pinned_jitter_case_escalates(monkeypatch):
+    import autotune.gp as gp_module
+
+    calls = []
+    real_cholesky = np.linalg.cholesky
+
+    def counting(k):
+        calls.append(1)
+        return real_cholesky(k)
+
+    monkeypatch.setattr(gp_module.np.linalg, "cholesky", counting)
+    _case(24, 1e4, 1.0, 1e-12)
+    assert len(calls) > 25  # more than one factorisation per grid point
+
+
+PREDICT_PINS = {
+    "constant": "804d714ba6fa0cc5f44676e3b99396eeb566bf114ef24f8b23e9483100c0c811",
+    "mixed": "ee266ba8d597c2f33e1ea8f7d1ac08eeaa9c6391a84faee090798b67a682072c",
+}
+
+
+@pytest.mark.parametrize("times", sorted(PREDICT_PINS))
+def test_predict_keeps_its_pinned_bits(times):
+    model = _case(16)
+    rng = np.random.default_rng(7)
+    cands = rng.random((1000, 3))
+    t = np.full(1000, 0.7) if times == "constant" else rng.integers(1, 11, 1000) / 10.0
+    mean, std = model.predict(cands, t)
+    digest = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()
+    assert digest == PREDICT_PINS[times]
