@@ -41,7 +41,7 @@ from .runs import (
     run_repetition,
 )
 from .space import Configuration, SpaceError, from_unit, parse_space
-from .sweeps import SweepSpec, run_sweep
+from .sweeps import SweepSpec, run_sweep, sweep_label
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -286,7 +286,7 @@ def _cmd_sweep(args) -> int:
         "budget": spec.budget,
     }
     out_dir = os.environ.get("AUTOTUNE_RUN_DIR") or args.out or "."
-    directory = os.path.join(out_dir, "sweeps", f"{objective.name}_{spec.param}")
+    directory = os.path.join(out_dir, "sweeps", f"{sweep_label(objective)}_{spec.param}")
     with opened_run(directory, header, objective, spec.seeds) as runner:
         table = run_sweep(spec, runner)
     path = os.path.join(out_dir, table.csv_name())

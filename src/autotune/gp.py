@@ -57,8 +57,11 @@ class GpModel:
 
     def _kernel(self, xc1, xt1, xc2, xt2) -> np.ndarray:
         k = np.exp(-0.5 * _sq_dists(xc1, xc2) / self.length_scale_config**2)
-        dt = (xt1[:, None] - xt2[None, :]) ** 2
-        return k * np.exp(-0.5 * dt / self.length_scale_time**2)
+        # the time factor depends on a row's time alone, and candidates
+        # usually share one: compute a row per distinct time, then index
+        times, rows = np.unique(xt1, return_inverse=True)
+        dt = (times[:, None] - xt2[None, :]) ** 2
+        return k * np.exp(-0.5 * dt / self.length_scale_time**2)[rows]
 
     def predict(self, x_config, x_time) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function.
@@ -107,12 +110,16 @@ def fit_gp(
         scale = 1.0
     yn = (y - mu) / scale
 
+    # every factor that one grid axis alone determines is built once
+    sq = _sq_dists(x_config, x_config)
     dt = (x_time[:, None] - x_time[None, :]) ** 2
+    kts = [np.exp(-0.5 * dt / lt**2) for lt in time_scale_grid]
+    noise = noise_variance * np.eye(n)
     best = None
     for lc in length_scale_grid:
-        kc = np.exp(-0.5 * _sq_dists(x_config, x_config) / lc**2)
-        for lt in time_scale_grid:
-            k = kc * np.exp(-0.5 * dt / lt**2) + noise_variance * np.eye(n)
+        kc = np.exp(-0.5 * sq / lc**2)
+        for lt, kt in zip(time_scale_grid, kts):
+            k = kc * kt + noise
             chol = _chol_with_jitter(k)
             if chol is None:
                 continue

@@ -2,8 +2,12 @@
 
 The first record is the header (method, space text + digest, objective spec,
 seed plan, budget, rng seed). Every subsequent record carries a strictly
-increasing ``seq``. Appends flush before returning, so a record whose append
-returned survives a process kill.
+increasing ``seq``. Durability is per evaluation group: a trial record is
+written when it is appended but reaches the disk with its group's record,
+and every other append, a group record included, flushes before returning.
+So a record whose append returned survives a process kill once the group it
+belongs to has been appended; the trial records of a group cut short are
+lost or torn, and resume drops those anyway (see :func:`_trim_torn_group`).
 
 A journal opened for resume replays its existing records: every append made
 by the re-run is verified against the recorded one (ignoring wall time) and
@@ -33,6 +37,12 @@ log = logging.getLogger(__name__)
 # fields excluded when comparing a replayed record to the recorded one
 _VOLATILE = ("seq", "wall_time")
 
+# one encoder for every line; json.dumps(..., sort_keys=True) builds one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+# the types json.loads gives scalars back as, each for a value of that exact type
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
 
 class JournalError(RuntimeError):
     pass
@@ -52,6 +62,41 @@ def space_digest(space_text: str) -> str:
 
 def _strip_volatile(record: dict) -> dict:
     return {k: v for k, v in record.items() if k not in _VOLATILE}
+
+
+class _NotPlain(Exception):
+    """A value that only its JSON line shows the parsed form of."""
+
+
+def _plain(value):
+    """``value`` as ``json.loads`` gives it back from its JSON text, in new
+    containers: dicts with their ``str`` keys sorted, lists for lists and
+    tuples, ``float`` for a float subclass such as ``np.float64``.
+    Exact-type scalars are returned as they are. Raises :class:`_NotPlain`
+    for any other type and for a key that is not a ``str``."""
+    t = type(value)
+    if t is dict:
+        out = {}
+        for k in sorted(value):
+            if type(k) is not str:
+                raise _NotPlain
+            v = value[k]
+            out[k] = v if type(v) in _LEAVES else _plain(v)
+        return out
+    if t is list or t is tuple:
+        return [v if type(v) in _LEAVES else _plain(v) for v in value]
+    if isinstance(value, float):
+        return float(value)
+    raise _NotPlain
+
+
+def _kept(record: dict, line: str) -> dict:
+    """What ``json.loads(line)`` gives, where ``line`` is ``record``'s
+    encoding; built from ``record`` unless it holds other types."""
+    try:
+        return _plain(record)
+    except _NotPlain:
+        return json.loads(line)
 
 
 @dataclass
@@ -103,8 +148,9 @@ class Journal:
     # -- writing ------------------------------------------------------------
 
     def write_header(self, header: dict) -> None:
-        line = json.dumps({**header, "t": HEADER}, sort_keys=True)
-        header = json.loads(line)
+        header = {**header, "t": HEADER}
+        line = _encode(header)
+        header = _kept(header, line)
         if self.header is not None:
             recorded, current = _strip_volatile(self.header), _strip_volatile(header)
             if current != recorded:
@@ -128,15 +174,19 @@ class Journal:
         """Append (or verify against the replay queue); returns the seq number.
 
         Keys, at every level of ``record``, must be ``str``. The record is
-        written as one sorted JSON line, and the record kept is parsed back
-        from that line, so it holds what a reader of the file gets: lists
-        for tuples, plain floats, exact float values.
+        written as one sorted JSON line, and the record kept is a copy that
+        equals what a reader of that line parses: the same sorted keys,
+        lists for tuples, plain floats, exact float values, and no
+        container shared with ``record``. A trial record is not flushed:
+        it reaches the disk with its group's record (see the module
+        docstring). A replayed record is encoded too, so one that cannot
+        be serialised raises as it would in a live run.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
         if self._pending:
             expected = self._pending.popleft()
-            record = json.loads(json.dumps(record))  # canonical types, exact floats
+            record = _kept(record, _encode(record))  # canonical types, exact floats
             if _strip_volatile(expected) != _strip_volatile({**record, "seq": 0}):
                 raise ReplayMismatch(
                     f"resumed run diverged: expected {expected.get('t')} "
@@ -144,9 +194,10 @@ class Journal:
                 )
             return expected["seq"]
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        line = json.dumps({**record, "seq": seq}, sort_keys=True)
-        self.records.append(json.loads(line))
-        self._write_line(line)
+        record = {**record, "seq": seq}
+        line = _encode(record)
+        self.records.append(_kept(record, line))
+        self._write_line(line, flush=record.get("t") != TRIAL)
         return seq
 
     def take_group_if_pending(self, key: dict) -> list[dict] | None:
@@ -157,7 +208,7 @@ class Journal:
         """
         if not self._pending:
             return None
-        key = json.loads(json.dumps(key))
+        key = _kept(key, _encode(key))
         taken = []
         for rec in self._pending:
             taken.append(rec)
@@ -180,10 +231,11 @@ class Journal:
             self._pending.popleft()
         return taken
 
-    def _write_line(self, line: str) -> None:
+    def _write_line(self, line: str, flush: bool = True) -> None:
         if self._fh is not None:
             self._fh.write(line + "\n")
-            self._fh.flush()
+            if flush:
+                self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -183,8 +183,8 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-# most (config digest, seed) entries one valley or sphere instance remembers;
-# the memo is emptied when it is full
+# most (config digest, seed) terms, and most unit vectors, one valley or
+# sphere instance remembers; a memo is emptied when it is full
 _TERMS_CAP = 1 << 16
 
 
@@ -200,7 +200,9 @@ class SeededValley(Objective):
     them once for every pair it sees; the seed's text is the key because
     the streams are keyed on it (``1`` and ``True`` compare equal but derive
     different ones). A hit adds the budget's penalty and the noise in the
-    order a miss does, so the cost is the same bits.
+    order a miss does, so the cost is the same bits. The unit vector z is
+    kept per config digest as well, so each distinct configuration is
+    encoded once per instance, whichever object carries it.
     """
 
     name = "seeded_valley"
@@ -223,17 +225,22 @@ class SeededValley(Objective):
         self.space = space
         # (config digest, str(seed)) -> (squared distance, noise draw)
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
+        # config digest -> unit vector (read-only)
+        self._units: dict[str, np.ndarray] = {}
 
     def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
         """Unit vector (read-only) and digest of ``config``.
 
-        A group evaluates one configuration object on every seed, so the
-        last one is remembered. A hit needs that object holding the very
-        same value objects, so after ``values`` changes, even from ``1`` to
-        ``1.0`` or ``True`` or from ``0.0`` to ``-0.0``, it is encoded again.
-        Under ``--workers`` each forked worker evaluates on its own copy of
-        the objective, so this memo and ``_terms`` fill separately in each
-        process and are never shared; a cost never depends on what they hold.
+        The vector is kept per digest, which tells ``1``, ``1.0`` and
+        ``True`` apart and ``0.0`` from ``-0.0``, so a configuration is
+        encoded once however many objects carry it. A group evaluates one
+        configuration object on every seed, so the last one is remembered
+        too and skips the digest. A hit there needs that object holding the
+        very same value objects, so after ``values`` changes the digest is
+        taken again. Under ``--workers`` each forked worker evaluates on its
+        own copy of the objective, so these memos and ``_terms`` fill
+        separately in each process and are never shared; a cost never
+        depends on what they hold.
         """
         items = tuple(config.values.items())
         memo = self._memo
@@ -244,9 +251,14 @@ class SeededValley(Objective):
             and all(k == j and v is w for (k, v), (j, w) in zip(memo[1], items))
         ):
             return memo[2], memo[3]
-        z = to_unit(self.space, config)
-        z.flags.writeable = False
         digest = config_digest(config)
+        z = self._units.get(digest)
+        if z is None:
+            z = to_unit(self.space, config)
+            z.flags.writeable = False
+            if len(self._units) >= _TERMS_CAP:
+                self._units.clear()
+            self._units[digest] = z
         self._memo = (config, items, z, digest)
         return z, digest
 

@@ -68,6 +68,12 @@ class Member:
     config: Configuration
     checkpoints: dict = field(default_factory=dict)  # seed -> CheckpointHandle
     cost: float = math.inf  # the last interval's, or its winner's after an exploit
+    unit: np.ndarray | None = None  # to_unit of config, once a GP point needs it
+
+    def encoded(self, space: ConfigSpace) -> np.ndarray:
+        if self.unit is None:
+            self.unit = to_unit(space, self.config)
+        return self.unit
 
 
 def exploit(costs: list[float], quantile: float) -> list[tuple[int, int]]:
@@ -154,10 +160,11 @@ def run_pbt(
         cfg = warm_ranked[i] if i < len(warm_ranked) else sample(space, rng)
         members.append(Member(id=i, config=cfg))
 
-    # model history: (unit config vector, normalized time, target)
+    # model history: (unit config vector, normalized time, target), kept
+    # only when the GP explores
     gp_points: list[tuple[np.ndarray, float, float]] = []
     warm_points: list[tuple[np.ndarray, float, float]] = []
-    if model_cost:
+    if model_cost and explore_mode == GP:
         for res in warm_results:
             warm_points.append((to_unit(space, res.config), 1.0, res.cost))
         gp_points = list(warm_points)
@@ -225,12 +232,12 @@ def run_pbt(
                 if old is not None and ckpt.trained_fraction < old.trained_fraction:
                     raise RuntimeError("checkpoint fraction regressed within a lineage")
                 m.checkpoints[seed] = ckpt
-            if not res.failed:
+            if not res.failed and explore_mode == GP:
                 if model_cost:
-                    gp_points.append((to_unit(space, m.config), budget, res.cost))
+                    gp_points.append((m.encoded(space), budget, res.cost))
                 elif math.isfinite(prev):
                     # cost change, lower (more negative) is better
-                    gp_points.append((to_unit(space, m.config), budget, res.cost - prev))
+                    gp_points.append((m.encoded(space), budget, res.cost - prev))
 
         costs = [m.cost for m in members]
         finite = [c for c in costs if math.isfinite(c)]
@@ -255,8 +262,10 @@ def run_pbt(
             loser.cost = winner.cost
             if float(rng.random()) < explore_prob:
                 new_cfg, mode = explore_config(winner.config, interval)
+                loser.unit = None
             else:
                 new_cfg, mode = winner.config, "keep"
+                loser.unit = winner.unit
             loser.config = new_cfg
             runner.journal.append(
                 {

@@ -9,6 +9,11 @@ Layout of one ``--out`` directory::
       sweeps/<objective>_<param>/            one sweep's journal and checkpoints
       sweep_<objective>_<param>.csv          that sweep's table
 
+A sweep's ``<objective>`` is the objective's name, or for a ``cmd:``
+objective ``external_command-`` and 8 hex digits of its command's sha256
+(:func:`autotune.sweeps.sweep_label`), so sweeps of different commands
+share an ``--out``.
+
 A trial record's ``ckpt`` is ``rep000/checkpoints/<name>``: the pack in that
 directory holds the payload in its frame ``<name>`` (see
 :mod:`autotune.checkpoints`). Reports read only the rep*/ journals.
@@ -307,17 +312,24 @@ def _rep_subdirs(run_dir: str) -> list[str]:
 
 
 def trials_csv(journal: Journal) -> str:
-    params = sorted(
-        {k for r in journal.of_type(TRIAL) for k in r["config"]}
-    ) or sorted(parse_space(journal.header["space_text"]).names)
+    trials = journal.of_type(TRIAL)
+    params = sorted({k for r in trials for k in r["config"]}) or sorted(
+        parse_space(journal.header["space_text"]).names
+    )
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["seq", *params, "budget", "seed", "cost", "status", "wall_time"])
-    for r in journal.of_type(TRIAL):
+    group = None
+    for r in trials:
+        # a group's trials are consecutive and share its config; keyed on the
+        # id, as equal values such as 1 and 1.0 print apart
+        if r["group"] != group:
+            group = r["group"]
+            cells = [_cell(r["config"].get(p, "")) for p in params]
         w.writerow(
             [
                 r["seq"],
-                *[r["config"].get(p, "") for p in params],
+                *cells,
                 repr(r["budget"]),
                 r["seed"],
                 "" if r["cost"] is None else repr(r["cost"]),
@@ -326,6 +338,13 @@ def trials_csv(journal: Journal) -> str:
             ]
         )
     return buf.getvalue()
+
+
+def _cell(value) -> str:
+    """``value`` as a ``csv.writer`` prints it."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def incumbents_csv(reports: list[IncumbentReport]) -> str:

@@ -13,12 +13,14 @@ count column leaves out.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objectives import ExternalCommand, Objective
 from .runner import TrialRunner
 from .space import ConfigSpace, Configuration
 
@@ -107,6 +109,16 @@ class SweepTable:
         return buf.getvalue()
 
 
+def sweep_label(objective: Objective) -> str:
+    """The name a sweep of ``objective`` is filed under: the objective's
+    name, or for a command ``external_command-`` and the first 8 hex digits
+    of the command's sha256, so sweeps of different commands keep apart."""
+    if isinstance(objective, ExternalCommand):
+        digest = hashlib.sha256(objective.command.encode("utf-8")).hexdigest()
+        return f"{objective.name}-{digest[:8]}"
+    return objective.name
+
+
 def run_sweep(spec: SweepSpec, runner: TrialRunner) -> SweepTable:
     """Evaluate |values| x |seeds| trials on ``runner``; rows ordered by
     value position."""
@@ -119,8 +131,8 @@ def run_sweep(spec: SweepSpec, runner: TrialRunner) -> SweepTable:
     )
     rows = [SweepRow(value=v, per_seed=r.per_seed_cost) for v, r in zip(spec.values, results)]
     return SweepTable(
-        objective=runner.objective.name, param=spec.param, seeds=spec.seeds, budget=spec.budget,
-        rows=rows,
+        objective=sweep_label(runner.objective), param=spec.param, seeds=spec.seeds,
+        budget=spec.budget, rows=rows,
     )
 
 

@@ -2,6 +2,7 @@
 4 journal corruption; and the journal a worker pool writes."""
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -420,3 +421,40 @@ def test_worker_pool_writes_the_single_worker_journal(space, tmp_path):
     assert w1[0]["t"] == "header" and w1[0]["deterministic"] is True
     assert len(w1) > 30
     assert w2 == w1
+
+
+def test_sweeps_of_two_commands_share_an_out_and_each_resumes(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    commands = []
+    for name, cost in (("a.sh", "$MOMENTUM"), ("b.sh", "$AUTOTUNE_SEED")):
+        script = tmp_path / name
+        script.write_text(f'echo "cost={cost}"\n')
+        commands.append(f"sh {script}")
+    labels = ["external_command-" + hashlib.sha256(c.encode()).hexdigest()[:8] for c in commands]
+
+    def sweep_with(command):
+        args = ["sweep", "--objective", f"cmd:{command}", "--param", "momentum",
+                "--values", "0.1,0.5", "--seeds", "0,1", "--space", space, "--out", str(out)]
+        assert main(args) == EXIT_OK
+
+    for command in commands:
+        sweep_with(command)
+    tables = {label: (out / f"sweep_{label}_momentum.csv").read_bytes() for label in labels}
+    assert tables[labels[0]] != tables[labels[1]]
+    journals = [out / "sweeps" / f"{label}_momentum" / JOURNAL_NAME for label in labels]
+
+    def records(path):
+        return [{k: v for k, v in r.items() if k != "wall_time"}
+                for r in Journal.load(str(path)).records]
+
+    whole = [records(path) for path in journals]
+    for i, (path, command) in enumerate(zip(journals, commands)):
+        # header, two trials and the first group: the rerun evaluates the second
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]))
+        other = journals[1 - i].read_bytes()
+        sweep_with(command)
+        assert journals[1 - i].read_bytes() == other
+        assert [records(p) for p in journals] == whole
+        assert {label: (out / f"sweep_{label}_momentum.csv").read_bytes()
+                for label in labels} == tables

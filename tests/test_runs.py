@@ -1,5 +1,8 @@
 """The exports ``tune`` writes from memory equal ``report`` run afterwards."""
+import csv
 import gc
+import hashlib
+import io
 import os
 import shutil
 import weakref
@@ -8,7 +11,7 @@ import pytest
 
 from autotune.cli import main
 from autotune.journal import Journal
-from autotune.runs import JOURNAL_NAME, TuneExports
+from autotune.runs import JOURNAL_NAME, TuneExports, trials_csv
 
 SPACE_TEXT = """\
 lr: log(1e-05, 1.0)
@@ -118,3 +121,41 @@ def test_exports_keep_no_journal(space, tmp_path):
     gc.collect()
     assert alive() is None
     exports.close()
+
+
+def _trials_journal():
+    """A journal whose consecutive groups hold equal values that print apart
+    (1 and 1.0 and True, 0.0 and -0.0), a categorical value holding a comma
+    and one holding a quote, a failed trial and a missing parameter."""
+    j = Journal()
+    j.write_header({"method": "x", "space_text": SPACE_TEXT})
+    configs = [
+        {"lr": 0.001, "momentum": 0.0, "layers": 1, "activation": "relu,tanh"},
+        {"lr": 0.001, "momentum": -0.0, "layers": 1.0, "activation": "relu,tanh"},
+        {"lr": 0.001, "momentum": -0.0, "layers": True, "activation": 'say "gelu"'},
+        {"lr": 1e-05, "momentum": 0.5, "activation": "relu"},
+    ]
+    for group, config in enumerate(configs):
+        for seed in (0, 1):
+            failed = group == 3 and seed == 1
+            j.append({"t": "trial", "group": group, "config": config, "budget": 0.25,
+                      "seed": seed, "cost": None if failed else group + seed / 3,
+                      "status": "failed" if failed else "done", "wall_time": 0.125 * seed})
+        j.append({"t": "group", "group": group, "config": config})
+    return j
+
+
+# sha256 of trials_csv(_trials_journal()), as the code wrote it when it read
+# every row's parameters from its own record
+TRIALS_CSV_DIGEST = "e9fc3cb4a43406fb3c06e8d324005059407cc1de9c356c2ea8b4676d5955c398"
+
+
+def test_trials_csv_keeps_its_pinned_bytes():
+    text = trials_csv(_trials_journal())
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIALS_CSV_DIGEST
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [[row[2], row[4]] for row in rows[1:7]] == [  # layers, momentum
+        ["1", "0.0"], ["1", "0.0"], ["1.0", "-0.0"], ["1.0", "-0.0"],
+        ["True", "-0.0"], ["True", "-0.0"],
+    ]
+    assert rows[1][1] == "relu,tanh" and rows[5][1] == 'say "gelu"' and rows[7][2] == ""
