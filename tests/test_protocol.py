@@ -1,13 +1,20 @@
 """Seed plans, method plans, band ranks and the one optimizer contract."""
+import contextlib
+import functools
+import hashlib
 import inspect
+import json
+import os
 
 import numpy as np
 import pytest
 
 from autotune.budgets import ladder, rung_capacity
 from autotune.dehb import run_dehb
-from autotune.objectives import SeededValley
+from autotune.journal import Journal
+from autotune.objectives import EvaluationError, SeededValley
 from autotune.pbt import run_pbt
+from autotune import protocol
 from autotune.protocol import MethodSpec, SeedPlan, rank_methods, run_method
 from autotune.rs import run_rs
 from autotune.runner import TrialRunner, TuneResult
@@ -147,6 +154,24 @@ def test_every_tuner_takes_space_runner_rng_and_keyword_settings(tuner):
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[3:])
 
 
+def test_run_method_looks_the_tuner_up_when_it_is_called(monkeypatch):
+    # a tracer wraps the module attribute; a tuner held elsewhere would skip it
+    calls = []
+
+    @functools.wraps(run_dehb)
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return run_dehb(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_dehb", traced)
+    objective = SeededValley(dimension=2)
+    method = MethodSpec("dehb", options=DEHB_OPTIONS)
+    opts = method.plan(3)
+    run_method(method, objective.space, TrialRunner(objective, [0]), np.random.default_rng(0),
+               opts)
+    assert calls == [opts]
+
+
 DEHB_OPTIONS = {"min_budget": 0.25, "eta": 2.0}
 PBT_OPTIONS = {"num_intervals": 3, "quantile": 0.25, "warmstart_runs": 2}
 
@@ -179,3 +204,73 @@ def test_run_method_journals_exactly_one_complete_record(kind, options, budget):
     incumbents = runner.journal.of_type("incumbent")
     assert incumbents[-1]["config"] == complete["incumbent"]
     assert incumbents[-1]["cost"] == complete["cost"]
+
+
+# ---------------------------------------------------------------------------
+# Journal digests of every tuner on an objective that fails some full-budget
+# groups and ties costs, so the incumbent rules (failures never count, the
+# earliest of equal costs wins) and the spend are pinned byte for byte
+
+
+class Scripted(SeededValley):
+    """The valley with costs rounded to one decimal, so equal costs are
+    common; a full-budget trial on seed 1 fails when int(100 * x0) is a
+    multiple of 3."""
+
+    def evaluate(self, config, budget, seed, resume=None):
+        if budget == 1.0 and seed == 1 and int(100 * config["x0"]) % 3 == 0:
+            raise EvaluationError("scripted failure")
+        cost, ckpt = super().evaluate(config, budget, seed, resume=resume)
+        return round(cost, 1), ckpt
+
+
+TUNER_PINS = {  # kind -> (options, budget, rng seed, journal digest)
+    "rs": ({}, 12, 3, "5b52bdd51a302af93a78fcf686122e199ef49478f6464bfa44dae7cd67b9356e"),
+    "dehb": ({"min_budget": 0.1, "eta": 2.0}, 10, 2,
+             "e397d4b95dba2835821c952296582b51139f42e6341dc4eac1eeb9cb7e383699"),
+    "pbt": ({"population_size": 5, "num_intervals": 3, "quantile": 0.25}, 5, 5,
+            "bf47a3956d77578f4c76fe5cb31c53c2d63968a788c00846a52e7e422d9aa7fb"),
+}
+
+
+def scripted_journal(tmp_path, kind, workers):
+    """The journal of ``kind`` on Scripted, with its pinned settings."""
+    options, budget, rng_seed, _ = TUNER_PINS[kind]
+    objective = Scripted(dimension=2)
+    method = MethodSpec(kind, options=options)
+    journal = Journal.create(str(tmp_path / "journal.log"))
+    with contextlib.closing(journal), contextlib.closing(
+        TrialRunner(objective, [0, 1], journal=journal,
+                    checkpoint_dir=str(tmp_path / "checkpoints"), workers=workers)
+    ) as runner:
+        result = run_method(method, objective.space, runner, np.random.default_rng(rng_seed),
+                            method.plan(budget))
+    return Journal.load(str(tmp_path / "journal.log")), result
+
+
+def journal_digest(journal):
+    """sha256 of the header and records, without wall time and with checkpoint
+    names only, since each run writes into its own directory."""
+    records = []
+    for record in [journal.header, *journal.records]:
+        record = {k: v for k, v in record.items() if k != "wall_time"}
+        if record.get("ckpt"):
+            record["ckpt"] = os.path.basename(record["ckpt"])
+        records.append(record)
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TUNER_PINS))
+def test_every_tuner_writes_its_pinned_journal_on_failures_and_ties(tmp_path, kind, workers):
+    journal, result = scripted_journal(tmp_path, kind, workers)
+    full = [g for g in journal.of_type("group") if g["budget"] == 1.0 and g["purpose"] == "tune"]
+    if kind == "pbt":  # only the last interval's members are candidates
+        full = [g for g in full if g["tags"]["interval"] == TUNER_PINS[kind][0]["num_intervals"]]
+    assert any(g["failed"] for g in full)
+    costs = [g["mean_cost"] for g in full if not g["failed"]]
+    best = min(costs)
+    assert costs.count(best) >= 2  # the earliest of the tied groups is the incumbent
+    first = next(g for g in full if g["mean_cost"] == best)
+    assert result.incumbent.values == first["config"] and result.incumbent_cost == best
+    assert journal_digest(journal) == TUNER_PINS[kind][3]
