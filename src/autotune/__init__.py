@@ -3,9 +3,12 @@
 Optimizers: random search (``run_rs``), differential evolution on a fidelity
 ladder (``run_dehb``), and population-based training with random or
 model-based exploration (``run_pbt``). All three share one contract:
-``run_X(space, runner, rng, **settings) -> TuneResult``, where the
-``TrialRunner`` owns the objective, the tuning seeds and the journal, and
-``TrialRunner.complete`` journals the result. The protocol layer handles
+``run_X(space, runner, rng, **settings) -> TuneResult``. A tuner only
+searches: it states its settings' defaults once, in its signature, and its
+spend once, in its ``plan``. The ``TrialRunner`` owns the objective, the
+tuning seeds, the journal and the incumbent, which it keeps from the
+full-budget results a tuner offers (``keep_best``) and journals with the
+spend in ``complete``. The protocol layer handles
 tuning/test seed splits, repetitions, budget audits, method ranking and
 reproducibility checklist reports; runs journal to disk and resume after
 interruption.

@@ -28,7 +28,7 @@ import numpy as np
 from ._version import __version__
 from .journal import JournalCorrupt, JournalError, space_digest
 from .objectives import EvaluationError, ObjectiveSpec, make_objective
-from .protocol import MethodSpec, SeedPlan
+from .protocol import MethodSpec, SeedPlan, defaults
 from .runner import NoIncumbentError
 from .runs import (
     TuneExports,
@@ -40,7 +40,7 @@ from .runs import (
     repetition_dirs,
     run_repetition,
 )
-from .space import Configuration, SpaceError, from_unit, parse_space
+from .space import ConfigSpace, Configuration, Hyperparameter, SpaceError, from_unit, parse_space
 from .sweeps import SweepSpec, run_sweep, sweep_label
 
 EXIT_OK = 0
@@ -72,12 +72,18 @@ def parse_seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _parse_params(pairs: list[str]) -> dict:
+def _parse_params(pairs: list[str], space: ConfigSpace | None = None) -> dict:
+    """``K=V`` pairs as a dict: a value of a parameter in ``space`` as its
+    kind takes it (see :func:`_value`), any other as an int, a float or its
+    text, whichever parses first."""
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise UsageError(f"expected key=value, got {pair!r}")
         k, v = pair.split("=", 1)
+        if space is not None and k in space:
+            out[k] = _value(space[k], v)
+            continue
         try:
             out[k] = int(v)
         except ValueError:
@@ -123,26 +129,30 @@ def build_parser() -> argparse.ArgumentParser:
     rs = tsub.add_parser("rs", help="random search at full budget")
     _add_common(rs)
 
+    # a tuner's flags store under its settings' names, and their defaults are
+    # the tuner's own
     dehb = tsub.add_parser("dehb", help="differential evolution on a fidelity ladder")
     _add_common(dehb)
-    dehb.add_argument("--eta", type=float, default=1.9)
-    dehb.add_argument("--min-budget", type=float, default=0.01)
-    dehb.add_argument("--iterations", type=int, default=None)
-    dehb.add_argument("--de-f", type=float, default=0.5, dest="de_f")
-    dehb.add_argument("--de-cr", type=float, default=0.5, dest="de_cr")
+    dehb.add_argument("--eta", type=float)
+    dehb.add_argument("--min-budget", type=float)
+    dehb.add_argument("--iterations", type=int)
+    dehb.add_argument("--de-f", type=float, dest="F")
+    dehb.add_argument("--de-cr", type=float, dest="CR")
+    dehb.set_defaults(**defaults("dehb"))
 
     pbt = tsub.add_parser("pbt", help="population-based training")
     _add_common(pbt)
-    pbt.add_argument("--explore", choices=["perturb", "gp"], default="perturb")
-    pbt.add_argument("--population", type=int, default=None)
-    pbt.add_argument("--intervals", type=int, default=20)
-    pbt.add_argument("--quantile", type=float, default=0.125)
-    pbt.add_argument("--warmstart-runs", type=int, default=0)
-    pbt.add_argument("--restart-patience", type=int, default=3)
-    pbt.add_argument("--explore-prob", type=float, default=1.0)
-    pbt.add_argument("--factor-up", type=float, default=1.2)
-    pbt.add_argument("--factor-down", type=float, default=0.8)
-    pbt.add_argument("--resample-prob", type=float, default=0.25)
+    pbt.add_argument("--explore", choices=["perturb", "gp"], dest="explore_mode")
+    pbt.add_argument("--population", type=int, dest="population_size")
+    pbt.add_argument("--intervals", type=int, dest="num_intervals")
+    pbt.add_argument("--quantile", type=float)
+    pbt.add_argument("--warmstart-runs", type=int)
+    pbt.add_argument("--restart-patience", type=int)
+    pbt.add_argument("--explore-prob", type=float)
+    pbt.add_argument("--factor-up", type=float)
+    pbt.add_argument("--factor-down", type=float)
+    pbt.add_argument("--resample-prob", type=float)
+    pbt.set_defaults(**defaults("pbt"))
 
     report = sub.add_parser("report", help="export reports from run directories")
     report.add_argument("kind", choices=["checklist", "ranks", "incumbents", "trials"])
@@ -163,28 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _method_from_args(args) -> MethodSpec:
+    options = {name: getattr(args, name) for name in defaults(args.method)}
+    # the setting a tuner sizes to the budget, where a flag gives it
+    for name in ("iterations", "population_size"):
+        if getattr(args, name, None) is not None:
+            options[name] = getattr(args, name)
     if args.method == "rs":
-        return MethodSpec("rs", options={"n_configs": args.budget_runs})
-    if args.method == "dehb":
-        options = {"eta": args.eta, "min_budget": args.min_budget, "F": args.de_f, "CR": args.de_cr}
-        if args.iterations is not None:
-            options["iterations"] = args.iterations
-        return MethodSpec("dehb", options=options)
-    options = {
-        "explore_mode": args.explore,
-        "num_intervals": args.intervals,
-        "quantile": args.quantile,
-        "warmstart_runs": args.warmstart_runs,
-        "restart_patience": args.restart_patience,
-        "explore_prob": args.explore_prob,
-        "factor_up": args.factor_up,
-        "factor_down": args.factor_down,
-        "resample_prob": args.resample_prob,
-    }
-    if args.population is not None:
-        options["population_size"] = args.population
-    name = "pbt" if args.explore == "perturb" else "pbt-gp"
-    return MethodSpec("pbt", name=name, options=options)
+        options["n_configs"] = args.budget_runs
+    name = "pbt-gp" if options.get("explore_mode") == "gp" else args.method
+    return MethodSpec(args.method, name=name, options=options)
 
 
 def _cmd_tune(args) -> int:
@@ -241,10 +238,17 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _integral(param: str, text: str) -> int:
+def _value(param: Hyperparameter, text: str):
+    """``text`` as a value of ``param``: an int for an integer parameter
+    (``3.0`` is 3, ``2.7`` is refused), a float for another ranged one, and
+    the text itself, a choice, for a categorical one."""
+    if param.kind == "categorical":
+        return text
     value = float(text)
+    if param.kind != "integer":
+        return value
     if not value.is_integer():
-        raise UsageError(f"{param} takes integers, got {text!r}")
+        raise UsageError(f"{param.name} takes integers, got {text!r}")
     return int(value)
 
 
@@ -254,18 +258,10 @@ def _cmd_sweep(args) -> int:
     space = parse_space(space_text)
     objective_spec = _objective_spec(args.objective, _parse_params(args.objective_param))
     objective = make_objective(objective_spec, space=space)
-    base_values = {}
-    midpoint = from_unit(space, np.full(space.dimension, 0.5))
-    base_values.update(midpoint.values)
-    base_values.update(_parse_params(args.base))
+    base_values = dict(from_unit(space, np.full(space.dimension, 0.5)).values)
+    base_values.update(_parse_params(args.base, space))
     p = space[args.param]
-    raw = [v.strip() for v in args.values.split(",") if v.strip()]
-    if p.kind == "integer":
-        values = [_integral(args.param, v) for v in raw]
-    elif p.kind == "categorical":
-        values = raw
-    else:
-        values = [float(v) for v in raw]
+    values = [_value(p, v.strip()) for v in args.values.split(",") if v.strip()]
     spec = SweepSpec(
         space,
         Configuration(base_values),

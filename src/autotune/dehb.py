@@ -14,8 +14,9 @@ the iteration where only the full budget remains, or after ``iterations``.
 Costs at different fidelities are never compared directly; information moves
 between rungs only through promotion. Every group is tagged with its
 ``iteration`` and ``rung``, so the journal holds each iteration's budgets and
-spend. Like every optimizer, :func:`run_dehb` takes ``(space, runner, rng,
-**settings)`` and returns the runner's :class:`~autotune.runner.TuneResult`.
+spend. The runner keeps the incumbent from the full-budget groups. Like every
+optimizer, :func:`run_dehb` takes ``(space, runner, rng, **settings)`` and
+returns the runner's :class:`~autotune.runner.TuneResult`.
 """
 from __future__ import annotations
 
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budgets import ladder, rung_capacity
-from .journal import INCUMBENT
-from .runner import NoIncumbentError, TrialRunner, TuneResult
+from .runner import TrialRunner, TuneResult
 from .space import ConfigSpace, check_settings, from_unit
 
 # run_dehb's settings with a range of their own: name -> (test, its range in
@@ -89,13 +89,44 @@ def de_select(parent: DeMember, child: DeMember) -> DeMember:
     return parent
 
 
+def plan(budget_runs: int, settings: dict) -> float:
+    """Fit as many whole iterations into ``budget_runs`` full runs as the
+    ladder allows, counting each active rung as one run, unless
+    ``iterations`` is given; return the spend run_dehb states."""
+    rungs = ladder(settings["min_budget"], settings["eta"])
+    n = len(rungs)
+    if "iterations" not in settings:
+        runs, iters = 0, 0
+        while iters < n and runs + (n - iters) <= budget_runs + 1e-9:
+            runs += n - iters
+            iters += 1
+        if iters == 0:
+            raise ValueError(
+                f"budget of {budget_runs} full runs is less than one DEHB "
+                f"iteration ({n} full runs)"
+            )
+        settings["iterations"] = iters
+    return spend(rungs, settings["iterations"])
+
+
+def spend(rungs: tuple[float, ...], iterations: int) -> float:
+    """The full-run equivalents run_dehb spends: every group's budget, each
+    active rung filled to capacity, summed in evaluation order."""
+    total = 0.0
+    for it in range(min(iterations, len(rungs))):
+        for budget in rungs[it:]:
+            for _ in range(rung_capacity(budget)):
+                total += budget
+    return total
+
+
 def run_dehb(
     space: ConfigSpace,
     runner: TrialRunner,
     rng: np.random.Generator,
     *,
-    min_budget: float,
-    eta: float,
+    min_budget: float = 0.01,
+    eta: float = 1.9,
     iterations: int,
     F: float = 0.5,
     CR: float = 0.5,
@@ -105,14 +136,11 @@ def run_dehb(
     d = space.dimension
     caps = [rung_capacity(b) for b in rungs]
     pops: dict[int, list[DeMember]] = {}  # rung index -> its latest population
-    incumbent = None  # the best full-budget configuration so far
-    incumbent_cost = math.inf
-    total_spend = 0.0
 
     def evaluate_population(vectors, rung_index, iteration, slots=False) -> list[DeMember]:
         """One batch at the rung's budget; ``slots`` tags each group with its
-        index, as a DE generation's children are tagged with their parent's."""
-        nonlocal incumbent, incumbent_cost, total_spend
+        index, as a DE generation's children are tagged with their parent's.
+        The runner keeps the incumbent from full-budget batches."""
         budget = rungs[rung_index]
         tags = [{"iteration": iteration, "rung": rung_index} for _ in vectors]
         if slots:
@@ -124,21 +152,12 @@ def run_dehb(
                 for v, t in zip(vectors, tags)
             ]
         )
-        members = []
-        for v, res in zip(vectors, results):
-            members.append(DeMember(vector=np.asarray(v, dtype=float), cost=res.cost))
-            total_spend += budget
-            if budget == 1.0 and not res.failed and res.cost < incumbent_cost:
-                incumbent, incumbent_cost = res.config, res.cost
-                runner.journal.append(
-                    {
-                        "t": INCUMBENT,
-                        "config": dict(incumbent.values),
-                        "cost": incumbent_cost,
-                        "budget": 1.0,
-                    }
-                )
-        return members
+        if budget == 1.0:
+            runner.keep_best(results)
+        return [
+            DeMember(vector=np.asarray(v, dtype=float), cost=res.cost)
+            for v, res in zip(vectors, results)
+        ]
 
     n_rungs = len(rungs)
     for it in range(min(iterations, n_rungs)):
@@ -165,6 +184,4 @@ def run_dehb(
             promoted = [m.vector for m in ranked[: caps[rung_index]]]
             pops[rung_index] = evaluate_population(promoted, rung_index, it)
 
-    if incumbent is None:
-        raise NoIncumbentError("no incumbent: every full-budget trial failed")
-    return runner.complete(incumbent, incumbent_cost, total_spend)
+    return runner.complete(spend(rungs, iterations))

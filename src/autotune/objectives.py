@@ -80,7 +80,6 @@ class CheckpointHandle:
     ``trained_fraction`` never decreases along one training lineage.
     """
 
-    key: str
     trained_fraction: float
     payload: bytes | None = None
     path: str | None = None
@@ -90,7 +89,9 @@ class CheckpointHandle:
         if self.payload is not None:
             return self.payload
         if self.path is None:
-            raise EvaluationError(f"checkpoint {self.key} has no payload")
+            raise EvaluationError(
+                f"checkpoint at fraction {self.trained_fraction} has neither payload nor path"
+            )
         if self.pack is None:
             return read_checkpoint(self.path)
         return self.pack.read(os.path.basename(self.path))
@@ -282,12 +283,7 @@ class SeededValley(Objective):
         dist2, eps = terms
         cost = dist2 + (1.0 - budget) * self.penalty
         cost += self.noise * eps
-        ckpt = CheckpointHandle(
-            key=f"{self.name}:{digest[:12]}:{seed}",
-            trained_fraction=budget,
-            payload=b"",
-        )
-        return cost, ckpt
+        return cost, CheckpointHandle(trained_fraction=budget, payload=b"")
 
 
 class NoisySphere(SeededValley):
@@ -552,11 +548,7 @@ class GridworldQ(Objective):
             "pos": divmod(s, _GRID),
             "steps_in_episode": steps_in_episode,
         }
-        ckpt = CheckpointHandle(
-            key=f"{self.name}:{config_digest(config)[:12]}:{seed}",
-            trained_fraction=budget,
-            payload=pickle.dumps(state, protocol=4),
-        )
+        ckpt = CheckpointHandle(trained_fraction=budget, payload=pickle.dumps(state, protocol=4))
         return -self._greedy_return(state["q"]), ckpt
 
     @staticmethod
@@ -701,12 +693,7 @@ class ExternalCommand(Objective):
             if os.path.exists(ckpt_path):
                 with open(ckpt_path, "rb") as fh:
                     payload = fh.read()
-            ckpt = CheckpointHandle(
-                key=f"{self.name}:{config_digest(config)[:12]}:{seed}",
-                trained_fraction=budget,
-                payload=payload,
-            )
-            return cost, ckpt
+            return cost, CheckpointHandle(trained_fraction=budget, payload=payload)
         finally:
             if os.path.exists(ckpt_path):
                 os.unlink(ckpt_path)

@@ -7,7 +7,8 @@ replaced by copies (configuration and checkpoint, byte-identical) of the best
 k members and explored: either by random perturbation of each hyperparameter or
 by a Gaussian-process suggestion fitted to the cost history. Survivors keep
 their configurations and checkpoints untouched. The incumbent is the best
-member after the final interval. The lineage lives in the journal: each
+member after the final interval, which is the one result offered to the
+runner that keeps it. The lineage lives in the journal: each
 ``explore`` record names the interval, the member, the winner it copied and
 the configuration it adopted, so the schedule any member trained can be
 read back from those records.
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import GpFitError, GpModel, fit_gp, suggest_candidate
-from .journal import EXPLOIT, EXPLORE, INCUMBENT
-from .runner import NoIncumbentError, TrialRunner, TuneResult
+from .journal import EXPLOIT, EXPLORE
+from .runner import TrialRunner, TuneResult
 from .space import (
     PERTURB_RULES,
     ConfigSpace,
@@ -135,16 +136,25 @@ def warmstart(
     return [results[i] for _, i in done], ranked
 
 
+def plan(budget_runs: int, settings: dict) -> float:
+    """Size the population to the full runs ``budget_runs`` leaves after the
+    warmstart, at least 2, unless ``population_size`` is given; return the
+    spend run_pbt states, a full run per member and per warmstart run."""
+    warm = settings["warmstart_runs"]
+    settings.setdefault("population_size", max(2, int(budget_runs) - int(warm)))
+    return float(settings["population_size"] + warm)
+
+
 def run_pbt(
     space: ConfigSpace,
     runner: TrialRunner,
     rng: np.random.Generator,
     *,
     population_size: int,
-    num_intervals: int,
-    quantile: float,
-    explore_mode: str,
-    warmstart_runs: int,
+    num_intervals: int = 20,
+    quantile: float = 0.125,
+    explore_mode: str = PERTURB,
+    warmstart_runs: int = 0,
     factor_up: float = 1.2,
     factor_down: float = 0.8,
     resample_prob: float = 0.25,
@@ -247,16 +257,16 @@ def run_pbt(
         if interval == num_intervals:
             break  # nothing left to train; exploit/explore would be dead weight
 
-        plan = exploit(costs, quantile)
+        pairs = exploit(costs, quantile)
         runner.journal.append(
             {
                 "t": EXPLOIT,
                 "interval": interval,
-                "plan": [[l, w] for l, w in plan],
+                "plan": [[l, w] for l, w in pairs],
                 "costs": [None if math.isinf(c) else c for c in costs],
             }
         )
-        for loser_i, winner_i in plan:
+        for loser_i, winner_i in pairs:
             loser, winner = members[loser_i], members[winner_i]
             loser.checkpoints = dict(winner.checkpoints)  # handles are never written to
             loser.cost = winner.cost
@@ -285,16 +295,6 @@ def run_pbt(
                 gp_restarts += 1
                 grid_scale = float(np.exp(rng.uniform(-0.5, 0.5)))
 
-    best = min(members, key=lambda m: (m.cost, m.id))
-    if not math.isfinite(best.cost):
-        raise NoIncumbentError("no incumbent: every member failed its final interval")
-
-    runner.journal.append(
-        {
-            "t": INCUMBENT,
-            "config": dict(best.config.values),
-            "cost": best.cost,
-            "budget": 1.0,
-        }
-    )
-    return runner.complete(best.config, best.cost, population_size * 1.0 + warmstart_runs * 1.0)
+    # the best member after the final interval, the lowest index among equals
+    runner.keep_best([min(results, key=lambda res: res.cost)])
+    return runner.complete(float(population_size + warmstart_runs))

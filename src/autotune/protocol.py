@@ -11,12 +11,13 @@ environments and reported to one decimal.
 """
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dehb, pbt, rs
-from .budgets import ladder, rung_capacity
 from .dehb import run_dehb
 from .pbt import run_pbt
 from .rs import run_rs
@@ -60,7 +61,9 @@ class MethodSpec:
             object.__setattr__(self, "name", self.kind)
 
     def plan(self, budget_runs: int) -> dict:
-        """Concrete settings that keep total spend within ``budget_runs``.
+        """Concrete settings that keep total spend within ``budget_runs``:
+        the tuner's defaults, then ``options``, then what its ``plan`` sizes
+        to the budget.
 
         Raises ValueError when a setting lies outside the range its tuner
         takes, or when the settings spend more than the budget: a budget
@@ -69,46 +72,31 @@ class MethodSpec:
         """
         if budget_runs < 1:
             raise ValueError("budget_runs must be >= 1")
-        opts = dict(self.options)
-        check_settings({"rs": rs, "dehb": dehb, "pbt": pbt}[self.kind].RULES, opts)
-        if self.kind == "rs":
-            opts.setdefault("n_configs", int(budget_runs))
-            spend = opts["n_configs"]
-        elif self.kind == "dehb":
-            eta = opts.setdefault("eta", 1.9)
-            min_budget = opts.setdefault("min_budget", 0.01)
-            rungs = ladder(min_budget, eta)
-            n = len(rungs)
-            if "iterations" not in opts:
-                spend, iters = 0.0, 0
-                while iters < n and spend + (n - iters) <= budget_runs + 1e-9:
-                    spend += n - iters
-                    iters += 1
-                if iters == 0:
-                    raise ValueError(
-                        f"budget of {budget_runs} full runs is less than one DEHB "
-                        f"iteration ({n} full runs)"
-                    )
-                opts["iterations"] = iters
-            # what run_dehb spends: each active rung filled to capacity
-            spend = sum(
-                rung_capacity(b) * b
-                for it in range(min(opts["iterations"], n))
-                for b in rungs[it:]
-            )
-        else:
-            warm = opts.setdefault("warmstart_runs", 0)
-            opts.setdefault("population_size", max(2, int(budget_runs) - int(warm)))
-            opts.setdefault("num_intervals", 20)
-            opts.setdefault("quantile", 0.125)
-            opts.setdefault("explore_mode", "perturb")
-            spend = opts["population_size"] + warm
+        module = {"rs": rs, "dehb": dehb, "pbt": pbt}[self.kind]
+        opts = {**defaults(self.kind), **self.options}
+        check_settings(module.RULES, opts)
+        spend = module.plan(budget_runs, opts)
         if spend > budget_runs + 1e-9:
             raise ValueError(
                 f"planned spend of {spend:.6g} full runs exceeds the budget of "
                 f"{budget_runs}"
             )
         return opts
+
+
+def _tuner(kind: str):
+    """``kind``'s optimizer, looked up when called, so that a wrapper bound
+    to its name here (a tracer's, say) is the one called."""
+    return {"rs": run_rs, "dehb": run_dehb, "pbt": run_pbt}[kind]
+
+
+def defaults(kind: str) -> dict:
+    """The settings ``kind``'s optimizer has a default for, with that default."""
+    return {
+        p.name: p.default
+        for p in inspect.signature(_tuner(kind)).parameters.values()
+        if p.default is not p.empty
+    }
 
 
 def run_method(
@@ -120,9 +108,7 @@ def run_method(
 ) -> TuneResult:
     """Run ``method``'s optimizer on ``runner`` with the settings
     ``method.plan`` gave."""
-    return {"rs": run_rs, "dehb": run_dehb, "pbt": run_pbt}[method.kind](
-        space, runner, rng, **opts
-    )
+    return _tuner(method.kind)(space, runner, rng, **opts)
 
 
 @dataclass
@@ -155,11 +141,14 @@ class IncumbentReport:
 
     @property
     def aggregate_mean(self) -> float:
-        return float(np.mean([r.test_mean for r in self.surviving]))
+        """Mean of the surviving test means; NaN when none survived."""
+        means = [r.test_mean for r in self.surviving]
+        return float(np.mean(means)) if means else math.nan
 
     @property
     def aggregate_std(self) -> float:
-        return float(np.std([r.test_mean for r in self.surviving]))
+        means = [r.test_mean for r in self.surviving]
+        return float(np.std(means)) if means else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +171,9 @@ def rank_methods(cells: dict, higher_is_better: bool = True) -> RankTable:
     """Band ranks from per-environment (mean, std) cells.
 
     ``cells`` maps environment -> {method: (mean, std)}. Every environment
-    must contain every method. The current anchor's std defines the band; a
-    method falling inside the bands of two anchors keeps the earlier (better)
-    rank.
+    must contain every method, each with a finite mean and std. The current
+    anchor's std defines the band; a method falling inside the bands of two
+    anchors keeps the earlier (better) rank.
     """
     environments = list(cells)
     if not environments:
@@ -194,6 +183,9 @@ def rank_methods(cells: dict, higher_is_better: bool = True) -> RankTable:
         missing = set(methods) ^ set(cells[env])
         if missing:
             raise ValueError(f"missing cell for {(env, sorted(missing)[0])}")
+        for m, (mean, std) in cells[env].items():
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise ValueError(f"{env}: {m} has no finite mean and std; did all its runs fail?")
     ranks = {}
     for env in environments:
         stats = cells[env]

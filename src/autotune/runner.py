@@ -1,13 +1,15 @@
 """Trial execution: journaling, multi-seed groups, replay, worker processes.
 
 Optimizers evaluate configurations through a :class:`TrialRunner`, which owns
-the objective, the tuning seeds and the journal; each optimizer ends with
-:meth:`TrialRunner.complete`, which journals its result. One *group*
-is a (configuration, budget) evaluated on every tuning seed; its spend is the
-budget fraction (seeds are the protocol's price of reliability, not extra
-tuning budget). Every trial and group lands in the journal; when the journal
-is in replay mode the runner returns recorded results instead of calling the
-objective, which is what makes interrupted runs resumable bit-for-bit.
+the objective, the tuning seeds, the journal and the incumbent: an optimizer
+offers its full-budget results to :meth:`TrialRunner.keep_best`, which keeps
+the best, and ends with :meth:`TrialRunner.complete`, which journals it with
+the optimizer's spend. One *group* is a (configuration, budget) evaluated on
+every tuning seed; its spend is the budget fraction (seeds are the protocol's
+price of reliability, not extra tuning budget). Every trial and group lands
+in the journal; when the journal is in replay mode the runner returns
+recorded results instead of calling the objective, which is what makes
+interrupted runs resumable bit-for-bit.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -28,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .checkpoints import CheckpointPack
-from .journal import COMPLETE, GROUP, TRIAL, Journal
+from .journal import COMPLETE, GROUP, INCUMBENT, TRIAL, Journal
 from .objectives import (
     DONE,
     FAILED,
@@ -122,6 +124,7 @@ class TrialRunner:
         self.groups_run = 0  # replayed or journaled by this runner
         self._packs: dict[str, CheckpointPack] = {}  # by directory
         self._children: list = []  # (process, connection) per forked worker
+        self._best: GroupResult | None = None  # the incumbent keep_best kept
 
     def evaluate_group(
         self,
@@ -177,18 +180,28 @@ class TrialRunner:
             raise
         return results
 
-    def complete(self, incumbent: Configuration, cost: float, spend: float) -> TuneResult:
-        """Journal the optimizer's ``complete`` record and return its result."""
+    def keep_best(self, results: list[GroupResult]) -> None:
+        """Journal each full-budget result that did not fail and costs
+        strictly less than the best kept so far, in order, as the incumbent."""
+        for res in results:
+            if res.budget != 1.0:
+                raise ValueError(f"an incumbent comes from the full budget, not {res.budget}")
+            if not res.failed and res.cost < (math.inf if self._best is None else self._best.cost):
+                self._best = res
+                self.journal.append({"t": INCUMBENT, "config": dict(res.config.values),
+                                     "cost": res.cost, "budget": 1.0})
+
+    def complete(self, spend: float) -> TuneResult:
+        """Journal the optimizer's ``complete`` record, the best result
+        :meth:`keep_best` kept with ``spend``, and return it."""
+        if self._best is None:
+            raise NoIncumbentError("no incumbent: every full-budget candidate failed")
+        best = self._best
         self.journal.append(
-            {
-                "t": COMPLETE,
-                "spend": spend,
-                "groups": self.groups_run,
-                "incumbent": dict(incumbent.values),
-                "cost": cost,
-            }
+            {"t": COMPLETE, "spend": spend, "groups": self.groups_run,
+             "incumbent": dict(best.config.values), "cost": best.cost}
         )
-        return TuneResult(incumbent, cost)
+        return TuneResult(best.config, best.cost)
 
     def close(self) -> None:
         self._stop_children()
@@ -329,7 +342,6 @@ class TrialRunner:
                 continue
             name = f"g{group_id:06d}_s{seed}_f{ckpt.trained_fraction:.6f}.ckpt"
             persisted[seed] = CheckpointHandle(
-                key=ckpt.key,
                 trained_fraction=ckpt.trained_fraction,
                 payload=ckpt.payload,
                 path=pack.append(name, ckpt.payload),
@@ -346,16 +358,13 @@ class TrialRunner:
             per_seed.append(rec["cost"])
             if rec.get("ckpt"):
                 checkpoints[rec["seed"]] = CheckpointHandle(
-                    key=f"replay:g{rec['group']}:s{rec['seed']}",
                     trained_fraction=rec["frac"],
                     path=rec["ckpt"],
                     pack=self._pack(os.path.dirname(rec["ckpt"])),
                 )
             elif rec.get("frac") is not None:
                 checkpoints[rec["seed"]] = CheckpointHandle(
-                    key=f"replay:g{rec['group']}:s{rec['seed']}",
-                    trained_fraction=rec["frac"],
-                    payload=b"",
+                    trained_fraction=rec["frac"], payload=b""
                 )
         return GroupResult(
             group=group_rec["group"],

@@ -50,7 +50,7 @@ def test_empty_payload_round_trips(tmp_path):
     res = runner.evaluate_group(Configuration({"x0": 0.3, "x1": 0.6}), 0.5)
     runner.close()
     [trial] = runner.journal.of_type("trial")
-    handle = CheckpointHandle(key="k", trained_fraction=trial["frac"], path=trial["ckpt"])
+    handle = CheckpointHandle(trained_fraction=trial["frac"], path=trial["ckpt"])
     assert handle.load() == b"" == res.checkpoints[0].payload
 
 
@@ -123,7 +123,7 @@ os._exit({crash_code})  # no close of the journal or the pack
     objective = GridworldQ(total_steps=200)
     for trial in trials:
         _, fresh = objective.evaluate(Configuration(GRID_CONFIG), trial["budget"], trial["seed"])
-        handle = CheckpointHandle(key="k", trained_fraction=trial["frac"], path=trial["ckpt"])
+        handle = CheckpointHandle(trained_fraction=trial["frac"], path=trial["ckpt"])
         assert handle.load() == fresh.payload
 
 

@@ -7,10 +7,13 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import autotune
 from autotune.cli import EXIT_CORRUPT, EXIT_OBJECTIVE, EXIT_OK, EXIT_USAGE, main
 from autotune.journal import Journal
 from autotune.protocol import MethodSpec
@@ -176,6 +179,23 @@ def test_sweep_refuses_a_non_integral_value_for_an_integer_parameter(space, tmp_
     assert [row["value"] for row in rows if row["seed"] == "0"] == ["2", "3"]
 
 
+@pytest.mark.parametrize(
+    "base, value",
+    # a choice is text, 3.0 is an integer's 3, and 0 is a continuous 0.0,
+    # whose digest differs from the int 0's
+    [("bs=32", "32"), ("layers=3.0", 3), ("momentum=0", 0.0)],
+)
+def test_sweep_base_values_take_their_parameter_kind(tmp_path, base, value):
+    space = tmp_path / "space.txt"
+    space.write_text("bs: {16, 32, 64}\nlayers: int[1, 8]\nmomentum: (0.0, 0.99)\n")
+    out = tmp_path / "run"
+    assert main(["sweep", "--space", str(space), "--objective", "seeded_valley", "--param", "bs",
+                 "--values", "16,64", "--seeds", "0", "--base", base, "--out", str(out)]) == EXIT_OK
+    header = Journal.load(str(out / "sweeps" / "seeded_valley_bs" / JOURNAL_NAME)).header
+    got = header["base"][base.split("=")[0]]
+    assert got == value and type(got) is type(value)
+
+
 SWEEP = ["sweep", "--objective", "seeded_valley", "--param", "momentum", "--values", "0.1,0.5",
          "--seeds", "0,1"]
 SWEEP_CSV = "sweep_seeded_valley_momentum.csv"
@@ -267,7 +287,21 @@ def test_failing_command_exits_3(space, tmp_path, capsys):
     rc = tune(space, tmp_path / "run", "rs", "--objective", "cmd:false", "--budget-runs", "2",
               "--tuning-seeds", "0", "--test-seeds", "1")
     assert rc == EXIT_OBJECTIVE
-    assert "every random-search trial failed" in capsys.readouterr().err
+    assert "every full-budget candidate failed" in capsys.readouterr().err
+
+
+def test_ranks_of_a_run_whose_every_repetition_failed_exit_2(space, tmp_path):
+    # the method's mean was NaN, and the band ranking never ended
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", "--objective", "cmd:false", "--budget-runs", "2",
+                "--tuning-seeds", "0", "--test-seeds", "1") == EXIT_OBJECTIVE
+    src = os.path.dirname(os.path.dirname(autotune.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "autotune.cli", "report", "ranks", str(out)],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert done.returncode == EXIT_USAGE
+    assert "external_command: rs has no finite mean and std" in done.stderr
+    assert "Warning" not in done.stderr  # no mean of an empty list is taken
 
 
 def failing_on_test_seeds(tmp_path, seeds):

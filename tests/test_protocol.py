@@ -4,20 +4,24 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from autotune.budgets import ladder, rung_capacity
 from autotune.dehb import run_dehb
 from autotune.journal import Journal
 from autotune.objectives import EvaluationError, SeededValley
 from autotune.pbt import run_pbt
-from autotune import protocol
-from autotune.protocol import MethodSpec, SeedPlan, rank_methods, run_method
+from autotune import dehb, pbt, protocol, rs
+from autotune.protocol import MethodSpec, SeedPlan, defaults, rank_methods, run_method
 from autotune.rs import run_rs
-from autotune.runner import TrialRunner, TuneResult
+from autotune.space import Configuration
+from autotune.runner import GroupResult, NoIncumbentError, TrialRunner, TuneResult
 
 # ---------------------------------------------------------------------------
 # band ranks
@@ -57,6 +61,13 @@ def test_mean_rank_averages_environments_and_rounds_to_one_decimal():
     assert table.mean_ranks == {"a": pytest.approx(4 / 3), "b": pytest.approx(5 / 3)}
     assert table.mean_rank_rounded("a") == 1.3 and table.mean_rank_rounded("b") == 1.7
     assert table.cells[("e3", "b")] == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("cell", [(math.nan, math.nan), (1.0, math.nan), (math.inf, 0.0)])
+def test_rank_methods_rejects_a_non_finite_mean_or_std_by_name(cell):
+    # a NaN mean once left every band without its own anchor, and the loop spun
+    with pytest.raises(ValueError, match="env: b has no finite mean and std"):
+        rank_methods({"env": {"a": (1.0, 0.0), "b": cell}}, higher_is_better=False)
 
 
 def test_rank_methods_rejects_missing_cells_and_no_environments():
@@ -154,7 +165,7 @@ def test_every_tuner_takes_space_runner_rng_and_keyword_settings(tuner):
     assert all(p.kind is inspect.Parameter.KEYWORD_ONLY for p in params[3:])
 
 
-def test_run_method_looks_the_tuner_up_when_it_is_called(monkeypatch):
+def test_run_method_and_defaults_look_the_tuner_up_when_called(monkeypatch):
     # a tracer wraps the module attribute; a tuner held elsewhere would skip it
     calls = []
 
@@ -163,13 +174,65 @@ def test_run_method_looks_the_tuner_up_when_it_is_called(monkeypatch):
         calls.append(kwargs)
         return run_dehb(*args, **kwargs)
 
+    # a default of its own, so that reading it shows which signature was read
+    sig = inspect.signature(run_dehb)
+    traced.__signature__ = sig.replace(parameters=[
+        p.replace(default=0.25) if p.name == "min_budget" else p for p in sig.parameters.values()
+    ])
     monkeypatch.setattr(protocol, "run_dehb", traced)
+    assert defaults("dehb") == {"min_budget": 0.25, "eta": 1.9, "F": 0.5, "CR": 0.5}
     objective = SeededValley(dimension=2)
-    method = MethodSpec("dehb", options=DEHB_OPTIONS)
+    method = MethodSpec("dehb", options={"eta": 2.0})
     opts = method.plan(3)
+    assert opts["min_budget"] == 0.25
     run_method(method, objective.space, TrialRunner(objective, [0]), np.random.default_rng(0),
                opts)
     assert calls == [opts]
+
+
+@pytest.mark.parametrize("kind", ["rs", "dehb", "pbt"])
+def test_every_default_is_written_once_in_the_tuner_signature(kind):
+    # the settings a tuner sizes to the budget have none
+    sized = {"rs": "n_configs", "dehb": "iterations", "pbt": "population_size"}[kind]
+    tuner = {"rs": run_rs, "dehb": run_dehb, "pbt": run_pbt}[kind]
+    names = list(inspect.signature(tuner).parameters)[3:]
+    assert sorted(defaults(kind)) == sorted(n for n in names if n != sized)
+    assert {**defaults(kind), **MethodSpec(kind).plan(20)} == MethodSpec(kind).plan(20)
+
+
+tuner_plans = st.one_of(
+    st.tuples(st.just("rs"), st.fixed_dictionaries({}), st.integers(1, 6)),
+    st.tuples(
+        st.just("dehb"),
+        st.fixed_dictionaries({"min_budget": st.sampled_from([0.01, 0.05, 0.1, 0.25]),
+                               "eta": st.sampled_from([1.9, 2.0, 3.0])}),
+        st.integers(1, 16),
+    ),
+    st.tuples(
+        st.just("pbt"),
+        st.fixed_dictionaries({"num_intervals": st.integers(1, 3),
+                               "warmstart_runs": st.integers(0, 2)}),
+        st.integers(2, 6),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuner_plans)
+@example(("dehb", {"min_budget": 0.01, "eta": 1.9}, 16))  # the default eight-rung ladder
+def test_complete_states_the_spend_plan_gives_bit_for_bit(case):
+    kind, options, budget = case
+    try:
+        opts = MethodSpec(kind, options=options).plan(budget)
+    except ValueError:  # the budget buys no DEHB iteration, or no warmstart and two members
+        assume(False)
+    want = {"rs": rs, "dehb": dehb, "pbt": pbt}[kind].plan(budget, dict(opts))
+    objective = SeededValley(dimension=2)
+    runner = TrialRunner(objective, [0])
+    run_method(MethodSpec(kind), objective.space, runner, np.random.default_rng(1), opts)
+    (complete,) = runner.journal.of_type("complete")
+    assert complete["spend"].hex() == want.hex()
+    assert runner.journal.spend() == pytest.approx(want)
 
 
 DEHB_OPTIONS = {"min_budget": 0.25, "eta": 2.0}
@@ -274,3 +337,22 @@ def test_every_tuner_writes_its_pinned_journal_on_failures_and_ties(tmp_path, ki
     first = next(g for g in full if g["mean_cost"] == best)
     assert result.incumbent.values == first["config"] and result.incumbent_cost == best
     assert journal_digest(journal) == TUNER_PINS[kind][3]
+
+
+def test_keep_best_journals_strict_improvements_in_the_order_given():
+    def result(i, cost, budget=1.0):
+        return GroupResult(i, Configuration({"i": i}), budget, (0,), [cost], cost is None, {})
+
+    runner = TrialRunner(SeededValley(dimension=2), [0])
+    with pytest.raises(NoIncumbentError, match="every full-budget candidate failed"):
+        runner.complete(1.0)
+    runner.keep_best([result(0, None), result(1, 0.5), result(2, 0.5), result(3, 0.7)])
+    runner.keep_best([result(4, 0.2), result(5, 0.2)])
+    with pytest.raises(ValueError, match="an incumbent comes from the full budget, not 0.5"):
+        runner.keep_best([result(6, 0.1, budget=0.5)])
+    incumbents = runner.journal.of_type("incumbent")
+    assert [(r["config"], r["cost"], r["budget"]) for r in incumbents] == [
+        ({"i": 1}, 0.5, 1.0), ({"i": 4}, 0.2, 1.0)]
+    assert runner.complete(3.0) == TuneResult(Configuration({"i": 4}), 0.2)
+    (complete,) = runner.journal.of_type("complete")
+    assert (complete["incumbent"], complete["cost"], complete["spend"]) == ({"i": 4}, 0.2, 3.0)

@@ -29,7 +29,7 @@ class ScriptedCosts:
         cost = self.costs[(config["x"], seed)]
         if cost is None:
             raise EvaluationError(f"seed {seed} scripted to fail")
-        return cost, CheckpointHandle(key=f"scripted:{seed}", trained_fraction=budget, payload=b"")
+        return cost, CheckpointHandle(trained_fraction=budget, payload=b"")
 
 
 def sweep(costs, values, seeds=(0, 1)):
