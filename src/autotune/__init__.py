@@ -8,7 +8,8 @@ searches: it states its settings' defaults once, in its signature, and its
 spend once, in its ``plan``. The ``TrialRunner`` owns the objective, the
 tuning seeds, the journal and the incumbent, which it keeps from the
 full-budget results a tuner offers (``keep_best``) and journals with the
-spend in ``complete``. The protocol layer handles
+spend in ``complete``; an objective resumes from ``resume.payload``, which
+the runner sets. The protocol layer handles
 tuning/test seed splits, repetitions, budget audits, method ranking and
 reproducibility checklist reports; runs journal to disk and resume after
 interruption.

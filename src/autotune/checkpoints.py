@@ -10,7 +10,8 @@ Appends are buffered until :meth:`CheckpointPack.flush`; a frame whose flush
 returned survives a process kill. A kill during a write can leave a torn
 last frame. Opening a pack for appending truncates it, with a logged
 warning; reading ignores it.
-A frame header that does not parse is :class:`PackError`.
+A frame header that does not parse is :class:`PackError`. Only the
+:class:`autotune.runner.TrialRunner` opens packs; objectives get payloads.
 """
 from __future__ import annotations
 
@@ -18,13 +19,15 @@ import json
 import logging
 import os
 
+from .journal import JournalError
+
 PACK_NAME = "checkpoints.pack"
 
 log = logging.getLogger(__name__)
 
 
-class PackError(RuntimeError):
-    """A checkpoint is missing from its pack, or the pack is damaged."""
+class PackError(JournalError):
+    """A checkpoint a journal names is missing, or its pack is damaged."""
 
 
 class CheckpointPack:
@@ -121,12 +124,3 @@ class CheckpointPack:
                 end = start + size
                 fh.seek(end)
         self._index, self._end = index, end
-
-
-def read_checkpoint(path: str) -> bytes:
-    """The payload of the checkpoint at ``path``, from one scan of its pack."""
-    pack = CheckpointPack(os.path.dirname(path))
-    try:
-        return pack.read(os.path.basename(path))
-    finally:
-        pack.close()

@@ -4,7 +4,9 @@ Costs are minimized. Budget is a fraction in (0, 1] of a full training run;
 training can resume from a checkpoint so schedulers that change configurations
 mid-run (population-based training) get exact continuation: resuming a run at
 fraction f and training on to b yields bit-identical cost to a fresh run to b
-when the configuration is unchanged.
+when the configuration is unchanged. An objective returns its state in a
+:class:`CheckpointHandle` and resumes from ``resume.payload``, which the
+runner sets.
 
 Every objective has a ``name``, a ``cost_metric`` and ``evaluate``. The
 built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
@@ -12,8 +14,8 @@ built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
 * ``seeded_valley`` (``dimension=2, sigma=0.25, noise=0.05``) -- squared
   distance in unit space to an optimum the seed moves by ``sigma``, plus a
   (1 - b) * 0.5 penalty for partial budgets and bounded deterministic noise;
-  reproduces tuning-seed overfitting at desk scale. Given a space,
-  :func:`make_objective` measures in it instead of ``dimension`` unit axes.
+  reproduces tuning-seed overfitting at desk scale. Given a space, it
+  measures in that space instead, and refuses a ``dimension``.
 * ``noisy_sphere`` (``dimension=2, noise=0.1, shift_sigma=0.0``) --
   ``seeded_valley`` without the penalty, with ``shift_sigma`` for ``sigma``.
   Both memoise per instance the distance and noise terms of each
@@ -22,7 +24,7 @@ built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
   must be finite.
 * ``gridworld_q`` (``total_steps=2000``) -- tabular Q-learning on a 5x5
   gridworld; cost is the negative mean return of the greedy policy over 100
-  evaluation episodes.
+  evaluation episodes; it refuses a space that lacks one of its parameters.
 * ``external_command`` (``command, workdir=None, timeout=None``) -- run a
   user command; it must print ``cost=<float>`` as the final line of stdout.
   Configuration values are passed as uppercased environment variables, plus
@@ -46,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoints import CheckpointPack, read_checkpoint
 from .space import (
     ConfigSpace,
     Configuration,
@@ -69,35 +70,17 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class CheckpointHandle:
-    """Reference to an opaque training-state payload.
+    """An opaque training-state payload and the fraction of a run it holds.
 
-    The payload lives in memory (``payload``), in a checkpoint pack
-    (``path``), or both. ``path`` is the pack's directory joined with the
-    name of the payload's frame (see :mod:`autotune.checkpoints`). A handle
-    with a path and no payload reads its frame on :meth:`load`, through
-    ``pack`` when one is given (an open pack whose index the holder keeps),
-    else with a scan of the pack for this one read.
+    ``path`` is where the runner packed the payload: the pack's directory
+    joined with the name of its frame (see :mod:`autotune.checkpoints`). A
+    replayed handle holds no payload until a live group resumes from it.
     ``trained_fraction`` never decreases along one training lineage.
     """
 
     trained_fraction: float
     payload: bytes | None = None
     path: str | None = None
-    pack: CheckpointPack | None = field(default=None, repr=False, compare=False)
-
-    def load(self) -> bytes:
-        if self.payload is not None:
-            return self.payload
-        if self.path is None:
-            raise EvaluationError(
-                f"checkpoint at fraction {self.trained_fraction} has neither payload nor path"
-            )
-        if self.pack is None:
-            return read_checkpoint(self.path)
-        return self.pack.read(os.path.basename(self.path))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.load()).hexdigest()
 
 
 def config_digest(config: Configuration) -> str:
@@ -213,16 +196,20 @@ class SeededValley(Objective):
 
     def __init__(
         self,
-        dimension: int = 2,
+        dimension: int | None = None,  # 2 without a space; a space sets it
         sigma: float = 0.25,
         noise: float = 0.05,
         space: ConfigSpace | None = None,
     ):
-        self.dimension = int(space.dimension if space is not None else dimension)
+        if space is None:
+            n = 2 if dimension is None else int(dimension)
+            space = ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(n)])
+        elif dimension is not None:
+            n = space.dimension
+            raise ValueError(f"dimension {dimension} given with a space of {n} parameters")
+        self.dimension = space.dimension
         self.sigma = _finite("sigma", sigma)
         self.noise = _finite("noise", noise)
-        if space is None:
-            space = ConfigSpace([continuous(f"x{i}", 0.0, 1.0) for i in range(self.dimension)])
         self.space = space
         # (config digest, str(seed)) -> (squared distance, noise draw)
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
@@ -296,7 +283,7 @@ class NoisySphere(SeededValley):
 
     def __init__(
         self,
-        dimension: int = 2,
+        dimension: int | None = None,
         noise: float = 0.1,
         shift_sigma: float = 0.0,
         space: ConfigSpace | None = None,
@@ -427,7 +414,10 @@ class GridworldQ(Objective):
         ]
     )
 
-    def __init__(self, total_steps: int = 2000):
+    def __init__(self, total_steps: int = 2000, space: ConfigSpace | None = None):
+        missing = [] if space is None else [n for n in self.space.names if n not in space]
+        if missing:
+            raise ValueError(f"gridworld_q reads {', '.join(missing)}, which the space lacks")
         self.total_steps = int(total_steps)
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
@@ -467,7 +457,7 @@ class GridworldQ(Objective):
             raise EvaluationError(f"invalid gridworld_q configuration: {config.values}")
 
         if resume is not None:
-            state = pickle.loads(resume.load())
+            state = pickle.loads(resume.payload)
         else:
             state = self._fresh_state(seed)
         # a fixed seed spares drawing OS entropy; the state set next replaces it
@@ -642,7 +632,7 @@ class ExternalCommand(Objective):
         os.unlink(ckpt_path)
         if resume is not None:
             with open(ckpt_path, "wb") as fh:
-                fh.write(resume.load())
+                fh.write(resume.payload)
         env["AUTOTUNE_CHECKPOINT"] = ckpt_path
         try:
             # in a session of its own, the command and every process it
@@ -708,16 +698,12 @@ _BUILTINS = {
 
 
 def make_objective(spec: ObjectiveSpec, space: ConfigSpace | None = None) -> Objective:
-    """Build the objective ``spec`` describes; ``space``, when given, is the
-    space ``noisy_sphere`` and ``seeded_valley`` measure distance in, and the
-    one whose names ``external_command`` checks against its environment."""
+    """Build the objective ``spec`` describes for ``space``, when given: the
+    space ``noisy_sphere`` and ``seeded_valley`` measure in, the one that holds
+    ``gridworld_q``'s parameters, or whose names ``external_command`` checks."""
     if spec.kind not in _BUILTINS:
         raise ValueError(f"unknown objective kind {spec.kind!r}")
-    cls = _BUILTINS[spec.kind]
-    kw = dict(spec.params)
-    if space is not None and issubclass(cls, (SeededValley, ExternalCommand)):
-        kw["space"] = space
     try:
-        return cls(**kw)
+        return _BUILTINS[spec.kind](**spec.params, space=space)
     except TypeError as err:  # a parameter the objective does not take
         raise ValueError(f"bad parameters for objective {spec.kind!r}: {err}") from err

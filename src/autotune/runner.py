@@ -9,7 +9,9 @@ every tuning seed; its spend is the budget fraction (seeds are the protocol's
 price of reliability, not extra tuning budget). Every trial and group lands
 in the journal; when the journal is in replay mode the runner returns
 recorded results instead of calling the objective, which is what makes
-interrupted runs resumable bit-for-bit.
+interrupted runs resumable bit-for-bit. A replayed checkpoint holds only its
+path; the runner reads its payload before a live group resumes from it, so
+an objective finds it in ``resume.payload`` and never opens a pack.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -21,7 +23,6 @@ calling process.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import pickle
@@ -139,7 +140,7 @@ class TrialRunner:
         started = self._start(config, budget, seeds, purpose, resume, tags)
         if isinstance(started, GroupResult):
             return started
-        return self._commit(started, _run_group(self.objective, started))
+        return self._commit(started, _run_group(self.objective, self._read_resume(started)))
 
     def evaluate_many(self, requests: list[dict]) -> list[GroupResult]:
         """Evaluate several groups as ``evaluate_group`` would, one by one.
@@ -167,8 +168,7 @@ class TrialRunner:
         theirs = list(zip(self._children, bounds[1:], bounds[2:]))
         try:
             for (_, conn), a, b in theirs:
-                # packs stay open in this process only: send checkpoint payloads
-                conn.send([dataclasses.replace(g, resume=_loaded(g.resume)) for g in groups[a:b]])
+                conn.send([self._read_resume(g) for g in groups[a:b]])
             results.extend(self.evaluate_group(**req) for req in live[: bounds[1]])
             for (_, conn), a, b in theirs:
                 trials, error = _receive(conn)
@@ -337,17 +337,20 @@ class TrialRunner:
         pack = self._pack(self.checkpoint_dir)
         persisted = {}
         for seed, ckpt in checkpoints.items():
-            if ckpt.payload is None:
-                persisted[seed] = ckpt
-                continue
             name = f"g{group_id:06d}_s{seed}_f{ckpt.trained_fraction:.6f}.ckpt"
-            persisted[seed] = CheckpointHandle(
-                trained_fraction=ckpt.trained_fraction,
-                payload=ckpt.payload,
-                path=pack.append(name, ckpt.payload),
-            )
+            path = pack.append(name, ckpt.payload)
+            persisted[seed] = CheckpointHandle(ckpt.trained_fraction, ckpt.payload, path)
         pack.flush()
         return persisted
+
+    def _read_resume(self, live: _LiveGroup) -> _LiveGroup:
+        """``live``, once each replayed checkpoint it resumes from holds its
+        payload, read through the pack of its directory, whose index this
+        runner keeps; worker processes open no pack."""
+        for h in (live.resume or {}).values():
+            if h is not None and h.payload is None:
+                h.payload = self._pack(os.path.dirname(h.path)).read(os.path.basename(h.path))
+        return live
 
     def _rehydrate(self, config, budget, seeds, purpose, records) -> GroupResult:
         trials = [r for r in records if r["t"] == TRIAL]
@@ -356,16 +359,9 @@ class TrialRunner:
         checkpoints = {}
         for rec in trials:
             per_seed.append(rec["cost"])
-            if rec.get("ckpt"):
-                checkpoints[rec["seed"]] = CheckpointHandle(
-                    trained_fraction=rec["frac"],
-                    path=rec["ckpt"],
-                    pack=self._pack(os.path.dirname(rec["ckpt"])),
-                )
-            elif rec.get("frac") is not None:
-                checkpoints[rec["seed"]] = CheckpointHandle(
-                    trained_fraction=rec["frac"], payload=b""
-                )
+            path, frac = rec.get("ckpt") or None, rec.get("frac")
+            if frac is not None:  # a packed payload is read when a live group resumes
+                checkpoints[rec["seed"]] = CheckpointHandle(frac, None if path else b"", path)
         return GroupResult(
             group=group_rec["group"],
             config=config,
@@ -394,16 +390,6 @@ def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
             cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
         trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
     return trials
-
-
-def _loaded(resume: dict | None) -> dict | None:
-    """``resume`` with every checkpoint's payload read and no open pack."""
-    if resume is None:
-        return None
-    return {
-        seed: None if h is None else dataclasses.replace(h, payload=h.load(), pack=None)
-        for seed, h in resume.items()
-    }
 
 
 def _receive(conn) -> tuple[list, Exception | None]:

@@ -14,7 +14,8 @@ objective ``external_command-`` and 8 hex digits of its command's sha256
 (:func:`autotune.sweeps.sweep_label`), so sweeps of different commands
 share an ``--out``.
 
-A trial record's ``ckpt`` is ``rep000/checkpoints/<name>``: the pack in that
+A trial record's ``ckpt`` is ``<out>/rep000/checkpoints/<name>``, made
+absolute so a run resumes from any working directory: the pack in that
 directory holds the payload in its frame ``<name>`` (see
 :mod:`autotune.checkpoints`). Reports read only the rep*/ journals.
 
@@ -146,7 +147,8 @@ def run_repetition(
 @contextlib.contextmanager
 def opened_run(directory: str, header: dict, objective, seeds, workers: int = 1):
     """A :class:`TrialRunner` that journals into ``directory`` and packs its
-    checkpoints in ``directory``/checkpoints. The journal there is resumed,
+    checkpoints in ``directory``/checkpoints, named by absolute paths in the
+    journal. The journal there is resumed,
     and must hold ``header``; with none there, a new one starts with
     ``header``. Runner and journal close on exit."""
     path = os.path.join(directory, JOURNAL_NAME)
@@ -156,7 +158,8 @@ def opened_run(directory: str, header: dict, objective, seeds, workers: int = 1)
         with contextlib.closing(
             TrialRunner(
                 objective, list(seeds), journal=journal,
-                checkpoint_dir=os.path.join(directory, "checkpoints"), workers=workers,
+                checkpoint_dir=os.path.abspath(os.path.join(directory, "checkpoints")),
+                workers=workers,
             )
         ) as runner:
             yield runner

@@ -6,13 +6,22 @@ import sys
 import pytest
 
 import autotune
-from autotune.checkpoints import PACK_NAME, CheckpointPack, PackError, read_checkpoint
+from autotune.checkpoints import PACK_NAME, CheckpointPack, PackError
 from autotune.journal import Journal
-from autotune.objectives import CheckpointHandle, GridworldQ, SeededValley
+from autotune.objectives import GridworldQ, SeededValley
 from autotune.runner import TrialRunner
 from autotune.space import Configuration
 
 GRID_CONFIG = {"learning_rate": 0.3, "epsilon": 0.2, "gamma": 0.95, "epsilon_decay": 0.99}
+
+
+def read_checkpoint(path):
+    """The payload of the checkpoint at ``path``, from one scan of its pack."""
+    pack = CheckpointPack(os.path.dirname(path))
+    try:
+        return pack.read(os.path.basename(path))
+    finally:
+        pack.close()
 
 
 def write_pack(directory, frames):
@@ -50,8 +59,7 @@ def test_empty_payload_round_trips(tmp_path):
     res = runner.evaluate_group(Configuration({"x0": 0.3, "x1": 0.6}), 0.5)
     runner.close()
     [trial] = runner.journal.of_type("trial")
-    handle = CheckpointHandle(trained_fraction=trial["frac"], path=trial["ckpt"])
-    assert handle.load() == b"" == res.checkpoints[0].payload
+    assert read_checkpoint(trial["ckpt"]) == b"" == res.checkpoints[0].payload
 
 
 def test_missing_checkpoint_is_an_error(tmp_path):
@@ -123,29 +131,43 @@ os._exit({crash_code})  # no close of the journal or the pack
     objective = GridworldQ(total_steps=200)
     for trial in trials:
         _, fresh = objective.evaluate(Configuration(GRID_CONFIG), trial["budget"], trial["seed"])
-        handle = CheckpointHandle(trained_fraction=trial["frac"], path=trial["ckpt"])
-        assert handle.load() == fresh.payload
+        assert read_checkpoint(trial["ckpt"]) == fresh.payload
 
 
-def test_replayed_handles_read_through_the_runners_pack(tmp_path):
+def test_replayed_handles_read_through_the_runners_pack(tmp_path, monkeypatch):
     ckpt_dir = str(tmp_path / "checkpoints")
+    config = Configuration(GRID_CONFIG)
     journal = Journal.create(str(tmp_path / "journal.log"))
     journal.write_header({"method": "adhoc"})
     runner = TrialRunner(GridworldQ(total_steps=200), [0, 1], journal=journal,
                          checkpoint_dir=ckpt_dir)
-    live = runner.evaluate_group(Configuration(GRID_CONFIG), 0.5)
+    live = runner.evaluate_group(config, 0.5)
+    whole = runner.evaluate_group(config, 1.0, resume=live.checkpoints)
     runner.close()
     journal.close()
+    with open(tmp_path / "journal.log", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(tmp_path / "journal.log", "w", encoding="utf-8") as fh:
+        # up to the first group's record: the second group runs again
+        fh.writelines(lines[: [json.loads(line)["t"] for line in lines].index("group") + 1])
 
+    scans = []
+    scan = CheckpointPack._scan
+    monkeypatch.setattr(CheckpointPack, "_scan", lambda pack: (scans.append(pack.path), scan(pack)))
     resumed = Journal.open_for_resume(str(tmp_path / "journal.log"))
     resumed.write_header({"method": "adhoc"})
     runner = TrialRunner(GridworldQ(total_steps=200), [0, 1], journal=resumed,
                          checkpoint_dir=ckpt_dir)
-    replayed = runner.evaluate_group(Configuration(GRID_CONFIG), 0.5)
-    packs = [h.pack for h in replayed.checkpoints.values()]
-    assert packs[0] is not None and all(p is packs[0] for p in packs)  # one index
-    for seed, handle in replayed.checkpoints.items():
-        assert handle.payload is None
-        assert handle.load() == live.checkpoints[seed].payload
+    replayed = runner.evaluate_group(config, 0.5)
+    assert all(h.payload is None for h in replayed.checkpoints.values())
+    assert [h.path for h in replayed.checkpoints.values()] == [
+        h.path for h in live.checkpoints.values()
+    ]
+    assert scans == []  # a replay reads no frame
+    again = runner.evaluate_group(config, 1.0, resume=replayed.checkpoints)
+    assert scans == [os.path.join(ckpt_dir, PACK_NAME)]  # one index for both seeds
+    assert again.per_seed_cost == whole.per_seed_cost
+    for seed, handle in again.checkpoints.items():
+        assert handle.payload == whole.checkpoints[seed].payload
     runner.close()
     resumed.close()

@@ -277,6 +277,27 @@ def test_a_parameter_named_after_an_inherited_variable_exits_2_before_writing(
     assert not out.exists()
 
 
+def test_gridworld_on_a_space_without_its_parameters_exits_2_before_writing(
+    space, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert tune(space, out, "rs", "--objective", "gridworld_q", *SEEDS) == EXIT_USAGE
+    assert ("gridworld_q reads learning_rate, epsilon, gamma, epsilon_decay, which the "
+            "space lacks") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("objective", ["seeded_valley", "noisy_sphere"])
+def test_a_dimension_beside_a_space_exits_2_before_writing(space, tmp_path, capsys, objective):
+    # the run measured in the space's 4 dimensions, and its header said 5
+    out = tmp_path / "run"
+    rc = tune(space, out, "rs", "--objective", objective, "--objective-param", "dimension=5",
+              *SEEDS)
+    assert rc == EXIT_USAGE
+    assert "dimension 5 given with a space of 4 parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_deterministic_flag_is_a_usage_error(space, tmp_path):
     with pytest.raises(SystemExit) as err:
         tune(space, tmp_path / "run", "rs", *VALLEY, "--deterministic")
@@ -351,6 +372,53 @@ def test_a_resume_names_the_torn_records_it_drops_on_stderr(space, tmp_path, cap
     assert "dropped" not in captured.out and "repetition 0: incumbent cost" in captured.out
     whole = (tmp_path / "whole" / "exports" / "incumbents.csv").read_bytes()
     assert (out / "exports" / "incumbents.csv").read_bytes() == whole
+
+
+GRIDWORLD_SPACE = """\
+learning_rate: log(1e-07, 1.0)
+epsilon: (0.0, 1.0)
+gamma: (0.5, 0.999)
+epsilon_decay: (0.9, 1.0)
+"""
+GRIDWORLD_PBT = ["pbt", "--objective", "gridworld_q", "--budget-runs", "4", "--intervals", "4",
+                 "--tuning-seeds", "0", "--test-seeds", "1"]
+
+
+def cut_after_group(out, count):
+    """Cut ``out``'s journal after its ``count``-th group record, whose later
+    groups resume from checkpoints in its pack, and drop its exports."""
+    path = out / "rep000" / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    ends = [i for i, line in enumerate(lines) if json.loads(line)["t"] == "group"]
+    path.write_text("".join(lines[: ends[count - 1] + 1]))
+    shutil.rmtree(out / "exports")
+
+
+def test_a_run_with_a_relative_out_resumes_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
+    for name in ("whole", "a", "b"):  # ends in b
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name != "b":
+            assert tune("../g.txt", "run", *GRIDWORLD_PBT) == EXIT_OK
+    cut_after_group(tmp_path / "a" / "run", 9)
+    # the journal names its checkpoints by absolute paths, not from a/
+    assert tune("../g.txt", "../a/run", *GRIDWORLD_PBT) == EXIT_OK
+    whole = (tmp_path / "whole" / "run" / "exports" / "incumbents.csv").read_bytes()
+    assert (tmp_path / "a" / "run" / "exports" / "incumbents.csv").read_bytes() == whole
+
+
+def test_a_resume_whose_pack_is_gone_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
+    assert tune("g.txt", "run", *GRIDWORLD_PBT) == EXIT_OK
+    cut_after_group(tmp_path / "run", 9)
+    os.remove(tmp_path / "run" / "rep000" / "checkpoints" / "checkpoints.pack")
+    capsys.readouterr()
+    assert tune("g.txt", "run", *GRIDWORLD_PBT) == EXIT_CORRUPT  # returned, not raised
+    err = capsys.readouterr().err
+    assert err.startswith("journal error: no checkpoint ")
+    assert os.path.join("run", "rep000", "checkpoints", "checkpoints.pack") in err
 
 
 def test_a_report_names_a_torn_last_record_on_stderr(space, tmp_path, capsys):

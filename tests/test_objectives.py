@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -431,7 +432,7 @@ def test_gridworld_golden_checkpoint_payloads_are_frozen():
     obj = GridworldQ(total_steps=GOLDEN["total_steps"])
     for case, digest in zip(GOLDEN["cases"], GOLDEN_CHECKPOINT_SHA256, strict=True):
         _, ckpt = obj.evaluate(golden_config(), case["budget"], case["seed"])
-        assert ckpt.digest() == digest
+        assert hashlib.sha256(ckpt.payload).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -527,7 +528,7 @@ def test_gridworld_matches_reference_inside_default_space(unit, budget, split, s
     _, part = obj.evaluate(cfg, budget * split, seed)
     resumed, resumed_ckpt = obj.evaluate(cfg, budget, seed, resume=part)
     assert resumed.hex() == want.hex()
-    assert resumed_ckpt.load() == ckpt.load()
+    assert resumed_ckpt.payload == ckpt.payload
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,7 +552,7 @@ def test_divergent_q_tables_match_numpy_training(lr, epsilon, gamma, decay, budg
         {"learning_rate": lr, "epsilon": epsilon, "gamma": gamma, "epsilon_decay": decay}
     )
     cost, ckpt = GridworldQ(total_steps=total).evaluate(cfg, budget, seed)
-    got = pickle.loads(ckpt.load())
+    got = pickle.loads(ckpt.payload)
     want = numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total)
     got_q, want_q = got.pop("q"), want.pop("q")
     assert got_q.dtype == want_q.dtype
@@ -584,12 +585,12 @@ def test_training_across_several_draw_blocks_matches_the_references(epsilon, dec
     obj = GridworldQ(total_steps=total)
     cost, ckpt = obj.evaluate(cfg, 1.0, seed)
     assert cost == reference_cost(0.2, epsilon, 0.95, decay, 1.0, seed, total_steps=total)
-    got = pickle.loads(ckpt.load())
+    got = pickle.loads(ckpt.payload)
     want = numpy_reference_state(0.2, epsilon, 0.95, decay, 1.0, seed, total)
     assert got.pop("q").tobytes() == want.pop("q").tobytes()
     assert got == want
     _, part = obj.evaluate(cfg, 0.37, seed)
-    assert obj.evaluate(cfg, 1.0, seed, resume=part)[1].load() == ckpt.load()
+    assert obj.evaluate(cfg, 1.0, seed, resume=part)[1].payload == ckpt.payload
 
 
 def test_a_resume_chain_leaves_the_scalar_loops_stream_state():
@@ -599,7 +600,7 @@ def test_a_resume_chain_leaves_the_scalar_loops_stream_state():
     ckpt = None
     for budget in (0.013, 0.4, 0.41, 1.0):
         _, ckpt = obj.evaluate(cfg, budget, 6, resume=ckpt)
-        got = pickle.loads(ckpt.load())
+        got = pickle.loads(ckpt.payload)
         want = numpy_reference_state(*values, budget, 6, 5000)
         assert got["rng"] == want["rng"]
         assert got["step"] == want["step"]
@@ -641,9 +642,9 @@ def test_a_nan_in_the_table_switches_to_the_argmax_rule(split):
     resume = None
     if split is not None:
         _, resume = obj.evaluate(cfg, split, 3)
-        assert np.isnan(pickle.loads(resume.load())["q"]).any() == (split > 315 / 600)
+        assert np.isnan(pickle.loads(resume.payload)["q"]).any() == (split > 315 / 600)
     cost, ckpt = obj.evaluate(cfg, 1.0, 3, resume=resume)
-    got = pickle.loads(ckpt.load())
+    got = pickle.loads(ckpt.payload)
     want = numpy_reference_state(1000.0, 0.5, 0.9, 0.99, 1.0, 3, 600)
     got_q, want_q = got.pop("q"), want.pop("q")
     assert np.isnan(got_q).any()
@@ -651,7 +652,7 @@ def test_a_nan_in_the_table_switches_to_the_argmax_rule(split):
     assert got == want
     assert cost.hex() == (-reference_greedy_return(want_q)).hex()
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # digests of numpy 2 pickles
-        assert ckpt.digest() == NAN_RUN_SHA256
+        assert hashlib.sha256(ckpt.payload).hexdigest() == NAN_RUN_SHA256
 
 
 def test_fresh_streams_are_kept_per_seed_text():
@@ -660,8 +661,8 @@ def test_fresh_streams_are_kept_per_seed_text():
     obj = GridworldQ(total_steps=300)
     for seed in (1, True, 1, True):
         _, ckpt = obj.evaluate(cfg, 0.5, seed)
-        assert ckpt.load() == GridworldQ(total_steps=300).evaluate(cfg, 0.5, seed)[1].load()
-    assert obj.evaluate(cfg, 0.5, 1)[1].load() != obj.evaluate(cfg, 0.5, True)[1].load()
+        assert ckpt.payload == GridworldQ(total_steps=300).evaluate(cfg, 0.5, seed)[1].payload
+    assert obj.evaluate(cfg, 0.5, 1)[1].payload != obj.evaluate(cfg, 0.5, True)[1].payload
 
 
 def test_gridworld_zero_learning_rate_never_improves():
@@ -708,7 +709,7 @@ def test_gridworld_continuation_consistency():
         part, ckpt = obj.evaluate(cfg, split, 5)
         resumed, resumed_ckpt = obj.evaluate(cfg, 1.0, 5, resume=ckpt)
         assert resumed == fresh  # bit-identical continuation
-        assert resumed_ckpt.load() == fresh_ckpt.load()
+        assert resumed_ckpt.payload == fresh_ckpt.payload
         assert ckpt.trained_fraction == split
 
 
@@ -771,10 +772,10 @@ def test_external_command_checkpoint_round_trip(tmp_path):
     obj = ExternalCommand(cmd)
     cost0, ckpt = obj.evaluate(Configuration({"x": 0.5}), 0.5, 0)
     assert cost0 == 0.0
-    assert ckpt.load() == b"1"
+    assert ckpt.payload == b"1"
     cost1, ckpt2 = obj.evaluate(Configuration({"x": 0.5}), 1.0, 0, resume=ckpt)
     assert cost1 == 1.0
-    assert ckpt2.load() == b"2"
+    assert ckpt2.payload == b"2"
 
 
 def test_external_command_nonzero_exit_fails_with_output(tmp_path):
@@ -853,11 +854,24 @@ def test_make_objective_round_trips_spec():
     sphere = make_objective(ObjectiveSpec("noisy_sphere", {"shift_sigma": 0.2}), space=space)
     assert type(sphere) is NoisySphere
     assert (sphere.space, sphere.dimension, sphere.sigma, sphere.noise) == (space, 1, 0.2, 0.1)
-    grid = make_objective(ObjectiveSpec("gridworld_q", {"total_steps": 50}), space=space)
+    wider = ConfigSpace([*GridworldQ.space, *space])
+    grid = make_objective(ObjectiveSpec("gridworld_q", {"total_steps": 50}), space=wider)
     assert grid.total_steps == 50 and grid.space is GridworldQ.space
     # each kind takes the parameters of its own constructor only
     with pytest.raises(ValueError, match="bad parameters for objective 'noisy_sphere'"):
         make_objective(ObjectiveSpec("noisy_sphere", {"sigma": 0.2}))
+
+
+def test_an_objective_refuses_a_space_it_cannot_run_on():
+    space = ConfigSpace([continuous("x", 0.0, 1.0), continuous("epsilon", 0.0, 1.0)])
+    with pytest.raises(ValueError, match="reads learning_rate, gamma, epsilon_decay"):
+        make_objective(ObjectiveSpec("gridworld_q"), space=space)
+    for kind in ("seeded_valley", "noisy_sphere"):
+        # the space sets the dimension; a given one was recorded, then ignored
+        with pytest.raises(ValueError, match="dimension 5 given with a space of 2"):
+            make_objective(ObjectiveSpec(kind, {"dimension": 5}), space=space)
+        assert make_objective(ObjectiveSpec(kind, {"dimension": 5})).dimension == 5
+        assert make_objective(ObjectiveSpec(kind), space=space).dimension == 2
 
 
 def test_make_objective_cmd_prefix():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from autotune.checkpoints import read_checkpoint
+from autotune.checkpoints import CheckpointPack
 from autotune.journal import Journal
 from autotune.objectives import GridworldQ, ObjectiveSpec, SeededValley
 from autotune.pbt import exploit, run_pbt
@@ -160,7 +160,7 @@ class RecordingGridworld(GridworldQ):
         self.resumed = []
 
     def evaluate(self, config, budget, seed, resume=None):
-        self.resumed.append(None if resume is None else hashlib.sha256(resume.load()).hexdigest())
+        self.resumed.append(None if resume is None else hashlib.sha256(resume.payload).hexdigest())
         return super().evaluate(config, budget, seed, resume=resume)
 
 
@@ -188,8 +188,10 @@ def traced_pbt(settings_, seeds, rng_seed):
         run_pbt(objective.space, runner, np.random.default_rng(rng_seed), **settings_)
         runner.close()
         journal = runner.journal
-        frames = {t["ckpt"]: hashlib.sha256(read_checkpoint(t["ckpt"])).hexdigest()
+        pack = CheckpointPack(directory)
+        frames = {t["ckpt"]: hashlib.sha256(pack.read(os.path.basename(t["ckpt"]))).hexdigest()
                   for t in journal.of_type("trial") if t["ckpt"]}
+        pack.close()
     held = {}  # member -> {seed: (path, fraction)} of its latest checkpoints
     sources, trials = [], []
     for record in journal.records:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from autotune.checkpoints import PACK_NAME, read_checkpoint
+from autotune.checkpoints import PACK_NAME, CheckpointPack
 from autotune.journal import Journal
 from autotune.objectives import GridworldQ, ObjectiveSpec
 from autotune.protocol import MethodSpec, SeedPlan
@@ -68,6 +68,15 @@ def ctrl_c(monkeypatch):
 
 def journal(directory):
     return Journal.load(os.path.join(directory, JOURNAL_NAME))
+
+
+def read_checkpoint(path):
+    """The payload of the checkpoint at ``path``, from one scan of its pack."""
+    pack = CheckpointPack(os.path.dirname(path))
+    try:
+        return pack.read(os.path.basename(path))
+    finally:
+        pack.close()
 
 
 def records(directory):
