@@ -1,20 +1,22 @@
 """Command-line interface.
 
-    tune {rs,dehb,pbt} --space F --objective NAME|cmd:... --budget-runs N
-         --tuning-seeds 0,1,2,3,4 --test-seeds 5..14 --repetitions R
-         --rng-seed S --workers W --out DIR
-    report {checklist,ranks,incumbents,trials} DIR...
-    sweep --space F --objective NAME|cmd:... --param NAME --values ... --seeds ...
-          --budget B --base K=V --out DIR
+    autotune tune {rs,dehb,pbt} --space F --objective NAME|cmd:... --budget-runs N
+                  --tuning-seeds 0,1,2,3,4 --test-seeds 5..14 --repetitions R
+                  --rng-seed S --workers W --out DIR
+    autotune report {checklist,ranks,incumbents,trials} DIR...
+    autotune sweep --space F --objective NAME|cmd:... --param NAME --values ...
+                   --seeds ... --budget B --base K=V --out DIR
 
 ``report`` with one DIR writes DIR/exports/ and prints the paths; with
 several DIRs it prints the combined report to stdout. ``trials`` takes one
 DIR. ``sweep`` journals into DIR/sweeps/ and writes its table to DIR; run
 again with the same arguments, it resumes from that journal. As with
-``tune``, a rerun whose arguments differ is refused. AUTOTUNE_RUN_DIR
-overrides --out. Results go to stdout; errors, and warnings the ``autotune``
-logger gives (such as torn records a resume drops), go to stderr. Exit
-codes: 0 success, 2 usage error, 3 objective failure, 4 journal corruption.
+``tune``, a rerun whose arguments differ is refused. ``tune`` and ``sweep``
+require ``--out``, the one name of a run directory: no default and no
+environment variable stands in for it. Results go to stdout; errors, and
+warnings the ``autotune`` logger gives (such as torn records a resume drops),
+go to stderr. Exit codes: 0 success, 2 usage error, 3 objective failure, 4
+journal corruption.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ from .protocol import MethodSpec, SeedPlan, defaults
 from .runner import NoIncumbentError
 from .runs import (
     TuneExports,
-    default_run_dir,
     export,
     opened_run,
     render,
@@ -100,10 +101,33 @@ def _objective_spec(name: str, params: dict) -> ObjectiveSpec:
     return ObjectiveSpec(name, params)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_run(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that writes a run directory."""
     p.add_argument("--space", required=True, help="space definition file")
     p.add_argument("--objective", required=True, help="objective name or cmd:<command>")
     p.add_argument("--objective-param", action="append", default=[], metavar="K=V")
+    p.add_argument("--out", required=True, help="run directory; a rerun resumes it")
+
+
+def _run_inputs(args) -> tuple[str, ObjectiveSpec]:
+    """The space file's text and the objective spec that ``args`` name. An
+    unreadable space file, or an ``--out`` that is, or lies below, a file,
+    is a usage error."""
+    existing = os.path.abspath(args.out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise UsageError(f"--out {args.out!r} is not a directory: {existing!r} is a file")
+    try:
+        with open(args.space, "r", encoding="utf-8") as fh:
+            space_text = fh.read()
+    except OSError as err:
+        raise UsageError(f"cannot read space file {args.space!r}: {err.strerror}") from None
+    return space_text, _objective_spec(args.objective, _parse_params(args.objective_param))
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_run(p)
     p.add_argument("--budget-runs", type=int, default=16)
     p.add_argument("--tuning-seeds", default="0,1,2,3,4")
     p.add_argument("--test-seeds", default="5..14")
@@ -115,7 +139,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=1,
         help="processes that evaluate trials, this one included; at most the CPU count",
     )
-    p.add_argument("--out", default=None, help="run directory (AUTOTUNE_RUN_DIR overrides)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,16 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("dirs", nargs="+", metavar="DIR")
 
     sweep = sub.add_parser("sweep", help="vary one hyperparameter over a value list")
-    sweep.add_argument("--space", required=True)
-    sweep.add_argument("--objective", required=True)
-    sweep.add_argument("--objective-param", action="append", default=[], metavar="K=V")
+    _add_run(sweep)
     sweep.add_argument("--param", required=True)
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--seeds", default="0,1,2,3,4")
     sweep.add_argument("--budget", type=float, default=1.0)
     sweep.add_argument("--base", action="append", default=[], metavar="K=V",
                        help="base configuration value (defaults to space midpoints)")
-    sweep.add_argument("--out", default=None)
     return parser
 
 
@@ -189,16 +209,11 @@ def _cmd_tune(args) -> int:
         raise UsageError(f"repetitions must be >= 1, got {args.repetitions}")
     if args.workers < 1:
         raise UsageError(f"workers must be >= 1, got {args.workers}")
-    with open(args.space, "r", encoding="utf-8") as fh:
-        space_text = fh.read()
+    space_text, objective_spec = _run_inputs(args)
     method = _method_from_args(args)
-    objective_spec = _objective_spec(args.objective, _parse_params(args.objective_param))
     seed_plan = SeedPlan(parse_seed_list(args.tuning_seeds), parse_seed_list(args.test_seeds))
-    out = os.environ.get("AUTOTUNE_RUN_DIR") or args.out
-    if out is None:
-        out = default_run_dir("run", method.name)
-    planned = [rep_dir(out, rep) for rep in range(args.repetitions)]
-    exports = TuneExports(out, planned)
+    planned = [rep_dir(args.out, rep) for rep in range(args.repetitions)]
+    exports = TuneExports(args.out, planned)
     for rep, directory in enumerate(planned):
         result = run_repetition(
             directory,
@@ -221,7 +236,7 @@ def _cmd_tune(args) -> int:
                 f"spend {result.spend:.3f} runs"
             )
     exports.close()
-    print(f"run directory: {out}")
+    print(f"run directory: {args.out}")
     return EXIT_OK
 
 
@@ -253,10 +268,8 @@ def _value(param: Hyperparameter, text: str):
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.space, "r", encoding="utf-8") as fh:
-        space_text = fh.read()
+    space_text, objective_spec = _run_inputs(args)
     space = parse_space(space_text)
-    objective_spec = _objective_spec(args.objective, _parse_params(args.objective_param))
     objective = make_objective(objective_spec, space=space)
     base_values = dict(from_unit(space, np.full(space.dimension, 0.5)).values)
     base_values.update(_parse_params(args.base, space))
@@ -281,11 +294,10 @@ def _cmd_sweep(args) -> int:
         "seeds": list(spec.seeds),
         "budget": spec.budget,
     }
-    out_dir = os.environ.get("AUTOTUNE_RUN_DIR") or args.out or "."
-    directory = os.path.join(out_dir, "sweeps", f"{sweep_label(objective)}_{spec.param}")
+    directory = os.path.join(args.out, "sweeps", f"{sweep_label(objective)}_{spec.param}")
     with opened_run(directory, header, objective, spec.seeds) as runner:
         table = run_sweep(spec, runner)
-    path = os.path.join(out_dir, table.csv_name())
+    path = os.path.join(args.out, table.csv_name())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(table.to_csv())
     print(path)
@@ -319,18 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CORRUPT
     finally:
         logger.removeHandler(handler)
-
-
-def main_tune(argv: list[str] | None = None) -> int:
-    return main(["tune", *(argv if argv is not None else sys.argv[1:])])
-
-
-def main_report(argv: list[str] | None = None) -> int:
-    return main(["report", *(argv if argv is not None else sys.argv[1:])])
-
-
-def main_sweep(argv: list[str] | None = None) -> int:
-    return main(["sweep", *(argv if argv is not None else sys.argv[1:])])
 
 
 if __name__ == "__main__":

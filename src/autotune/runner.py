@@ -360,6 +360,9 @@ class TrialRunner:
         for rec in trials:
             per_seed.append(rec["cost"])
             path, frac = rec.get("ckpt") or None, rec.get("frac")
+            if path and not os.path.isabs(path):
+                # older journals name a frame relative to where their run started
+                path = os.path.join(self.checkpoint_dir, os.path.basename(path))
             if frac is not None:  # a packed payload is read when a live group resumes
                 checkpoints[rec["seed"]] = CheckpointHandle(frac, None if path else b"", path)
         return GroupResult(

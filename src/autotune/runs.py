@@ -32,7 +32,6 @@ import contextlib
 import csv
 import io
 import os
-import time
 
 import numpy as np
 
@@ -88,11 +87,6 @@ def make_header(
 
 def rep_dir(out_dir: str, repetition: int) -> str:
     return os.path.join(out_dir, f"rep{repetition:03d}")
-
-
-def default_run_dir(root: str, method_name: str) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return os.path.join(root, f"{stamp}-{method_name}")
 
 
 def run_repetition(
@@ -257,10 +251,7 @@ class TuneExports:
 
     def __init__(self, run_dir: str, planned: list[str]):
         self.run_dir = run_dir
-        if os.path.exists(os.path.join(run_dir, JOURNAL_NAME)):
-            self.directories = [run_dir]
-        else:
-            self.directories = sorted(set(_rep_subdirs(run_dir)) | set(planned))
+        self.directories = repetition_dirs(run_dir, planned)
         self._rows: dict[str, tuple] = {}  # directory -> its _repetition_row
 
     def add(self, directory: str, journal: Journal, row: tuple | None = None) -> None:
@@ -272,8 +263,6 @@ class TuneExports:
             self._rows[directory] = _repetition_row(journal) if row is None else row
 
     def close(self) -> None:
-        if not self.directories:
-            raise JournalError(f"no journals under {self.run_dir}")
         for d in self.directories:
             if d not in self._rows:
                 self.add(d, Journal.load(os.path.join(d, JOURNAL_NAME)))
@@ -293,25 +282,20 @@ def _write_exports(run_dir: str, files: dict[str, str]) -> None:
             fh.write(content)
 
 
-def repetition_dirs(run_dir: str) -> list[str]:
+def repetition_dirs(run_dir: str, planned: list[str] | tuple[str, ...] = ()) -> list[str]:
+    """``run_dir`` when it holds a journal; else its rep*/ subdirectories
+    that hold one, and the ``planned`` ones, sorted."""
     if os.path.exists(os.path.join(run_dir, JOURNAL_NAME)):
         return [run_dir]
-    reps = _rep_subdirs(run_dir)
+    found = os.listdir(run_dir) if os.path.isdir(run_dir) else []
+    reps = sorted(set(planned).union(
+        os.path.join(run_dir, d)
+        for d in found
+        if d.startswith("rep") and os.path.exists(os.path.join(run_dir, d, JOURNAL_NAME))
+    ))
     if not reps:
         raise JournalError(f"no journals under {run_dir}")
     return reps
-
-
-def _rep_subdirs(run_dir: str) -> list[str]:
-    """``run_dir``'s rep*/ subdirectories that hold a journal, sorted; none
-    when ``run_dir`` does not exist."""
-    if not os.path.isdir(run_dir):
-        return []
-    return sorted(
-        os.path.join(run_dir, d)
-        for d in os.listdir(run_dir)
-        if d.startswith("rep") and os.path.exists(os.path.join(run_dir, d, JOURNAL_NAME))
-    )
 
 
 def trials_csv(journal: Journal) -> str:

@@ -194,21 +194,10 @@ class Configuration:
     def __getitem__(self, name: str):
         return self.values[name]
 
-    def get(self, name: str, default=None):
-        return self.values.get(name, default)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.values == other.values
-
     def with_value(self, name: str, value) -> "Configuration":
         new = dict(self.values)
         new[name] = value
         return Configuration(new)
-
-    def as_dict(self) -> dict:
-        return dict(self.values)
 
 
 def describe(p: Hyperparameter) -> str:

@@ -298,6 +298,52 @@ def test_a_dimension_beside_a_space_exits_2_before_writing(space, tmp_path, caps
     assert not out.exists()
 
 
+COMMANDS = {"tune": ["tune", "rs", *VALLEY, *SEEDS, "--budget-runs", "2"], "sweep": SWEEP}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_missing_space_file_exits_2_before_writing(tmp_path, capsys, command):
+    # the FileNotFoundError used to end in a traceback and exit 1
+    out = tmp_path / "run"
+    space = str(tmp_path / "nope.txt")
+    assert main([*COMMANDS[command], "--space", space, "--out", str(out)]) == EXIT_USAGE
+    assert f"cannot read space file {space!r}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "run"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_out_at_or_below_a_file_exits_2_and_keeps_the_file(
+    space, tmp_path, capsys, command, below
+):
+    # tune used to end in NotADirectoryError: .../afile/rep000, exit 1
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = str(afile / below)
+    assert main([*COMMANDS[command], "--space", space, "--out", out]) == EXIT_USAGE
+    assert f"--out {out!r} is not a directory: " in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_run_without_out_exits_2_and_writes_nothing(space, tmp_path, monkeypatch, command):
+    # tune named the run after the clock, run/<YYYYmmdd-HHMMSS>-rs, so the
+    # same command resumed or not by the second it started in; sweep wrote to .
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([*COMMANDS[command], "--space", space])
+    assert err.value.code == EXIT_USAGE
+    assert os.listdir(tmp_path) == ["space.txt"]
+
+
+def test_no_environment_variable_names_the_run_directory(space, tmp_path, monkeypatch):
+    # AUTOTUNE_RUN_DIR used to override --out
+    monkeypatch.setenv("AUTOTUNE_RUN_DIR", str(tmp_path / "elsewhere"))
+    for command, args in COMMANDS.items():
+        assert main([*args, "--space", space, "--out", str(tmp_path / command)]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["space.txt", "sweep", "tune"]
+
+
 def test_deterministic_flag_is_a_usage_error(space, tmp_path):
     with pytest.raises(SystemExit) as err:
         tune(space, tmp_path / "run", "rs", *VALLEY, "--deterministic")
@@ -419,6 +465,29 @@ def test_a_resume_whose_pack_is_gone_exits_4(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("journal error: no checkpoint ")
     assert os.path.join("run", "rep000", "checkpoints", "checkpoints.pack") in err
+
+
+def test_a_journal_naming_checkpoints_relatively_resumes_from_another_directory(
+    tmp_path, monkeypatch
+):
+    # older journals name each checkpoint from where their run started; from
+    # b/ this one ended in "no checkpoint pack at run/rep000/...", exit 4
+    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
+    for name in ("whole", "a", "b"):  # ends in b
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name != "b":
+            assert tune("../g.txt", "run", *GRIDWORLD_PBT) == EXIT_OK
+    cut_after_group(tmp_path / "a" / "run", 9)
+    path = tmp_path / "a" / "run" / "rep000" / JOURNAL_NAME
+    checkpoints = os.path.join("run", "rep000", "checkpoints", "")
+    absolute = os.path.join(os.path.realpath(tmp_path / "a"), checkpoints)
+    text = path.read_text()
+    assert absolute in text
+    path.write_text(text.replace(absolute, checkpoints))
+    assert tune("../g.txt", "../a/run", *GRIDWORLD_PBT) == EXIT_OK
+    whole = (tmp_path / "whole" / "run" / "exports" / "incumbents.csv").read_bytes()
+    assert (tmp_path / "a" / "run" / "exports" / "incumbents.csv").read_bytes() == whole
 
 
 def test_a_report_names_a_torn_last_record_on_stderr(space, tmp_path, capsys):
