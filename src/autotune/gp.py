@@ -7,6 +7,22 @@ scales are chosen by marginal likelihood over a small log-spaced grid, so the
 fit is deterministic. Cholesky factorization escalates jitter from 1e-8 to
 1e-4 before giving up, and a failed fit tells the caller to fall back to
 random perturbation for that round.
+
+Each grid cell costs one Cholesky factorization and no solve: the cell's
+kernel matrix K is factored bordered by the normalized targets ``yn``, as
+``[[K, yn], [yn', c]]``, whose factor is ``[[L, 0], [z', d]]`` with
+``z = inv(L) @ yn``. So ``yn @ inv(K) @ yn`` is ``z @ z`` and the log
+marginal likelihood comes from the same call. The corner ``c`` is so large
+that the last pivot never fails, and a cell's jitter is decided by K alone.
+Only the winning cell's factor is inverted, by forward substitution, and the
+model stores ``inv(L)`` with ``alpha = inv(L).T @ z``, so a prediction is
+matrix products only.
+
+The predictive variance keeps the form ``1 - sum(sol**2)``, which ties the
+std of every candidate far from the data at exactly the prior std (see
+:meth:`GpModel.predict`). A form without the tie would change which
+candidate PBT-GP picks, and with it the benchmark's golden journals, so it
+belongs to a change that regenerates them.
 """
 from __future__ import annotations
 
@@ -21,6 +37,13 @@ class GpFitError(RuntimeError):
 
 
 _JITTERS = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+
+# The corner c of a bordered matrix [[K, b], [b', c]]: the last pivot of its
+# factor is c - |inv(L) @ b|**2. K's smallest eigenvalue is at least the
+# jitter, 1e-8, in exact arithmetic, so |inv(L) @ b|**2 <= 1e8 * |b|**2, and
+# a factor poor enough to bring that near 1e300 would make the likelihood
+# worthless anyway. So the bordered factor fails where K's own does.
+_CORNER = 1e300
 
 # uniform candidates that suggest_candidate scores
 N_CANDIDATES = 1000
@@ -43,8 +66,8 @@ class GpModel:
     y_mean: float
     y_scale: float
     log_marginal_likelihood: float
-    _chol: np.ndarray = field(repr=False, default=None)
-    _alpha: np.ndarray = field(repr=False, default=None)
+    _inv_chol: np.ndarray = field(repr=False, default=None)  # inverse of K's Cholesky factor
+    _alpha: np.ndarray = field(repr=False, default=None)  # K^-1 times the normalized targets
 
     @property
     def n_points(self) -> int:
@@ -58,7 +81,11 @@ class GpModel:
     def _kernel(self, xc1, xt1, xc2, xt2) -> np.ndarray:
         k = np.exp(-0.5 * _sq_dists(xc1, xc2) / self.length_scale_config**2)
         # the time factor depends on a row's time alone, and candidates
-        # usually share one: compute a row per distinct time, then index
+        # usually share one: then one row scales every row of k
+        if len(xt1) and (xt1 == xt1[0]).all():
+            dt = (xt1[0] - xt2) ** 2
+            k *= np.exp(-0.5 * dt / self.length_scale_time**2)
+            return k
         times, rows = np.unique(xt1, return_inverse=True)
         dt = (times[:, None] - xt2[None, :]) ** 2
         return k * np.exp(-0.5 * dt / self.length_scale_time**2)[rows]
@@ -66,17 +93,24 @@ class GpModel:
     def predict(self, x_config, x_time) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation of the latent function.
 
+        With ``ks`` the kernel between the queries and the training points,
+        the mean is ``ks @ alpha`` and ``sol = inv(L) @ ks.T`` is one matrix
+        product with the inverse factor the fit stored, where a triangular
+        solve would cost an LU factorisation of ``L`` per call.
+
         The variance is computed as ``1 - sum(sol**2)`` on the normalized
         scale. Once the kernel to every training point is negligible, that
         sum falls below one ulp of 1, so the std equals the prior std
         ``sqrt(signal_variance)`` to the last bit and all such distant points
         tie, although in exact arithmetic the std still rises with distance.
+        A form that keeps those bits would move PBT-GP's picks, and with
+        them its journals, so it waits for a change that means to move them.
         """
         xc = np.atleast_2d(np.asarray(x_config, dtype=float))
         xt = np.atleast_1d(np.asarray(x_time, dtype=float))
         ks = self._kernel(xc, xt, self.x_config, self.x_time)
         mean = ks @ self._alpha
-        sol = np.linalg.solve(self._chol, ks.T)
+        sol = self._inv_chol @ ks.T
         var = 1.0 - np.sum(sol * sol, axis=0)
         var = np.maximum(var, 0.0)
         return mean * self.y_scale + self.y_mean, np.sqrt(var) * self.y_scale
@@ -114,51 +148,62 @@ def fit_gp(
     sq = _sq_dists(x_config, x_config)
     dt = (x_time[:, None] - x_time[None, :]) ** 2
     kts = [np.exp(-0.5 * dt / lt**2) for lt in time_scale_grid]
-    noise = noise_variance * np.eye(n)
+    # K bordered by the targets: [[K, yn], [yn', _CORNER]]; K is rebuilt in
+    # place for each cell, and its factor's last row is z = inv(L) @ yn
+    bordered = np.empty((n + 1, n + 1))
+    k = bordered[:n, :n]
+    diag = bordered.reshape(-1)[:: n + 2][:n]  # K's diagonal, as a view
+    bordered[n, :n] = bordered[:n, n] = yn
+    bordered[n, n] = _CORNER
+    const = 0.5 * n * math.log(2.0 * math.pi)
     best = None
     for lc in length_scale_grid:
         kc = np.exp(-0.5 * sq / lc**2)
-        for lt, kt in zip(time_scale_grid, kts):
-            k = kc * kt + noise
-            chol = _chol_with_jitter(k)
-            if chol is None:
-                continue
-            alpha = _chol_solve(chol, yn)
-            lml = (
-                -0.5 * float(yn @ alpha)
-                - float(np.sum(np.log(np.diag(chol))))
-                - 0.5 * n * math.log(2.0 * math.pi)
-            )
-            if best is None or lml > best[0]:
-                best = (lml, float(lc), float(lt), chol, alpha)
+        for j, kt in enumerate(kts):
+            np.multiply(kc, kt, out=k)
+            noisy = diag + noise_variance
+            for jitter in _JITTERS:
+                np.add(noisy, jitter, out=diag)
+                try:
+                    factor = np.linalg.cholesky(bordered)
+                except np.linalg.LinAlgError:
+                    continue
+                z = factor[n, :n]
+                lml = (
+                    -0.5 * float(z @ z)
+                    - float(np.sum(np.log(factor.diagonal()[:n])))
+                    - const
+                )
+                if best is None or lml > best[0]:
+                    best = (lml, float(lc), j, factor)
+                break
     if best is None:
         raise GpFitError("covariance degenerate for every length scale")
-    lml, lc, lt, chol, alpha = best
+    lml, lc, j, factor = best
+    inv_chol = _tril_inverse(factor[:n, :n])
     return GpModel(
         x_config=x_config,
         x_time=x_time,
         length_scale_config=lc,
-        length_scale_time=lt,
+        length_scale_time=float(time_scale_grid[j]),
         y_mean=mu,
         y_scale=scale,
         log_marginal_likelihood=lml,
-        _chol=chol,
-        _alpha=alpha,
+        _inv_chol=inv_chol,
+        _alpha=inv_chol.T @ factor[n, :n],
     )
 
 
-def _chol_with_jitter(k: np.ndarray) -> np.ndarray | None:
-    for jitter in _JITTERS:
-        try:
-            return np.linalg.cholesky(k + jitter * np.eye(len(k)))
-        except np.linalg.LinAlgError:
-            continue
-    return None
-
-
-def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    z = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, z)
+def _tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """``inv(chol)`` for a lower-triangular ``chol`` with a positive
+    diagonal, by forward substitution a row at a time (numpy has no
+    triangular solve, and ``np.linalg.inv`` would factor ``chol`` again)."""
+    n = len(chol)
+    inv = np.zeros_like(chol)
+    for i in range(n):
+        inv[i, :i] = -(chol[i, :i] @ inv[:i, :i]) / chol[i, i]
+        inv[i, i] = 1.0 / chol[i, i]
+    return inv
 
 
 def suggest_candidate(

@@ -14,6 +14,15 @@ by the re-run is verified against the recorded one (ignoring wall time) and
 consumed instead of written, so a resumed run continues exactly where the
 interrupted one stopped. A truncated trailing line (torn write) is dropped
 with a logged warning; corruption before the last record is a hard error.
+
+Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
+the record kept in memory is what a reader parses back from it. A group
+writes one configuration in a trial record per seed and again in its group
+record, so a configuration is encoded once per group, not once per record:
+the journal remembers the last ``config`` it encoded, and a record whose
+``config`` holds the same keys and the very same value objects gets that
+text spliced into the line of the rest of the record (see
+:meth:`Journal._encoded`). The lines are the same bytes either way.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ import logging
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from operator import is_
 
 HEADER = "header"
 TRIAL = "trial"
@@ -42,6 +52,7 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 
 # the types json.loads gives scalars back as, each for a value of that exact type
 _LEAVES = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
 
 
 class JournalError(RuntimeError):
@@ -99,6 +110,12 @@ def _kept(record: dict, line: str) -> dict:
         return json.loads(line)
 
 
+# where a record whose "config" is None holds it in its line. A quote inside
+# a string is always escaped, so this text never lies inside one: it appears
+# once for each "config" key with a null value, at any depth
+_CONFIG_SLOT = '"config": null'
+
+
 @dataclass
 class Journal:
     """Single-writer journal; in-memory when ``path`` is None."""
@@ -109,6 +126,8 @@ class Journal:
     warnings: list = field(default_factory=list)
     _pending: deque = field(default_factory=deque)  # replay queue (oldest first)
     _fh: object = None
+    # the last config encoded: (its keys, its values, its JSON text, its kept copy)
+    _config_memo: tuple | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -177,16 +196,17 @@ class Journal:
         written as one sorted JSON line, and the record kept is a copy that
         equals what a reader of that line parses: the same sorted keys,
         lists for tuples, plain floats, exact float values, and no
-        container shared with ``record``. A trial record is not flushed:
-        it reaches the disk with its group's record (see the module
-        docstring). A replayed record is encoded too, so one that cannot
-        be serialised raises as it would in a live run.
+        container shared with ``record``; kept records of one configuration
+        share its ``config`` dict, which must not be mutated. A trial
+        record is not flushed: it reaches the disk with its group's record
+        (see the module docstring). A replayed record is encoded too, so
+        one that cannot be serialised raises as it would in a live run.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
         if self._pending:
             expected = self._pending.popleft()
-            record = _kept(record, _encode(record))  # canonical types, exact floats
+            _, record = self._encoded(record)  # canonical types, exact floats
             if _strip_volatile(expected) != _strip_volatile({**record, "seq": 0}):
                 raise ReplayMismatch(
                     f"resumed run diverged: expected {expected.get('t')} "
@@ -194,11 +214,47 @@ class Journal:
                 )
             return expected["seq"]
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        record = {**record, "seq": seq}
-        line = _encode(record)
-        self.records.append(_kept(record, line))
-        self._write_line(line, flush=record.get("t") != TRIAL)
+        line, kept = self._encoded({**record, "seq": seq})
+        self.records.append(kept)
+        self._write_line(line, flush=kept.get("t") != TRIAL)
         return seq
+
+    def _encoded(self, record: dict) -> tuple[str, dict]:
+        """``record``'s line and the copy of it that is kept.
+
+        A group appends its configuration once per seed and once more in
+        its group record, so the ``config`` dict is encoded once: while a
+        record's ``config`` holds the very same key and value objects as
+        the last one encoded, its text is spliced into the line of the
+        rest of the record, and the kept records share one copy of it,
+        which no reader mutates. Only configs of ``str`` keys and values
+        of the immutable JSON scalar types are remembered, so equal keys
+        and the same value objects mean the same text; a record with more
+        than one null ``config`` at any depth is encoded whole.
+        """
+        config = record.get("config")
+        if type(config) is dict and config:
+            keys, values = tuple(config), tuple(config.values())
+            memo = self._config_memo
+            if memo is None or memo[0] != keys or not all(map(is_, values, memo[1])):
+                memo = None
+                if _STR.issuperset(map(type, keys)) and _LEAVES.issuperset(map(type, values)):
+                    text = _encode(config)
+                    memo = (keys, values, text, dict(sorted(config.items())))
+                    self._config_memo = memo
+            if memo is not None:
+                rest = {**record, "config": None}
+                line = _encode(rest)
+                if line.count(_CONFIG_SLOT) == 1:
+                    line = line.replace(_CONFIG_SLOT, '"config": ' + memo[2])
+                    try:
+                        kept = _plain(rest)
+                    except _NotPlain:
+                        return line, json.loads(line)
+                    kept["config"] = memo[3]
+                    return line, kept
+        line = _encode(record)
+        return line, _kept(record, line)
 
     def take_group_if_pending(self, key: dict) -> list[dict] | None:
         """During replay, consume and return one recorded evaluation group.
@@ -208,7 +264,7 @@ class Journal:
         """
         if not self._pending:
             return None
-        key = _kept(key, _encode(key))
+        _, key = self._encoded(key)
         taken = []
         for rec in self._pending:
             taken.append(rec)

@@ -97,8 +97,15 @@ def _derived_rng(*entropy) -> np.random.Generator:
     ``uint32`` array, the same words a list of Python ints would give it,
     which it reads several times faster.
     """
-    blob = b"".join(hashlib.sha256(str(item).encode("utf-8")).digest()[:16] for item in entropy)
+    blob = b"".join(_text_words(str(item)) for item in entropy)
     return np.random.default_rng(np.random.SeedSequence(np.frombuffer(blob, dtype="<u4")))
+
+
+@functools.lru_cache(maxsize=1024)
+def _text_words(text: str) -> bytes:
+    """The first 16 bytes of ``text``'s sha256; an objective's tag and its
+    seeds recur in every stream it derives, so each is hashed once."""
+    return hashlib.sha256(text.encode("utf-8")).digest()[:16]
 
 
 @dataclass(frozen=True)
@@ -215,6 +222,8 @@ class SeededValley(Objective):
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
         # config digest -> unit vector (read-only)
         self._units: dict[str, np.ndarray] = {}
+        # str(seed) -> optimum (read-only)
+        self._optima: dict[str, np.ndarray] = {}
 
     def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
         """Unit vector (read-only) and digest of ``config``.
@@ -251,10 +260,21 @@ class SeededValley(Objective):
         return z, digest
 
     def optimum(self, seed: int) -> np.ndarray:
-        center = np.full(self.dimension, 0.5)
-        if self.sigma == 0.0:
-            return center
-        return center + self.sigma * _seed_direction(self.name, seed, self.dimension)
+        return self._optimum(seed).copy()
+
+    def _optimum(self, seed: int) -> np.ndarray:
+        """``optimum(seed)``, read-only and kept per seed's text."""
+        key = str(seed)
+        opt = self._optima.get(key)
+        if opt is None:
+            opt = np.full(self.dimension, 0.5)
+            if self.sigma != 0.0:
+                opt = opt + self.sigma * _seed_direction(self.name, seed, self.dimension)
+            opt.flags.writeable = False
+            if len(self._optima) >= _TERMS_CAP:
+                self._optima.clear()
+            self._optima[key] = opt
+        return opt
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
@@ -262,7 +282,7 @@ class SeededValley(Objective):
         key = (digest, str(seed))
         terms = self._terms.get(key)
         if terms is None:
-            dist2 = float(np.sum((z - self.optimum(seed)) ** 2))
+            dist2 = float(np.sum((z - self._optimum(seed)) ** 2))
             terms = (dist2, _bounded_noise(self.name, digest, seed))
             if len(self._terms) >= _TERMS_CAP:
                 self._terms.clear()

@@ -1,9 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from autotune.gp import GpFitError, fit_gp, suggest_candidate
+import autotune.gp as gp_module
+from autotune.gp import _JITTERS, GpFitError, fit_gp, suggest_candidate
 
 
 def test_fit_requires_two_points():
@@ -129,21 +131,27 @@ def test_time_dimension_matters():
 
 # ---------------------------------------------------------------------------
 # Bit pins: sha256 of what a fit keeps and of predictions, recorded from the
-# code that rebuilt every kernel factor inside the grid loops
+# code that factors each grid cell's kernel bordered by the targets and keeps
+# the inverse of the winning cell's factor
 
 
-def _case(n, offset=0.0, grid_scale=1.0, noise_variance=1e-4):
+def _case_inputs(n, offset=0.0, grid_scale=1.0, noise_variance=1e-4):
     rng = np.random.default_rng(n)
     x = offset + rng.random((n, 3)) * (0.05 if offset else 1.0)
     t = rng.integers(1, 11, n) / 10.0  # PBT's interval times
     y = rng.standard_normal(n)
     grid = np.geomspace(0.05, 2.0, 5) * grid_scale
-    return fit_gp(x, t, y, noise_variance, length_scale_grid=grid, time_scale_grid=grid)
+    return (x, t, y, noise_variance), {"length_scale_grid": grid, "time_scale_grid": grid}
+
+
+def _case(*case):
+    args, kwargs = _case_inputs(*case)
+    return fit_gp(*args, **kwargs)
 
 
 def _fit_digest(model):
     h = hashlib.sha256()
-    for a in (model._chol, model._alpha):
+    for a in (model._inv_chol, model._alpha):
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr((model.log_marginal_likelihood, model.length_scale_config,
                    model.length_scale_time)).encode())
@@ -151,12 +159,12 @@ def _fit_digest(model):
 
 
 FIT_PINS = {
-    (2, 0.0, 1.0, 1e-4): "0402d62e8b929dd291e62ab2c46f0b71909e8bc39e58d9d16b96751ef1e4a54c",
-    (16, 0.0, 1.0, 1e-4): "56907cb1909fd8b431314c259c24f66b323867f3fe20ec154d623ade03b7de45",
-    (128, 0.0, 0.8, 1e-4): "1c7a7ea35e0149c2489afab0d576cdf00d0d21da785fa8199c0876e1e3921c90",
+    (2, 0.0, 1.0, 1e-4): "a574b19b7e0b58c1a5ee6a8b45f2457d5b19d3d700ea1a62c8ef7e3b2db26822",
+    (16, 0.0, 1.0, 1e-4): "4bccdf40cced5770823c968262b4ed0a2918d3e90c40209b96b804ed501029b8",
+    (128, 0.0, 0.8, 1e-4): "aa6bb2d083c4e31477b7b6c72f00c2fddf824f066dbe097dd8307a1cc9e7b387",
     # points 1e4 from the origin lose the distance bits that keep the kernel
     # positive definite, so the Cholesky factorisations escalate jitter
-    (24, 1e4, 1.0, 1e-12): "5d20b1ff063046f647c02f925dd31f40a59aeb31e75ee95c3c403428cb9d1b0f",
+    (24, 1e4, 1.0, 1e-12): "bcf9c2b33f610699473389dd278913ddc3dc50083046c9b27dd2f60ee1c7fddd",
 }
 
 
@@ -165,24 +173,37 @@ def test_fit_keeps_its_pinned_bits(case):
     assert _fit_digest(_case(*case)) == FIT_PINS[case]
 
 
-def test_the_pinned_jitter_case_escalates(monkeypatch):
-    import autotune.gp as gp_module
-
+def _recorded_factorisations(monkeypatch, fn, *args, **kwargs):
+    """(size, succeeded) of every Cholesky factorisation ``fn`` runs."""
     calls = []
     real_cholesky = np.linalg.cholesky
 
-    def counting(k):
-        calls.append(1)
-        return real_cholesky(k)
+    def recording(k):
+        try:
+            factor = real_cholesky(k)
+        except np.linalg.LinAlgError:
+            calls.append((len(k), False))
+            raise
+        calls.append((len(k), True))
+        return factor
 
-    monkeypatch.setattr(gp_module.np.linalg, "cholesky", counting)
-    _case(24, 1e4, 1.0, 1e-12)
-    assert len(calls) > 25  # more than one factorisation per grid point
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "cholesky", recording)
+        fn(*args, **kwargs)
+    return calls
+
+
+def test_the_pinned_jitter_case_escalates(monkeypatch):
+    args, kwargs = _case_inputs(24, 1e4, 1.0, 1e-12)
+    calls = _recorded_factorisations(monkeypatch, fit_gp, *args, **kwargs)
+    grid_calls = [ok for size, ok in calls if size == 25]  # K bordered by the targets
+    assert len(grid_calls) > 25  # more than one factorisation per grid point
+    assert grid_calls.count(True) == 25
 
 
 PREDICT_PINS = {
-    "constant": "804d714ba6fa0cc5f44676e3b99396eeb566bf114ef24f8b23e9483100c0c811",
-    "mixed": "ee266ba8d597c2f33e1ea8f7d1ac08eeaa9c6391a84faee090798b67a682072c",
+    "constant": "d1deafa64cce80aa5309d9b92c459d1065783e7e23ca3d2517cad177c92850d3",
+    "mixed": "da5a2c80e9395f95fca4acfb333d66c849e26756aead0a128a7f64d6626c1f86",
 }
 
 
@@ -195,3 +216,91 @@ def test_predict_keeps_its_pinned_bits(times):
     mean, std = model.predict(cands, t)
     digest = hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()
     assert digest == PREDICT_PINS[times]
+
+
+# ---------------------------------------------------------------------------
+# The fit as it was before the bordered factor: per grid cell a Cholesky
+# factorisation of K, then two LU solves on the factor for alpha, and a
+# prediction that solves against the factor. The bordered factor and the
+# stored inverse must choose the same cell and agree with it to rounding.
+
+
+def _reference_fit(x_config, x_time, y, noise_variance, length_scale_grid, time_scale_grid):
+    n = len(y)
+    mu, scale = float(np.mean(y)), float(np.std(y)) or 1.0
+    yn = (y - mu) / scale
+    sq = gp_module._sq_dists(x_config, x_config)
+    dt = (x_time[:, None] - x_time[None, :]) ** 2
+    best = None
+    for lc in length_scale_grid:
+        for lt in time_scale_grid:
+            k = np.exp(-0.5 * sq / lc**2) * np.exp(-0.5 * dt / lt**2) + noise_variance * np.eye(n)
+            for jitter in _JITTERS:
+                try:
+                    chol = np.linalg.cholesky(k + jitter * np.eye(n))
+                except np.linalg.LinAlgError:
+                    continue
+                alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, yn))
+                lml = (
+                    -0.5 * float(yn @ alpha)
+                    - float(np.sum(np.log(np.diag(chol))))
+                    - 0.5 * n * math.log(2.0 * math.pi)
+                )
+                if best is None or lml > best["lml"]:
+                    best = {"lml": lml, "lc": float(lc), "lt": float(lt), "chol": chol,
+                            "alpha": alpha, "mu": mu, "scale": scale}
+                break
+    return best
+
+
+def _reference_predict(ref, x_config, x_time, model):
+    sq = gp_module._sq_dists(x_config, model.x_config)
+    times, rows = np.unique(x_time, return_inverse=True)
+    dt = (times[:, None] - model.x_time[None, :]) ** 2
+    ks = (np.exp(-0.5 * sq / ref["lc"] ** 2)
+          * np.exp(-0.5 * dt / ref["lt"] ** 2)[rows])
+    mean = ks @ ref["alpha"]
+    sol = np.linalg.solve(ref["chol"], ks.T)
+    var = np.maximum(1.0 - np.sum(sol * sol, axis=0), 0.0)
+    return mean * ref["scale"] + ref["mu"], np.sqrt(var) * ref["scale"]
+
+
+@pytest.mark.parametrize("case", sorted(FIT_PINS))
+def test_fit_agrees_with_the_two_solve_reference(case):
+    args, kwargs = _case_inputs(*case)
+    model = fit_gp(*args, **kwargs)
+    ref = _reference_fit(*args, **kwargs)
+    assert (model.length_scale_config, model.length_scale_time) == (ref["lc"], ref["lt"])
+    assert model.log_marginal_likelihood == pytest.approx(ref["lml"], rel=1e-9)
+    np.testing.assert_allclose(model._alpha, ref["alpha"], rtol=1e-9, atol=0)
+    x, t = args[0], args[1]
+    rng = np.random.default_rng(7)
+    # queries around the data (the offset case's points span 0.05), at one
+    # time and at mixed times
+    queries = x[0] + (rng.random((200, x.shape[1])) - 0.5) * np.ptp(x, axis=0)
+    for tq in (np.full(200, 0.7), rng.integers(1, 11, 200) / 10.0):
+        mean, std = model.predict(queries, tq)
+        ref_mean, ref_std = _reference_predict(ref, queries, tq, model)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(std, ref_std, rtol=1e-9, atol=0)
+    # at the data the normalized variance 1 - sum(sol**2) is a difference of
+    # nearly equal numbers, so both forms carry an absolute error of a few
+    # ulps of 1 and agree to that, not to a share of the tiny result
+    mean, std = model.predict(x, t)
+    ref_mean, ref_std = _reference_predict(ref, x, t, model)
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-9, atol=0)
+    np.testing.assert_allclose((std / model.y_scale) ** 2, (ref_std / model.y_scale) ** 2,
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case", sorted(FIT_PINS))
+def test_the_bordered_corner_never_changes_a_cells_jitter(monkeypatch, case):
+    """Each cell's factorisations fail and succeed in the same order whether
+    K is factored alone or bordered by the targets, so every cell settles on
+    the same jitter, and the fit runs no other factorisation."""
+    args, kwargs = _case_inputs(*case)
+    n = len(args[2])
+    bordered = _recorded_factorisations(monkeypatch, fit_gp, *args, **kwargs)
+    alone = _recorded_factorisations(monkeypatch, _reference_fit, *args, **kwargs)
+    assert [ok for size, ok in bordered if size == n + 1] == [ok for _, ok in alone]
+    assert all(size == n + 1 for size, _ in bordered)

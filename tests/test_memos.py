@@ -134,6 +134,143 @@ def test_a_replayed_record_that_cannot_be_serialised_raises(tmp_path):
     j.close()
 
 
+
+# a group's records share one config dict: its text is encoded once and
+# spliced into each line, and the kept records share one parsed copy
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _group_records(config):
+    """What the runner appends for one group: a trial per seed, then the group."""
+    trials = [
+        {"t": "trial", "group": 0, "config": config, "budget": 0.5, "seed": seed,
+         "cost": 0.1 * seed, "status": "done", "error": None, "wall_time": 1e-5,
+         "ckpt": None, "frac": 0.5, "purpose": "tune"}
+        for seed in (3, 1, 2)
+    ]
+    return trials + [{"t": "group", "group": 0, "config": config, "budget": 0.5,
+                      "seeds": [3, 1, 2], "mean_cost": 0.2, "failed": False,
+                      "spend": 0.5, "purpose": "tune"}]
+
+
+def _lines_of(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()[1:]
+
+
+def _appended(tmp_path, records) -> tuple[Journal, list[str]]:
+    path = str(tmp_path / "journal.log")
+    j = Journal.create(path)
+    j.write_header({"method": "x"})
+    for record in records:
+        j.append(record)
+    j.close()
+    return j, _lines_of(path)
+
+
+@pytest.mark.parametrize("config", [
+    {"lr": 1, "momentum": 1.0, "nesterov": True},
+    {"lr": 1.0, "momentum": True, "nesterov": 1},
+    {"x": -0.0, "y": 0.0, "z": 1e-300, "w": None},
+    {"activation": "gélu", "name": "naïve ☃", "q": 'a "quoted" \\ back\\slash'},
+    {"config": "null", 'k"ey': '"config": null', "t": "\\"},
+], ids=range(5))
+def test_a_groups_lines_are_the_encoders_bytes(tmp_path, config):
+    records = _group_records(config) + _group_records(dict(config))
+    j, lines = _appended(tmp_path, records)
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+    # the records share one kept config, never the caller's dict
+    assert all(r["config"] is j.records[0]["config"] for r in j.records)
+    assert j.records[0]["config"] is not config
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=5),
+       records=st.lists(_records, min_size=1, max_size=3))
+def test_records_sharing_a_config_write_the_two_step_bytes(config, records):
+    records = [{**r, "config": config} for r in records] + [{"config": dict(config)}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.log")
+        j = Journal.create(path)
+        j.write_header({"method": "x"})
+        for record in records:
+            j.append(record)
+        j.close()
+        lines = _lines_of(path)
+    assert lines == [_two_step_line({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    _mutate(config)
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_config_whose_value_object_changes_is_encoded_again(tmp_path):
+    path = str(tmp_path / "journal.log")
+    j = Journal.create(path)
+    j.write_header({"method": "x"})
+    config, want = {"lr": 0.5, "layers": 3}, []
+    # the same dict each time, with a new value object: 1 equals 1.0 and
+    # True but is not the same text
+    for lr in (0.5, 0.25, 1, True, 1.0):
+        config["lr"] = lr
+        record = {"t": "incumbent", "config": config, "cost": 1.0}
+        want.append(_ENCODE({**record, "seq": j.append(record)}))
+    j.close()
+    assert _lines_of(path) == want
+    for kept, line in zip(j.records, want):
+        _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_config_with_other_keys_over_the_same_values_is_encoded_again(tmp_path):
+    lr, momentum = 0.5, 0.9
+    configs = [{"lr": lr}, {"eta": lr}, {"lr": lr, "momentum": momentum}, {"lr": lr}]
+    records = [{"t": "incumbent", "config": c} for c in configs]
+    j, lines = _appended(tmp_path, records)
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    assert [r["config"] for r in j.records] == configs
+
+
+def test_a_container_in_a_config_mutated_in_place_is_encoded_again(tmp_path):
+    config = {"sizes": [32, 64]}
+    path = str(tmp_path / "journal.log")
+    j = Journal.create(path)
+    j.write_header({"method": "x"})
+    j.append({"t": "incumbent", "config": config})
+    config["sizes"].append(128)  # the same value object, new contents
+    j.append({"t": "incumbent", "config": config})
+    j.close()
+    sizes = [[32, 64], [32, 64, 128]]
+    assert [json.loads(line)["config"]["sizes"] for line in _lines_of(path)] == sizes
+    assert [r["config"]["sizes"] for r in j.records] == sizes
+
+
+def test_changing_the_callers_config_after_append_leaves_the_kept_records():
+    config = {"lr": 0.5, "layers": 3}
+    j = Journal()
+    j.write_header({"method": "x"})
+    j.append({"t": "incumbent", "config": config, "cost": 1.0})
+    j.append({"t": "incumbent", "config": config, "cost": 2.0})
+    config["lr"] = 0.75
+    config["new"] = "x"
+    del config["layers"]
+    assert [r["config"] for r in j.records] == [{"layers": 3, "lr": 0.5}] * 2
+
+
+@pytest.mark.parametrize("record", [
+    # a second null "config" at any depth: the splice point is ambiguous
+    {"t": "group", "config": {"x": 0.5}, "tags": {"config": None}},
+    # values the memo does not keep: containers and float subclasses
+    {"t": "group", "config": {"x": [0.5, 1]}},
+    {"t": "group", "config": {"x": np.float64(0.1)}},
+])
+def test_records_the_memo_cannot_splice_are_encoded_whole(tmp_path, record):
+    j, lines = _appended(tmp_path, [record, record])
+    assert lines == [_ENCODE({**record, "seq": 1}), _ENCODE({**record, "seq": 2})]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+
 class _CountingFile:
     def __init__(self, fh):
         self.fh, self.flushes = fh, 0
@@ -309,6 +446,32 @@ def test_memo_encodes_again_after_values_change(cls):
     with pytest.raises(SpaceError):
         obj.evaluate(cfg, 1.0, 3)
 
+
+
+def test_valley_hashes_each_text_and_derives_each_optimum_once(monkeypatch):
+    directions = []
+    derive = objectives_module._seed_direction.__wrapped__
+
+    def uncached(*args):
+        directions.append(args)
+        return derive(*args)
+
+    monkeypatch.setattr(objectives_module, "_seed_direction", uncached)
+    objectives_module._text_words.cache_clear()
+    obj = SeededValley(dimension=2)
+    want = {}
+    for k in range(4):
+        config = Configuration({"x0": k / 5, "x1": 0.5})
+        for seed in (3, 1, 2):
+            want[k, seed] = _fresh_cost(SeededValley, config.values, 1.0, seed)[0]
+            assert obj.evaluate(config, 1.0, seed)[0] == want[k, seed]
+    # one optimum per seed for ``obj``, and one per fresh objective above
+    assert len(directions) == 3 + 12
+    # the tag, "shift", three seeds and four digests, each hashed once over
+    # 24 noise streams (12 here, 12 fresh) and 15 optimum streams, of three
+    # items each
+    info = objectives_module._text_words.cache_info()
+    assert (info.misses, info.hits) == (9, 3 * (24 + 15) - 9)
 
 def test_threads_sharing_an_objective_get_the_sequential_costs():
     obj = SeededValley(dimension=3)
