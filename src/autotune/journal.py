@@ -41,6 +41,7 @@ EXPLOIT = "exploit"
 EXPLORE = "explore"
 INCUMBENT = "incumbent"
 COMPLETE = "complete"
+TUNING = ("tune", "warmstart")  # the group purposes a run's budget pays for
 
 log = logging.getLogger(__name__)
 
@@ -304,9 +305,8 @@ class Journal:
         return [r for r in self.records if r["t"] == kind]
 
     def spend(self) -> float:
-        """Full-run equivalents spent on tuning: tune and warmstart groups."""
-        groups = self.of_type(GROUP)
-        return float(sum(r["spend"] for r in groups if r.get("purpose") in ("tune", "warmstart")))
+        """Full-run equivalents spent on tuning: the groups of a ``TUNING`` purpose."""
+        return float(sum(r["spend"] for r in self.of_type(GROUP) if r.get("purpose") in TUNING))
 
     def final_incumbent(self) -> dict | None:
         incs = self.of_type(INCUMBENT)

@@ -1,13 +1,16 @@
 """Experiment discipline: seed splits, repetitions, held-out testing, ranking.
 
 Tuning and testing use disjoint seed sets. Each repetition runs one optimizer
-with an independent rng against the tuning seeds under a fixed full-run budget
-(journal-audited), then evaluates the incumbent once per test seed at full
-budget. Method comparison uses a band rank: per environment, the best mean
-earns rank 1 together with every method whose mean lies within the best's
-standard deviation; the next best unranked method anchors the next free rank
-(1 + number already ranked), and so on. Mean ranks are averaged across
-environments and reported to one decimal.
+with an independent rng against the tuning seeds under a fixed full-run budget,
+then evaluates the incumbent once per test seed at full budget. :func:`audit`
+states once each rule a repetition's journal is checked against: tune and
+warmstart groups use tuning seeds only, test groups use exactly the test
+seeds, and tuning spend stays within ``budget_runs``. A run over budget is not
+tested, and the checklist reads the same verdicts. Method comparison uses a
+band rank: per environment, the best mean earns rank 1 together with every
+method whose mean lies within the best's standard deviation; the next best
+unranked method anchors the next free rank (1 + number already ranked), and
+so on. Mean ranks are averaged across environments and reported to one decimal.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import dehb, pbt, rs
 from .dehb import run_dehb
+from .journal import GROUP, TUNING, Journal
 from .pbt import run_pbt
 from .rs import run_rs
 from .runner import TrialRunner, TuneResult
@@ -44,6 +48,52 @@ class SeedPlan:
             raise ValueError(f"tuning and test seeds overlap: {sorted(overlap)}")
         object.__setattr__(self, "tuning_seeds", tuning)
         object.__setattr__(self, "test_seeds", test)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Whether a rule holds (None: the journal cannot tell), and why."""
+
+    holds: bool | None
+    evidence: str
+
+
+def audit(journal: Journal) -> dict[str, Verdict]:
+    """Judge one repetition's journal against its own header: ``{rule:
+    Verdict}`` for ``tuning_seeds_only``, ``test_seeds_exactly`` and
+    ``within_budget``. A rule cannot be told when the header lacks what it
+    judges by, nor the test seeds before a test group has run."""
+    header = journal.header or {}
+    plan = header.get("seed_plan") or {}
+    tuning, test, budget = plan.get("tuning"), plan.get("test"), header.get("budget_runs")
+    tuned, tested = set(), set()
+    for g in journal.of_type(GROUP):
+        if g.get("purpose") in TUNING:
+            tuned.update(g["seeds"])
+        elif g.get("purpose") == "test":
+            tested.update(g["seeds"])
+    verdicts = {
+        "tuning_seeds_only": Verdict(None, "the header has no tuning seeds"),
+        "test_seeds_exactly": Verdict(None, "the header has no test seeds"),
+        "within_budget": Verdict(None, "the header has no budget_runs"),
+    }
+    if tuning:
+        verdicts["tuning_seeds_only"] = Verdict(
+            tuned <= set(tuning),
+            f"tuning groups ran on seeds {sorted(tuned)}; the tuning seeds are {tuning}",
+        )
+    if test:
+        verdicts["test_seeds_exactly"] = Verdict(
+            tested == set(test) if tested else None,
+            f"test groups ran on seeds {sorted(tested)}; the test seeds are {test}",
+        )
+    if budget is not None:
+        spend = journal.spend()
+        over = spend > budget + 1e-9
+        verdicts["within_budget"] = Verdict(
+            not over, f"spent {spend} {'>' if over else '<='} {budget} full-run equivalents"
+        )
+    return verdicts
 
 
 @dataclass(frozen=True)

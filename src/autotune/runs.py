@@ -44,6 +44,7 @@ from .protocol import (
     MethodSpec,
     RepetitionResult,
     SeedPlan,
+    audit,
     rank_methods,
     run_method,
 )
@@ -106,10 +107,11 @@ def run_repetition(
     ends, its journal goes to ``exports`` when one is given.
 
     The space, the objective and the method's plan are checked before
-    anything is written. Tuning must stay within ``budget_runs``: a run that
-    spent more raises ValueError before its incumbent is tested. The result
-    is the one its journal gives, which ``report`` and ``exports`` show too:
-    a test seed whose group failed does not count.
+    anything is written. Tuning must stay within ``budget_runs``: a journal
+    that fails the ``within_budget`` rule of :func:`~autotune.protocol.audit`
+    raises ValueError before its incumbent is tested. The result is the one
+    its journal gives, which ``report`` and ``exports`` show too: a test
+    seed whose group failed does not count.
     """
     space = parse_space(space_text)
     objective = make_objective(objective_spec, space=space)
@@ -121,11 +123,9 @@ def run_repetition(
     with opened_run(directory, header, objective, seed_plan.tuning_seeds, workers) as runner:
         rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), int(repetition)]))
         result = run_method(method, space, runner, rng, opts)
-        spend = runner.journal.spend()
-        if spend > budget_runs + 1e-9:
-            raise ValueError(
-                f"budget audit failed: spent {spend} > {budget_runs} full-run equivalents"
-            )
+        budget = audit(runner.journal)["within_budget"]
+        if not budget.holds:
+            raise ValueError(f"budget audit failed: {budget.evidence}")
         runner.evaluate_many(
             [
                 {"config": result.incumbent, "budget": 1.0, "seeds": [seed], "purpose": "test"}

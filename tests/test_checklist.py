@@ -37,6 +37,69 @@ def checklist(*run_dirs):
     return render("checklist", dirs)["checklist.txt"]
 
 
+def item(text, number):
+    """Item ``number``'s lines of a rendered checklist."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"{number:2d}. "))
+    end = next((i for i, line in enumerate(lines[start + 1:], start + 1)
+                if not line.startswith("    ")), len(lines))
+    return "\n".join(lines[start:end])
+
+
+SPACE_LINES = """\
+    - lr: log(1e-05, 1)
+    - momentum: (0, 0.99)
+    - layers: int[1, 8]
+    - activation: {relu, tanh, gelu}
+"""
+INCUMBENT_LINES = """\
+    - activation: gelu
+    - layers: 5
+    - lr: 0.11650677907562479
+    - momentum: 0.9036280215049445
+"""
+
+
+def pinned(methods):
+    """The checklist of the fixture's runs of ``methods``, as the journals
+    alone tell it: every run keeps the seed plan and the budget."""
+    spaces = "".join(f"    {m}:\n" + SPACE_LINES for m in sorted(methods))
+    incumbents = "".join(f"    {m} on seeded_valley:\n" + INCUMBENT_LINES for m in methods)
+    return f"""\
+Reproducibility checklist
+=========================
+
+ 1. Are there training and test settings available? yes
+    - Is only the training setting used for training? yes
+    - Is only the training setting used for tuning? yes
+    - Are final results reported on the test setting? yes
+ 2. Hyperparameters were tuned using autotune, based on: {", ".join(sorted(methods))}
+ 3. The configuration space was:
+{spaces}\
+ 4. Search spaces and ranges are shared wherever methods share hyperparameters: yes
+ 5. Cost metric(s) optimized: seed-shifted squared distance plus partial-budget penalty
+ 6. The tuning budget was: 4 full runs
+ 7. The tuning budget was the same for all tuned methods: yes
+ 8. Budget given in time, hardware comparable: not applicable (budget counted in full runs, not time)
+ 9. All reported methods were tuned with the settings above: yes
+10. Tuning was done across 2 tuning seeds which were: [0, 1]
+11. Testing was done across 3 test seeds which were: [5, 6, 7]
+12. Are all results reported on the test seeds? yes
+13. The final incumbent configurations reported were:
+{incumbents}\
+14. Code for reproducing these experiments: UNANSWERED
+15. The code includes the tuning process: yes
+16. An exact software environment is bundled with the code: UNANSWERED
+17. The following hardware was used:
+    UNANSWERED
+"""
+
+
+def test_runs_with_the_same_plan_render_the_pinned_text(runs):
+    assert checklist(runs["a"], runs["dehb"]) == pinned(["rs", "dehb"])
+    assert checklist(runs["a"]) == pinned(["rs"])
+
+
 def test_checklist_bytes_are_the_same_across_renders_and_repeated_runs(runs):
     text = checklist(runs["a"], runs["dehb"])
     assert checklist(runs["a"], runs["dehb"]) == text
@@ -66,3 +129,26 @@ def test_item_three_is_unanswered_without_a_space_in_the_headers():
     journal.write_header({"method": "rs"})
     assert dict(emit_checklist([journal]).items)[3] == ["The configuration space was:",
                                                          UNANSWERED]
+
+
+def test_each_run_is_judged_against_its_own_seed_plan(tmp_path):
+    space = tmp_path / "space.txt"
+    space.write_text(SPACE_TEXT)
+    dirs = []
+    for name, tuning, test in (("p", "0,1", "5,6"), ("q", "2,3", "7,8")):
+        dirs.append(str(tmp_path / name))
+        assert main(["tune", "rs", "--objective", "seeded_valley", "--budget-runs", "2",
+                     "--tuning-seeds", tuning, "--test-seeds", test,
+                     "--space", str(space), "--out", dirs[-1]]) == 0
+    text = checklist(*dirs)
+    assert item(text, 1) == (
+        " 1. Are there training and test settings available? yes\n"
+        "    - Is only the training setting used for training? yes\n"
+        "    - Is only the training setting used for tuning? yes\n"
+        "    - Are final results reported on the test setting? yes")
+    assert item(text, 12) == "12. Are all results reported on the test seeds? yes"
+    assert item(text, 9) == " 9. All reported methods were tuned with the settings above: no"
+    assert item(text, 10) == ("10. Tuning was done across 2 tuning seeds which were: [0, 1]; "
+                              "2 tuning seeds which were: [2, 3]")
+    assert item(text, 11) == ("11. Testing was done across 2 test seeds which were: [5, 6]; "
+                              "2 test seeds which were: [7, 8]")

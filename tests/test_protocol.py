@@ -18,7 +18,7 @@ from autotune.journal import Journal
 from autotune.objectives import EvaluationError, SeededValley
 from autotune.pbt import run_pbt
 from autotune import dehb, pbt, protocol, rs
-from autotune.protocol import MethodSpec, SeedPlan, defaults, rank_methods, run_method
+from autotune.protocol import MethodSpec, SeedPlan, audit, defaults, rank_methods, run_method
 from autotune.rs import run_rs
 from autotune.space import Configuration
 from autotune.runner import GroupResult, NoIncumbentError, TrialRunner, TuneResult
@@ -99,6 +99,65 @@ def test_seed_plan_keeps_disjoint_seeds_as_int_tuples():
 def test_seed_plan_rejects_overlapping_duplicate_or_empty_seeds(tuning, test, message):
     with pytest.raises(ValueError, match=message):
         SeedPlan(tuning, test)
+
+
+# ---------------------------------------------------------------------------
+# the audit: each rule holds, fails, or cannot be told from a journal
+
+PLAN = {"seed_plan": {"tuning": [0, 1], "test": [5, 6]}, "budget_runs": 2}
+# (purpose, seeds, spend) of a run that keeps the protocol; test groups are
+# not tuning spend
+KEPT = [("warmstart", [0], 0.5), ("tune", [0, 1], 1.0), ("test", [5], 1.0), ("test", [6], 1.0)]
+
+
+def audited(groups, **header):
+    """The audit of an in-memory journal of ``header`` and ``groups``."""
+    journal = Journal()
+    journal.write_header({"method": "rs", **header})
+    for purpose, seeds, spend in groups:
+        journal.append({"t": "group", "purpose": purpose, "seeds": seeds, "spend": spend})
+    return audit(journal)
+
+
+def test_audit_holds_on_a_run_that_keeps_the_protocol():
+    verdicts = audited(KEPT, **PLAN)
+    assert {rule: v.holds for rule, v in verdicts.items()} == {
+        "tuning_seeds_only": True, "test_seeds_exactly": True, "within_budget": True}
+    assert verdicts["within_budget"].evidence == "spent 1.5 <= 2 full-run equivalents"
+
+
+def test_a_tune_group_on_a_test_seed_breaks_the_tuning_seed_rule():
+    verdict = audited([*KEPT, ("tune", [5], 0.25)], **PLAN)["tuning_seeds_only"]
+    assert verdict.holds is False
+    assert verdict.evidence == "tuning groups ran on seeds [0, 1, 5]; the tuning seeds are [0, 1]"
+
+
+def test_a_missing_or_extra_test_seed_breaks_the_test_seed_rule():
+    verdict = audited(KEPT[:-1], **PLAN)["test_seeds_exactly"]
+    assert verdict.holds is False
+    assert verdict.evidence == "test groups ran on seeds [5]; the test seeds are [5, 6]"
+    assert audited([*KEPT, ("test", [0], 1.0)], **PLAN)["test_seeds_exactly"].holds is False
+
+
+def test_spend_over_budget_breaks_the_budget_rule_and_names_spend_and_budget():
+    verdict = audited([*KEPT, ("tune", [0, 1], 1.0)], **PLAN)["within_budget"]
+    assert verdict.holds is False
+    assert verdict.evidence == "spent 2.5 > 2 full-run equivalents"
+
+
+def test_the_audit_cannot_tell_without_a_seed_plan_or_a_budget():
+    verdicts = audited(KEPT)
+    assert {rule: (v.holds, v.evidence) for rule, v in verdicts.items()} == {
+        "tuning_seeds_only": (None, "the header has no tuning seeds"),
+        "test_seeds_exactly": (None, "the header has no test seeds"),
+        "within_budget": (None, "the header has no budget_runs"),
+    }
+
+
+def test_the_test_seed_rule_cannot_tell_before_a_test_group_has_run():
+    verdicts = audited(KEPT[:2], **PLAN)
+    assert verdicts["test_seeds_exactly"].holds is None
+    assert verdicts["tuning_seeds_only"].holds is True and verdicts["within_budget"].holds is True
 
 
 # ---------------------------------------------------------------------------
