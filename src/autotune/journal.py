@@ -30,8 +30,10 @@ import hashlib
 import json
 import logging
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import is_
 
 HEADER = "header"
@@ -48,8 +50,33 @@ log = logging.getLogger(__name__)
 # fields excluded when comparing a replayed record to the recorded one
 _VOLATILE = ("seq", "wall_time")
 
-# one encoder for every line; json.dumps(..., sort_keys=True) builds one per call
-_encode = json.JSONEncoder(sort_keys=True).encode
+_ENCODER = json.JSONEncoder(sort_keys=True)
+# _ENCODER.encode builds a new C encoder on every call; each thread builds one,
+# with the markers dict of its circular-reference check, and keeps it
+_encoders = threading.local()
+
+if c_make_encoder is None:  # a Python built without json's C accelerator
+    _encode = _ENCODER.encode
+else:
+
+    def _encode(value) -> str:
+        """``_ENCODER.encode(value)``, through this thread's C encoder."""
+        try:
+            markers, encoder = _encoders.pair
+        except AttributeError:
+            markers = {}
+            encoder = c_make_encoder(
+                markers, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+                _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+                _ENCODER.skipkeys, _ENCODER.allow_nan,
+            )
+            _encoders.pair = markers, encoder
+        try:
+            return "".join(encoder(value, 0))
+        except BaseException:
+            markers.clear()  # the containers it was inside when it raised
+            raise
+
 
 # the types json.loads gives scalars back as, each for a value of that exact type
 _LEAVES = frozenset((str, int, float, bool, type(None)))

@@ -24,7 +24,9 @@ built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
   must be finite.
 * ``gridworld_q`` (``total_steps=2000``) -- tabular Q-learning on a 5x5
   gridworld; cost is the negative mean return of the greedy policy over 100
-  evaluation episodes; it refuses a space that lacks one of its parameters.
+  evaluation episodes; it refuses a space that lacks one of its parameters
+  and a ``total_steps`` that is not a whole number. A configuration trained
+  again on the same seed for more steps trains on from its last run.
 * ``external_command`` (``command, workdir=None, timeout=None``) -- run a
   user command; it must print ``cost=<float>`` as the final line of stdout.
   Configuration values are passed as uppercased environment variables, plus
@@ -37,13 +39,16 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import pickle
 import shlex
 import shutil
 import signal
+import struct
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,6 +378,39 @@ def _first_max(row: list[float]) -> int:
 # trial takes whatever ``total_steps`` is
 _DRAW_BLOCK = 4096
 
+# most trained states one gridworld instance remembers, about 1.4 KB each; the
+# memo is emptied when it is full
+_TRAINED_CAP = 512
+
+# the four hyperparameters training reads, as the bytes of their doubles
+_TRAINING_BITS = struct.Struct("<4d")
+
+# one scratch generator per thread: training sets its state before drawing,
+# so no call sees what another left in it, and building one costs a good
+# share of a short trial
+_SCRATCH = threading.local()
+
+
+def _scratch_generator() -> np.random.Generator:
+    rng = getattr(_SCRATCH, "rng", None)
+    if rng is None:
+        # a fixed seed spares drawing OS entropy; every use replaces the state
+        rng = _SCRATCH.rng = np.random.Generator(np.random.PCG64(0))
+    return rng
+
+
+def _step_count(value) -> int:
+    """``total_steps`` as an int; a bool, a fraction or a non-finite value
+    would train a number of steps its run's header does not show."""
+    if isinstance(value, bool):
+        raise ValueError(f"total_steps must be a whole number, got {value!r}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = float(value)
+    if not (math.isfinite(number) and number.is_integer()):
+        raise ValueError(f"total_steps must be a whole number, got {value!r}")
+    return int(number)
+
 
 @functools.lru_cache(maxsize=None)  # at most 2 * _EPISODE_CAP entries
 def _mean_return(length: int, goal: bool) -> float:
@@ -397,7 +435,9 @@ class GridworldQ(Objective):
 
     Hyperparameters: learning_rate (log), epsilon, gamma, epsilon_decay.
     Budget is the fraction of ``total_steps`` training steps (rounded up);
-    checkpoints capture the full training state so continuation is exact.
+    ``total_steps`` is a whole number, and a bool, a fraction or a
+    non-finite value is refused. Checkpoints capture the full training state
+    so continuation is exact.
     Cost = -(mean undiscounted return of the greedy policy over 100 episodes).
     The greedy policy and the grid are deterministic, so all 100 episodes are
     the same, and an episode that comes back to a state loops until the
@@ -416,10 +456,29 @@ class GridworldQ(Objective):
     * epsilon, ``epsilon * epsilon_decay**episode``, is fixed within an
       episode, so it is computed at the first step a call takes in each
       episode, and an overflow fails the trial at that same step;
-    * greedy picks use ``row.index(max(row))`` and ``max`` while the table
-      holds no NaN (see :func:`_first_max`), and ``_first_max`` from the
-      step that writes the first NaN on, or from the start when a resumed
-      table holds one.
+    * while the table holds no NaN, each state's greedy action, the first
+      index of its row's maximum, and that entry are kept in two lists and
+      updated after each write; a row is scanned again, with
+      ``row.index(max(row))``, only when the write lowered its greedy entry
+      (see :func:`_first_max` for why that is ``np.argmax``'s pick).
+      ``_first_max`` picks from the step that writes the first NaN on, or
+      from the start when a resumed table holds one.
+
+    A call without ``resume`` continues a run it trained before. Each
+    instance remembers, per exact bits of the four hyperparameters and the
+    seed's text, the step count and checkpoint payload of the latest such
+    call; a call for as many steps or more unpickles that payload and trains
+    on from it, as a resume would, so its cost and payload are a fresh run's
+    bits. So a configuration promoted to a higher rung pays only for the
+    steps above the rung below. The memo holds at most ``_TRAINED_CAP``
+    entries of about 1.4 KB and is emptied when full. Under ``--workers``
+    each process keeps its own, so a promotion evaluated in another process
+    than its lower rung trains from step 0, to the same bits. A continued
+    trial's ``wall_time`` covers only its continuation, while the spend the
+    journal records is still its budget. An instance may be shared between
+    threads: each draws through a generator of its own, and an entry is
+    one (steps, payload) pair, read and replaced whole; threads that fill
+    the memo at once may each add an entry past the cap before it empties.
     """
 
     name = "gridworld_q"
@@ -438,12 +497,15 @@ class GridworldQ(Objective):
         missing = [] if space is None else [n for n in self.space.names if n not in space]
         if missing:
             raise ValueError(f"gridworld_q reads {', '.join(missing)}, which the space lacks")
-        self.total_steps = int(total_steps)
+        self.total_steps = _step_count(total_steps)
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         # seed's text, on which the stream is keyed -> the start state of its
         # training stream; a derivation costs a good share of a short trial
         self._streams: dict[str, dict] = {}
+        # (hyperparameter bits, seed's text) -> (steps, checkpoint payload) of
+        # the latest call without ``resume``
+        self._trained: dict[tuple[bytes, str], tuple[int, bytes]] = {}
 
     def _fresh_state(self, seed: int) -> dict:
         stream = self._streams.get(str(seed))
@@ -476,24 +538,37 @@ class GridworldQ(Objective):
         ):
             raise EvaluationError(f"invalid gridworld_q configuration: {config.values}")
 
+        target_steps = self._steps_for(budget)
+        key = None
+        fresh = False
         if resume is not None:
             state = pickle.loads(resume.payload)
         else:
-            state = self._fresh_state(seed)
-        # a fixed seed spares drawing OS entropy; the state set next replaces it
-        rng = np.random.Generator(np.random.PCG64(0))
+            key = (_TRAINING_BITS.pack(lr, eps0, gamma, decay), str(seed))
+            trained = self._trained.get(key)
+            if trained is not None and trained[0] <= target_steps:
+                state = pickle.loads(trained[1])
+            else:
+                state = self._fresh_state(seed)
+                fresh = True
+        rng = _scratch_generator()
         rng.bit_generator.state = state["rng"]
         q = state["q"]
         # nested Python lists: indexing a row and updating a float there costs
         # a fraction of the numpy scalar round trips; the arithmetic is the same
         rows = q.tolist()
-        nan = bool(np.isnan(q).any())
+        if fresh:  # an all-zero table: every greedy action is 0, worth 0.0
+            nan = False
+            first, top = [0] * len(rows), [0.0] * len(rows)
+        else:
+            nan = bool(np.isnan(q).any())
+            first = [0 if nan else row.index(max(row)) for row in rows]
+            top = [row[b] for row, b in zip(rows, first)]
         s = state["pos"][0] * _GRID + state["pos"][1]
         step = state["step"]
         episode = state["episode"]
         steps_in_episode = state["steps_in_episode"]
 
-        target_steps = self._steps_for(budget)
         moves = len(_MOVES)
         # the stream's uniforms from draws[i] on, drawn in contiguous blocks and
         # consumed in order, one or two a step, so each step sees the value a
@@ -516,25 +591,42 @@ class GridworldQ(Objective):
                 used += i
                 i = 0
             for taken in range(1, n + 1):
-                row = rows[s]
                 if draws[i] < eps:
-                    action = min(int(draws[i + 1] * moves), moves - 1)
+                    # a draw is below 1, so times 4 it is below 4: a move
+                    action = int(draws[i + 1] * moves)
                     i += 2
                 else:
-                    action = _first_max(row) if nan else row.index(max(row))
+                    action = _first_max(rows[s]) if nan else first[s]
                     i += 1
                 ns, reward, done = _TRANSITIONS[s][action]
                 if done:
                     target = reward
-                else:
+                elif nan:
                     next_row = rows[ns]
-                    best = next_row[_first_max(next_row)] if nan else max(next_row)
-                    target = reward + gamma * best
+                    target = reward + gamma * next_row[_first_max(next_row)]
+                else:
+                    target = reward + gamma * top[ns]
+                row = rows[s]
                 v = row[action]
                 v += lr * (target - v)
                 row[action] = v
-                if v != v:
-                    nan = True
+                if not nan:
+                    # keep first[s] the first index of the row's maximum and
+                    # top[s] the entry there; NaN compares false with all
+                    if action == first[s]:
+                        if v >= top[s]:
+                            top[s] = v
+                        elif v != v:
+                            nan = True
+                        else:  # the greedy entry fell
+                            b = first[s] = row.index(max(row))
+                            top[s] = row[b]
+                    elif v >= top[s]:
+                        if v > top[s] or action < first[s]:
+                            first[s] = action
+                            top[s] = v
+                    elif v != v:
+                        nan = True
                 if done:
                     break
                 s = ns
@@ -558,7 +650,12 @@ class GridworldQ(Objective):
             "pos": divmod(s, _GRID),
             "steps_in_episode": steps_in_episode,
         }
-        ckpt = CheckpointHandle(trained_fraction=budget, payload=pickle.dumps(state, protocol=4))
+        payload = pickle.dumps(state, protocol=4)
+        if key is not None:
+            if key not in self._trained and len(self._trained) >= _TRAINED_CAP:
+                self._trained.clear()
+            self._trained[key] = (step, payload)
+        ckpt = CheckpointHandle(trained_fraction=budget, payload=payload)
         return -self._greedy_return(state["q"]), ckpt
 
     @staticmethod

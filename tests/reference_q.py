@@ -112,15 +112,23 @@ def reference_greedy_return(q: np.ndarray) -> float:
     return total / 100
 
 
-def numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total_steps=2000):
-    """Training state after ``ceil(budget * total_steps)`` steps from scratch."""
-    rng = training_stream(seed)
-    q = np.zeros((GRID * GRID, len(ACTIONS)))
-    pos = (0, 0)
+def numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total_steps=2000, start=None):
+    """Training state after ``ceil(budget * total_steps)`` steps from scratch,
+    or from the checkpoint state ``start`` when given."""
+    if start is None:
+        rng = training_stream(seed)
+        q = np.zeros((GRID * GRID, len(ACTIONS)))
+        pos = (0, 0)
+        taken = episode = steps_in_episode = 0
+    else:
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = start["rng"]
+        q = start["q"].copy()
+        pos = tuple(start["pos"])
+        taken, episode, steps_in_episode = start["step"], start["episode"], start["steps_in_episode"]
     steps = math.ceil(budget * total_steps)
-    episode = steps_in_episode = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a large lr overflows q
-        for _ in range(steps):
+        for _ in range(steps - taken):
             s = pos[0] * GRID + pos[1]
             if float(rng.random()) < epsilon * (decay**episode):
                 action = min(int(rng.random() * 4), 3)

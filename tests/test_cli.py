@@ -162,6 +162,19 @@ def test_a_non_finite_objective_parameter_exits_2_before_writing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["20.7", "inf", "-inf", "nan", "1e400"])
+def test_a_fractional_or_non_finite_total_steps_exits_2_before_writing(tmp_path, capsys, value):
+    # 20.7 trained 20 steps under a header that said 20.7; inf raised OverflowError
+    space = tmp_path / "g.txt"
+    space.write_text(GRIDWORLD_SPACE)
+    out = tmp_path / "run"
+    rc = tune(str(space), out, "rs", "--objective", "gridworld_q", "--objective-param",
+              f"total_steps={value}", *SEEDS, "--budget-runs", "2")
+    assert rc == EXIT_USAGE
+    assert "total_steps must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def sweep(space, out, values):
     return main(["sweep", "--space", space, "--objective", "seeded_valley", "--param", "layers",
                  "--values", values, "--seeds", "0,1", "--out", str(out)])

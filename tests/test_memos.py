@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from enum import IntEnum
@@ -18,10 +19,12 @@ import autotune.objectives as objectives_module
 import autotune.pbt as pbt_module
 from autotune.gp import GpFitError
 from autotune.journal import Journal
-from autotune.objectives import NoisySphere, SeededValley
+from autotune.objectives import GridworldQ, NoisySphere, ObjectiveSpec, SeededValley
 from autotune.pbt import run_pbt
+from autotune.protocol import MethodSpec, SeedPlan
 from autotune.runner import TrialRunner
-from autotune.space import Configuration, SpaceError, parse_space
+from autotune.runs import JOURNAL_NAME, run_repetition
+from autotune.space import Configuration, SpaceError, from_unit, parse_space
 
 # ---------------------------------------------------------------------------
 # Journal.append: one serialisation, the same bytes
@@ -271,6 +274,44 @@ def test_records_the_memo_cannot_splice_are_encoded_whole(tmp_path, record):
     for kept, line in zip(j.records, lines):
         _assert_parsed_form(kept, json.loads(line))
 
+
+# every line goes through one C encoder per thread, built once
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=_records)
+def test_the_kept_encoder_writes_the_encoders_bytes(record):
+    assert journal_module._encode(record) == _ENCODE(record)
+
+
+def test_an_encode_that_raises_leaves_the_next_one_whole():
+    values = [object()]
+    record = {"outer": {"inner": values}}
+    with pytest.raises(TypeError):
+        journal_module._encode(record)
+    values[0] = 1  # the containers it stood in are encoded again, not "circular"
+    assert journal_module._encode(record) == _ENCODE(record)
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        journal_module._encode(loop)
+    loop["a"].clear()
+    assert journal_module._encode(loop) == '{"a": []}'
+
+
+def test_threads_encoding_one_record_each_get_its_bytes():
+    record = {"config": {"lr": 0.5, "sizes": [1, 2, {"k": None}]}, "cost": -0.25}
+    want = _ENCODE(record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: journal_module._encode(record), range(4000)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4000
+
+
 class _CountingFile:
     def __init__(self, fh):
         self.fh, self.flushes = fh, 0
@@ -485,6 +526,53 @@ def test_threads_sharing_an_objective_get_the_sequential_costs():
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(costs, configs * 5))
     assert got == want * 5
+
+
+def test_threads_sharing_a_gridworld_get_the_sequential_outcomes():
+    # each thread continues runs the other may have started or overwritten
+    rng = np.random.default_rng(11)
+    configs = [from_unit(GridworldQ.space, rng.random(4)) for _ in range(6)]
+    calls = [(c, budget, seed) for c in configs for budget in (0.1, 0.4, 1.0) for seed in (0, 1)]
+
+    def outcome(obj, call):
+        cost, ckpt = obj.evaluate(*call)
+        return cost.hex(), ckpt.payload
+
+    want = [outcome(GridworldQ(total_steps=300), call) for call in calls]
+    shared = GridworldQ(total_steps=300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(lambda order: [outcome(shared, calls[i]) for i in order], order)
+                    for order in (range(len(calls)), range(len(calls) - 1, -1, -1))]
+            forward, backward = (run.result(timeout=120) for run in runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert forward == want
+    assert backward == want[::-1]
+
+
+def test_a_dehb_iteration_trains_from_step_0_only_its_lowest_rung_and_test_seeds(
+    tmp_path, monkeypatch
+):
+    # gridworld's benchmark plan: one iteration of 8 rungs, 184 groups
+    started = []
+    real = GridworldQ._fresh_state
+    monkeypatch.setattr(GridworldQ, "_fresh_state",
+                        lambda obj, seed: started.append(seed) or real(obj, seed))
+    space = ("learning_rate: log(1e-07, 1.0)\nepsilon: (0.0, 1.0)\n"
+             "gamma: (0.5, 0.999)\nepsilon_decay: (0.9, 1.0)\n")
+    run_repetition(
+        str(tmp_path), MethodSpec("dehb", options={"min_budget": 0.01, "eta": 1.9}), space,
+        ObjectiveSpec("gridworld_q", {"total_steps": 300}), SeedPlan([7], list(range(20, 30))),
+        8, rng_seed=5, repetition=0,
+    )
+    trials = Journal.load(str(tmp_path / JOURNAL_NAME)).of_type("trial")
+    lowest = min(t["budget"] for t in trials)
+    fresh = [t for t in trials if t["budget"] == lowest or t["purpose"] == "test"]
+    assert len(trials) == 184 + 10 and len(fresh) == 89 + 10
+    assert sorted(started) == sorted(t["seed"] for t in fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,18 @@ def test_gridworld_rejects_non_finite_hyperparameters(name, value):
         GridworldQ(total_steps=50).evaluate(Configuration(values), 1.0, 0)
 
 
+@pytest.mark.parametrize("value", [20.7, math.inf, -math.inf, math.nan, True, False, "20.5"])
+def test_gridworld_refuses_a_total_steps_that_is_not_a_whole_number(value):
+    with pytest.raises(ValueError, match="total_steps must be a whole number"):
+        GridworldQ(total_steps=value)
+
+
+def test_gridworld_takes_a_whole_total_steps_of_any_type():
+    for value in (300, 300.0, np.int64(300), np.float64(300.0), "300"):
+        steps = GridworldQ(total_steps=value).total_steps
+        assert type(steps) is int and steps == 300
+
+
 _SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
 _entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(-2.0, 2.0))
 
@@ -728,6 +740,133 @@ def test_gridworld_checkpoint_fraction_advances():
     _, c1 = obj.evaluate(cfg, 0.3, 0)
     _, c2 = obj.evaluate(cfg, 0.7, 0, resume=c1)
     assert c1.trained_fraction < c2.trained_fraction
+
+
+# a call without ``resume`` continues the latest such call of the same
+# hyperparameters and seed, when that one trained no more steps; it must give
+# a fresh instance's cost and payload, or fail as a fresh instance fails
+
+
+def _outcome(obj, cfg, budget, seed):
+    try:
+        cost, ckpt = obj.evaluate(cfg, budget, seed)
+    except EvaluationError as err:
+        return "failed", str(err)
+    return cost.hex(), ckpt.payload
+
+
+def _gridworld_config(lr, epsilon, gamma, decay):
+    return Configuration(
+        {"learning_rate": lr, "epsilon": epsilon, "gamma": gamma, "epsilon_decay": decay}
+    )
+
+
+_continued_configs = st.one_of(
+    st.tuples(_unit, _unit, _unit, _unit).map(lambda u: from_unit(GridworldQ.space, np.array(u))),
+    # divergent tables, which can hold NaN
+    st.builds(_gridworld_config, st.floats(2.0, 1e3), _unit, st.floats(0.5, 1.0),
+              st.floats(0.9, 1.0)),
+    # never explores, or bootstraps undiscounted
+    st.builds(_gridworld_config, st.floats(1e-3, 1.0), st.just(0.0), st.floats(0.5, 1.0),
+              st.floats(0.9, 1.0)),
+    st.builds(_gridworld_config, st.floats(1e-3, 1.0), _unit, st.just(1.0),
+              st.floats(0.9, 1.0)),
+    # epsilon_decay**episode overflows within a few episodes
+    st.builds(_gridworld_config, st.floats(1e-3, 1.0), st.floats(0.01, 1.0),
+              st.floats(0.5, 1.0), st.sampled_from([1e100, 1e200])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(Configuration(NAN_CONFIG), [0.3, 0.6, 1.0, 1.0, 0.5, 0.9], 3, 600)  # NaN at step 315
+@example(_gridworld_config(0.1, 0.5, 0.9, 1e200), [0.2, 0.5, 1.0, 0.1, 1.0], 0, 160)
+@example(_gridworld_config(0.3, 0.0, 1.0, 0.95), [0.1, 0.1, 0.7, 0.4, 1.0], 9, 300)
+@given(
+    _continued_configs,
+    st.lists(st.sampled_from([0.1, 0.5, 1.0]) | _budgets, min_size=2, max_size=6),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 600),
+)
+def test_calls_at_any_budgets_on_one_instance_give_a_fresh_instances_outcomes(
+    cfg, budgets, seed, total
+):
+    obj = GridworldQ(total_steps=total)
+    for budget in budgets:
+        fresh = GridworldQ(total_steps=total)
+        assert _outcome(obj, cfg, budget, seed) == _outcome(fresh, cfg, budget, seed)
+
+
+def test_a_higher_budget_trains_on_from_the_latest_lower_one(monkeypatch):
+    started = []
+    real = GridworldQ._fresh_state
+    monkeypatch.setattr(GridworldQ, "_fresh_state",
+                        lambda obj, seed: started.append(seed) or real(obj, seed))
+    obj, cfg = GridworldQ(total_steps=500), golden_config()
+    for budget in (0.1, 0.3, 0.3, 1.0):  # up, again, up: one run
+        obj.evaluate(cfg, budget, 4)
+    assert started == [4]
+    obj.evaluate(cfg, 0.2, 4)  # fewer steps than the memo holds: from step 0
+    obj.evaluate(cfg, 0.5, 4)
+    obj.evaluate(cfg, 0.5, True)  # another seed's text: its own run
+    other = Configuration({**cfg.values, "gamma": math.nextafter(cfg["gamma"], 1.0)})
+    obj.evaluate(other, 1.0, 4)  # one bit apart: its own run
+    assert started == [4, 4, True, 4]
+    _, part = obj.evaluate(cfg, 0.1, 5)
+    obj.evaluate(cfg, 0.6, 5, resume=part)  # a resume neither reads nor fills the memo
+    obj.evaluate(cfg, 0.7, 5)
+    assert started == [4, 4, True, 4, 5]
+    # the latest step count of (cfg, 4), (cfg, True), (other, 4) and (cfg, 5)
+    assert [steps for steps, _ in obj._trained.values()] == [250, 250, 500, 350]
+
+
+def test_the_trained_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(objectives_module, "_TRAINED_CAP", 5)
+    obj = GridworldQ(total_steps=200)
+    rng = np.random.default_rng(3)
+    for _ in range(11):
+        cfg = from_unit(obj.space, rng.random(4))
+        for seed in range(3):
+            for budget in (0.2, 0.6):
+                got = _outcome(obj, cfg, budget, seed)
+                assert 1 <= len(obj._trained) <= 5
+                assert got == _outcome(GridworldQ(total_steps=200), cfg, budget, seed)
+
+
+_table_entries = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -0.01])
+
+
+@settings(max_examples=60, deadline=None)
+@example(np.zeros(100).tolist(), 0, 0, 0, 0.3)
+@example([-0.0, 0.0, 0.0, -0.0] * 25, 7, 3, 12, 0.0)
+@given(
+    st.lists(_table_entries, min_size=100, max_size=100),
+    st.integers(0, 24),  # the state the run stands in
+    st.integers(0, 40),  # episode
+    st.integers(0, 49),  # steps taken in it
+    st.sampled_from([0.0, 0.3, 1.0]),  # epsilon
+)
+def test_a_resumed_table_with_ties_and_signed_zeros_trains_as_numpy_does(
+    entries, pos, episode, steps_in_episode, epsilon
+):
+    # the greedy lists start from a scan of the resumed rows
+    total, seed = 400, 6
+    start = {
+        "q": np.array(entries).reshape(25, 4),
+        "rng": training_stream(seed).bit_generator.state,
+        "step": 120,
+        "episode": episode,
+        "pos": divmod(pos, 5),
+        "steps_in_episode": steps_in_episode,
+    }
+    resume = CheckpointHandle(trained_fraction=0.3, payload=pickle.dumps(start, protocol=4))
+    cost, ckpt = GridworldQ(total_steps=total).evaluate(
+        _gridworld_config(0.5, epsilon, 0.9, 0.99), 0.75, seed, resume=resume
+    )
+    got = pickle.loads(ckpt.payload)
+    want = numpy_reference_state(0.5, epsilon, 0.9, 0.99, 0.75, seed, total, start=start)
+    assert got.pop("q").tobytes() == want["q"].tobytes()
+    assert cost.hex() == (-reference_greedy_return(want.pop("q"))).hex()
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
