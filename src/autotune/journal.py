@@ -2,12 +2,11 @@
 
 The first record is the header (method, space text + digest, objective spec,
 seed plan, budget, rng seed). Every subsequent record carries a strictly
-increasing ``seq``. Durability is per evaluation group: a trial record is
-written when it is appended but reaches the disk with its group's record,
-and every other append, a group record included, flushes before returning.
-So a record whose append returned survives a process kill once the group it
-belongs to has been appended; the trial records of a group cut short are
-lost or torn, and resume drops those anyway (see :func:`_trim_torn_group`).
+increasing ``seq``. :meth:`Journal.append_group` writes an evaluation group,
+its trial records and then its group record, and flushes it once; every
+other append flushes. So a record whose append returned survives a process
+kill; the trial records of a group cut short are lost or torn, and resume
+drops those anyway (see :func:`_trim_torn_group`).
 
 A journal opened for resume replays its existing records: every append made
 by the re-run is verified against the recorded one (ignoring wall time) and
@@ -16,13 +15,7 @@ interrupted one stopped. A truncated trailing line (torn write) is dropped
 with a logged warning; corruption before the last record is a hard error.
 
 Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
-the record kept in memory is what a reader parses back from it. A group
-writes one configuration in a trial record per seed and again in its group
-record, so a configuration is encoded once per group, not once per record:
-the journal remembers the last ``config`` it encoded, and a record whose
-``config`` holds the same keys and the very same value objects gets that
-text spliced into the line of the rest of the record (see
-:meth:`Journal._encoded`). The lines are the same bytes either way.
+the record kept in memory is what a reader parses back from it.
 """
 from __future__ import annotations
 
@@ -34,7 +27,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import is_
 
 HEADER = "header"
 TRIAL = "trial"
@@ -80,7 +72,6 @@ else:
 
 # the types json.loads gives scalars back as, each for a value of that exact type
 _LEAVES = frozenset((str, int, float, bool, type(None)))
-_STR = frozenset((str,))
 
 
 class JournalError(RuntimeError):
@@ -154,8 +145,6 @@ class Journal:
     warnings: list = field(default_factory=list)
     _pending: deque = field(default_factory=deque)  # replay queue (oldest first)
     _fh: object = None
-    # the last config encoded: (its keys, its values, its JSON text, its kept copy)
-    _config_memo: tuple | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -221,20 +210,18 @@ class Journal:
         """Append (or verify against the replay queue); returns the seq number.
 
         Keys, at every level of ``record``, must be ``str``. The record is
-        written as one sorted JSON line, and the record kept is a copy that
-        equals what a reader of that line parses: the same sorted keys,
-        lists for tuples, plain floats, exact float values, and no
-        container shared with ``record``; kept records of one configuration
-        share its ``config`` dict, which must not be mutated. A trial
-        record is not flushed: it reaches the disk with its group's record
-        (see the module docstring). A replayed record is encoded too, so
-        one that cannot be serialised raises as it would in a live run.
+        written as one sorted JSON line and flushed, and the record kept is
+        a copy that equals what a reader of that line parses: the same
+        sorted keys, lists for tuples, plain floats, exact float values, and
+        no container shared with ``record``. A replayed record is encoded
+        too, so one that cannot be serialised raises as it would in a live
+        run.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
         if self._pending:
             expected = self._pending.popleft()
-            _, record = self._encoded(record)  # canonical types, exact floats
+            record = _kept(record, _encode(record))  # canonical types, exact floats
             if _strip_volatile(expected) != _strip_volatile({**record, "seq": 0}):
                 raise ReplayMismatch(
                     f"resumed run diverged: expected {expected.get('t')} "
@@ -242,47 +229,45 @@ class Journal:
                 )
             return expected["seq"]
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        line, kept = self._encoded({**record, "seq": seq})
-        self.records.append(kept)
-        self._write_line(line, flush=kept.get("t") != TRIAL)
+        record = {**record, "seq": seq}
+        line = _encode(record)
+        self.records.append(_kept(record, line))
+        self._write_line(line)
         return seq
 
-    def _encoded(self, record: dict) -> tuple[str, dict]:
-        """``record``'s line and the copy of it that is kept.
+    def append_group(self, config: dict, trials: list[dict], group: dict) -> None:
+        """Append one live evaluation group, ``trials`` and then ``group``,
+        each with ``config`` as its ``"config"``, and flush once; a replayed
+        group is taken by :meth:`take_group_if_pending` instead.
 
-        A group appends its configuration once per seed and once more in
-        its group record, so the ``config`` dict is encoded once: while a
-        record's ``config`` holds the very same key and value objects as
-        the last one encoded, its text is spliced into the line of the
-        rest of the record, and the kept records share one copy of it,
-        which no reader mutates. Only configs of ``str`` keys and values
-        of the immutable JSON scalar types are remembered, so equal keys
-        and the same value objects mean the same text; a record with more
-        than one null ``config`` at any depth is encoded whole.
+        Each line is the one :meth:`append` would write: ``config`` is
+        encoded once and its text spliced in, unless a record holds a null
+        ``"config"`` of its own (in a tag, say), and the kept records share
+        one parsed copy of it, which must not be mutated.
         """
-        config = record.get("config")
-        if type(config) is dict and config:
-            keys, values = tuple(config), tuple(config.values())
-            memo = self._config_memo
-            if memo is None or memo[0] != keys or not all(map(is_, values, memo[1])):
-                memo = None
-                if _STR.issuperset(map(type, keys)) and _LEAVES.issuperset(map(type, values)):
-                    text = _encode(config)
-                    memo = (keys, values, text, dict(sorted(config.items())))
-                    self._config_memo = memo
-            if memo is not None:
-                rest = {**record, "config": None}
-                line = _encode(rest)
-                if line.count(_CONFIG_SLOT) == 1:
-                    line = line.replace(_CONFIG_SLOT, '"config": ' + memo[2])
-                    try:
-                        kept = _plain(rest)
-                    except _NotPlain:
-                        return line, json.loads(line)
-                    kept["config"] = memo[3]
-                    return line, kept
-        line = _encode(record)
-        return line, _kept(record, line)
+        if self.header is None:
+            raise JournalError("header must be written before records")
+        if self._pending:
+            raise JournalError("a live group cannot be appended while the journal replays")
+        text = _encode(config)
+        kept_config = _kept(config, text)
+        seq = (self.records[-1]["seq"] + 1) if self.records else 1
+        lines, kept_records = [], []
+        for record in (*trials, group):
+            record = {**record, "config": None, "seq": seq}
+            line = _encode(record)
+            if line.count(_CONFIG_SLOT) == 1:
+                line = line.replace(_CONFIG_SLOT, '"config": ' + text)
+            else:
+                record["config"] = config
+                line = _encode(record)
+            kept = _kept(record, line)
+            kept["config"] = kept_config
+            kept_records.append(kept)
+            lines.append(line)
+            seq += 1
+        self.records += kept_records  # only once every record has encoded
+        self._write_line("\n".join(lines))
 
     def take_group_if_pending(self, key: dict) -> list[dict] | None:
         """During replay, consume and return one recorded evaluation group.
@@ -292,7 +277,7 @@ class Journal:
         """
         if not self._pending:
             return None
-        _, key = self._encoded(key)
+        key = _kept(key, _encode(key))
         taken = []
         for rec in self._pending:
             taken.append(rec)
@@ -315,11 +300,10 @@ class Journal:
             self._pending.popleft()
         return taken
 
-    def _write_line(self, line: str, flush: bool = True) -> None:
+    def _write_line(self, line: str) -> None:
         if self._fh is not None:
             self._fh.write(line + "\n")
-            if flush:
-                self._fh.flush()
+            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

@@ -179,8 +179,8 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-# most (config digest, seed) terms, and most unit vectors, one valley or
-# sphere instance remembers; a memo is emptied when it is full
+# most (config digest, seed) terms, and most optima, one valley or sphere
+# instance remembers; a memo is emptied when it is full
 _TERMS_CAP = 1 << 16
 
 
@@ -196,15 +196,15 @@ class SeededValley(Objective):
     them once for every pair it sees; the seed's text is the key because
     the streams are keyed on it (``1`` and ``True`` compare equal but derive
     different ones). A hit adds the budget's penalty and the noise in the
-    order a miss does, so the cost is the same bits. The unit vector z is
-    kept per config digest as well, so each distinct configuration is
-    encoded once per instance, whichever object carries it.
+    order a miss does, so the cost is the same bits. Only a miss reads the
+    unit vector z, which is encoded once per configuration object a group
+    evaluates (see :meth:`_slot`).
     """
 
     name = "seeded_valley"
     cost_metric = "seed-shifted squared distance plus partial-budget penalty"
     penalty = 0.5  # cost of each fraction of a full run left untrained
-    _memo: tuple | None = None  # (config, its items, unit vector, digest)
+    _memo: list | None = None  # [config, its items, digest, unit vector or None]
 
     def __init__(
         self,
@@ -225,23 +225,18 @@ class SeededValley(Objective):
         self.space = space
         # (config digest, str(seed)) -> (squared distance, noise draw)
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
-        # config digest -> unit vector (read-only)
-        self._units: dict[str, np.ndarray] = {}
         # str(seed) -> optimum (read-only)
         self._optima: dict[str, np.ndarray] = {}
 
-    def _encoded(self, config: Configuration) -> tuple[np.ndarray, str]:
-        """Unit vector (read-only) and digest of ``config``.
+    def _slot(self, config: Configuration) -> list:
+        """``[config, its items, its digest, its unit vector or None]``.
 
-        The vector is kept per digest, which tells ``1``, ``1.0`` and
-        ``True`` apart and ``0.0`` from ``-0.0``, so a configuration is
-        encoded once however many objects carry it. A group evaluates one
-        configuration object on every seed, so the last one is remembered
-        too and skips the digest. A hit there needs that object holding the
-        very same value objects, so after ``values`` changes the digest is
-        taken again. Under ``--workers`` each forked worker evaluates on its
-        own copy of the objective, so these memos and ``_terms`` fill
-        separately in each process and are never shared; a cost never
+        The digest tells ``1``, ``1.0`` and ``True`` apart and ``0.0`` from
+        ``-0.0``. A group evaluates one configuration object on every seed,
+        so the last slot is kept; its unit vector is encoded on the first
+        miss in ``_terms``, its only reader. A hit needs that object holding
+        the very same value objects. Under ``--workers`` each forked worker
+        has its own copy of the objective, slot and ``_terms``; a cost never
         depends on what they hold.
         """
         items = tuple(config.values.items())
@@ -252,17 +247,9 @@ class SeededValley(Objective):
             and len(memo[1]) == len(items)
             and all(k == j and v is w for (k, v), (j, w) in zip(memo[1], items))
         ):
-            return memo[2], memo[3]
-        digest = config_digest(config)
-        z = self._units.get(digest)
-        if z is None:
-            z = to_unit(self.space, config)
-            z.flags.writeable = False
-            if len(self._units) >= _TERMS_CAP:
-                self._units.clear()
-            self._units[digest] = z
-        self._memo = (config, items, z, digest)
-        return z, digest
+            return memo
+        memo = self._memo = [config, items, config_digest(config), None]
+        return memo
 
     def optimum(self, seed: int) -> np.ndarray:
         return self._optimum(seed).copy()
@@ -283,12 +270,14 @@ class SeededValley(Objective):
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
-        z, digest = self._encoded(config)
-        key = (digest, str(seed))
+        slot = self._slot(config)
+        key = (slot[2], str(seed))
         terms = self._terms.get(key)
         if terms is None:
-            dist2 = float(np.sum((z - self._optimum(seed)) ** 2))
-            terms = (dist2, _bounded_noise(self.name, digest, seed))
+            if slot[3] is None:
+                slot[3] = to_unit(self.space, config)
+            dist2 = float(np.sum((slot[3] - self._optimum(seed)) ** 2))
+            terms = (dist2, _bounded_noise(self.name, slot[2], seed))
             if len(self._terms) >= _TERMS_CAP:
                 self._terms.clear()
             self._terms[key] = terms
@@ -656,12 +645,12 @@ class GridworldQ(Objective):
                 self._trained.clear()
             self._trained[key] = (step, payload)
         ckpt = CheckpointHandle(trained_fraction=budget, payload=payload)
-        return -self._greedy_return(state["q"]), ckpt
+        # ``nan`` is exact: a NaN entry stays NaN under every later update
+        return -self._greedy_return(rows, nan), ckpt
 
     @staticmethod
-    def _greedy_return(q: np.ndarray) -> float:
-        rows = q.tolist()
-        nan = bool(np.isnan(q).any())
+    def _greedy_return(rows: list[list[float]], nan: bool) -> float:
+        """Greedy return of the table ``rows``; ``nan``: whether it holds a NaN."""
         seen = [False] * len(rows)
         s = 0
         for length in range(1, _EPISODE_CAP + 1):
@@ -675,7 +664,7 @@ class GridworldQ(Objective):
         return _mean_return(_EPISODE_CAP, False)
 
     def untrained_cost(self) -> float:
-        return -self._greedy_return(np.zeros((_GRID * _GRID, len(_MOVES))))
+        return -self._greedy_return([[0.0] * len(_MOVES)] * (_GRID * _GRID), False)
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -30,7 +30,7 @@ import signal
 import time
 from dataclasses import dataclass
 
-from .checkpoints import CheckpointPack
+from .checkpoints import PACK_NAME, CheckpointPack
 from .journal import COMPLETE, GROUP, INCUMBENT, TRIAL, Journal
 from .objectives import (
     DONE,
@@ -120,9 +120,9 @@ class TrialRunner:
             self.journal.write_header({"method": "adhoc"})
         self.checkpoint_dir = checkpoint_dir
         self.workers = int(workers)
-        # the next live group's id: groups journaled so far, replayed ones too
-        self._groups = len(self.journal.of_type(GROUP))
-        self.groups_run = 0  # replayed or journaled by this runner
+        # replayed or journaled by this runner; as a live group starts only
+        # once the replay queue is empty, also the next live group's id
+        self.groups_run = 0
         self._packs: dict[str, CheckpointPack] = {}  # by directory
         self._children: list = []  # (process, connection) per forked worker
         self._best: GroupResult | None = None  # the incumbent keep_best kept
@@ -215,7 +215,7 @@ class TrialRunner:
         """A replayed group's result, or a live group to evaluate."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
         key = {
-            "config": _jsonable_config(config),
+            "config": dict(config.values),
             "budget": budget,
             "seeds": list(seeds),
             "purpose": purpose,
@@ -267,35 +267,31 @@ class TrialRunner:
             resumed_from = max(
                 h.trained_fraction for h in live.resume.values() if h is not None
             )
-        group = self._groups
+        group = self.groups_run
         checkpoints = self._persist(
             group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         )
-        config = _jsonable_config(live.config)
         per_seed = [cost for _, cost, _, _, _ in trials]
         failed = any(cost is None for cost in per_seed)
-        for seed, cost, _, error, wall in trials:
-            ckpt = checkpoints.get(seed)
-            self.journal.append(
-                {
-                    "t": TRIAL,
-                    "group": group,
-                    "config": config,
-                    "budget": live.budget,
-                    "seed": seed,
-                    "cost": cost,
-                    "status": DONE if cost is not None else FAILED,
-                    "error": error,
-                    "wall_time": wall,
-                    "ckpt": None if ckpt is None else ckpt.path,
-                    "frac": None if ckpt is None else ckpt.trained_fraction,
-                    "purpose": live.purpose,
-                }
-            )
+        trial_recs = [
+            {
+                "t": TRIAL,
+                "group": group,
+                "budget": live.budget,
+                "seed": seed,
+                "cost": cost,
+                "status": DONE if cost is not None else FAILED,
+                "error": error,
+                "wall_time": wall,
+                "ckpt": checkpoints[seed].path if seed in checkpoints else None,
+                "frac": checkpoints[seed].trained_fraction if seed in checkpoints else None,
+                "purpose": live.purpose,
+            }
+            for seed, cost, _, error, wall in trials
+        ]
         group_rec = {
             "t": GROUP,
             "group": group,
-            "config": config,
             "budget": live.budget,
             "seeds": list(live.seeds),
             "mean_cost": None if failed else sum(per_seed) / len(per_seed),
@@ -305,8 +301,7 @@ class TrialRunner:
         }
         if live.tags:
             group_rec["tags"] = live.tags
-        self.journal.append(group_rec)
-        self._groups += 1
+        self.journal.append_group(live.config.values, trial_recs, group_rec)
         self.groups_run += 1
         return GroupResult(
             group=group,
@@ -346,10 +341,17 @@ class TrialRunner:
     def _read_resume(self, live: _LiveGroup) -> _LiveGroup:
         """``live``, once each replayed checkpoint it resumes from holds its
         payload, read through the pack of its directory, whose index this
-        runner keeps; worker processes open no pack."""
+        runner keeps; worker processes open no pack. A relative path (an
+        older journal's) or a directory without a pack (a run moved away from
+        it) is read through ``checkpoint_dir``'s pack."""
         for h in (live.resume or {}).values():
             if h is not None and h.payload is None:
-                h.payload = self._pack(os.path.dirname(h.path)).read(os.path.basename(h.path))
+                directory, name = os.path.split(h.path)
+                if directory not in self._packs and self.checkpoint_dir is not None and not (
+                    os.path.isabs(directory) and os.path.exists(os.path.join(directory, PACK_NAME))
+                ):
+                    directory = self.checkpoint_dir
+                h.payload = self._pack(directory).read(name)
         return live
 
     def _rehydrate(self, config, budget, seeds, purpose, records) -> GroupResult:
@@ -360,9 +362,6 @@ class TrialRunner:
         for rec in trials:
             per_seed.append(rec["cost"])
             path, frac = rec.get("ckpt") or None, rec.get("frac")
-            if path and not os.path.isabs(path):
-                # older journals name a frame relative to where their run started
-                path = os.path.join(self.checkpoint_dir, os.path.basename(path))
             if frac is not None:  # a packed payload is read when a live group resumes
                 checkpoints[rec["seed"]] = CheckpointHandle(frac, None if path else b"", path)
         return GroupResult(
@@ -445,7 +444,3 @@ def _checked_seeds(seeds) -> tuple[int, ...]:
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     return seeds
-
-
-def _jsonable_config(config: Configuration) -> dict:
-    return dict(config.values)

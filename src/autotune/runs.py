@@ -17,7 +17,9 @@ share an ``--out``.
 A trial record's ``ckpt`` is ``<out>/rep000/checkpoints/<name>``, made
 absolute so a run resumes from any working directory: the pack in that
 directory holds the payload in its frame ``<name>`` (see
-:mod:`autotune.checkpoints`). Reports read only the rep*/ journals.
+:mod:`autotune.checkpoints`); a run directory moved away from the paths
+its journal names resumes from its own pack. Reports read only the rep*/
+journals.
 
 Every run, repetition or sweep, opens its directory through
 :func:`opened_run`. Resuming re-runs the optimizer or sweep

@@ -503,6 +503,25 @@ def test_a_journal_naming_checkpoints_relatively_resumes_from_another_directory(
     assert (tmp_path / "a" / "run" / "exports" / "incumbents.csv").read_bytes() == whole
 
 
+def without_wall_time(trials_csv) -> list[list[str]]:
+    return [row[:-1] for row in csv.reader(io.StringIO(trials_csv.read_text()))]
+
+
+def test_a_moved_run_directory_resumes_from_its_own_pack(tmp_path, monkeypatch):
+    # the journal names checkpoints in run/, which no longer exists; this
+    # ended in "no checkpoint pack at .../run/rep000/...", exit 4
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
+    for out in ("whole", "run"):
+        assert tune("g.txt", out, *GRIDWORLD_PBT) == EXIT_OK
+    cut_after_group(tmp_path / "run", 9)
+    shutil.move(tmp_path / "run", tmp_path / "moved")
+    assert tune("g.txt", "moved", *GRIDWORLD_PBT) == EXIT_OK
+    moved, whole = tmp_path / "moved" / "exports", tmp_path / "whole" / "exports"
+    assert (moved / "incumbents.csv").read_bytes() == (whole / "incumbents.csv").read_bytes()
+    assert without_wall_time(moved / "trials.csv") == without_wall_time(whole / "trials.csv")
+
+
 def test_a_report_names_a_torn_last_record_on_stderr(space, tmp_path, capsys):
     out = tmp_path / "run"
     assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK

@@ -217,6 +217,22 @@ def test_runner_rejects_bad_per_call_seeds_before_using_a_group_id(seeds, messag
     assert [t["seed"] for t in runner.journal.of_type("trial")] == [1]
 
 
+def test_a_resumed_runners_first_live_group_id_is_the_replayed_count(tmp_path):
+    path = str(tmp_path / "journal.log")
+    configs = [Configuration({"x0": x}) for x in (0.25, 0.5, 0.75)]
+    runner, _ = sphere_runner(make_journal(path))
+    for cfg in configs[:2]:
+        runner.evaluate_group(cfg, 1.0)
+    runner.journal.close()
+    runner, _ = sphere_runner(Journal.open_for_resume(path))
+    replayed = [runner.evaluate_group(cfg, 1.0) for cfg in configs[:2]]
+    assert not runner.journal.replaying and runner.groups_run == 2
+    live = runner.evaluate_group(configs[2], 1.0)
+    runner.journal.close()
+    assert [res.group for res in [*replayed, live]] == [0, 1, 2]
+    assert [g["group"] for g in Journal.load(path).of_type("group")] == [0, 1, 2]
+
+
 def test_runner_failure_becomes_inf_cost():
     from autotune.objectives import EvaluationError
 

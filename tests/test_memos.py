@@ -18,7 +18,7 @@ import autotune.journal as journal_module
 import autotune.objectives as objectives_module
 import autotune.pbt as pbt_module
 from autotune.gp import GpFitError
-from autotune.journal import Journal
+from autotune.journal import Journal, JournalError
 from autotune.objectives import GridworldQ, NoisySphere, ObjectiveSpec, SeededValley
 from autotune.pbt import run_pbt
 from autotune.protocol import MethodSpec, SeedPlan
@@ -27,7 +27,7 @@ from autotune.runs import JOURNAL_NAME, run_repetition
 from autotune.space import Configuration, SpaceError, from_unit, parse_space
 
 # ---------------------------------------------------------------------------
-# Journal.append: one serialisation, the same bytes
+# Journal.append and append_group: one serialisation, the same bytes
 
 _floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -138,23 +138,23 @@ def test_a_replayed_record_that_cannot_be_serialised_raises(tmp_path):
 
 
 
-# a group's records share one config dict: its text is encoded once and
-# spliced into each line, and the kept records share one parsed copy
+# append_group encodes a group's config once and splices its text into each
+# line; the kept records share one parsed copy
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _group_records(config):
-    """What the runner appends for one group: a trial per seed, then the group."""
+def _group_records():
+    """What the runner appends for one group, without its config: a trial
+    per seed, then the group."""
     trials = [
-        {"t": "trial", "group": 0, "config": config, "budget": 0.5, "seed": seed,
+        {"t": "trial", "group": 0, "budget": 0.5, "seed": seed,
          "cost": 0.1 * seed, "status": "done", "error": None, "wall_time": 1e-5,
          "ckpt": None, "frac": 0.5, "purpose": "tune"}
         for seed in (3, 1, 2)
     ]
-    return trials + [{"t": "group", "group": 0, "config": config, "budget": 0.5,
-                      "seeds": [3, 1, 2], "mean_cost": 0.2, "failed": False,
-                      "spend": 0.5, "purpose": "tune"}]
+    return trials, {"t": "group", "group": 0, "budget": 0.5, "seeds": [3, 1, 2],
+                    "mean_cost": 0.2, "failed": False, "spend": 0.5, "purpose": "tune"}
 
 
 def _lines_of(path: str) -> list[str]:
@@ -172,6 +172,20 @@ def _appended(tmp_path, records) -> tuple[Journal, list[str]]:
     return j, _lines_of(path)
 
 
+def _appended_groups(tmp_path, groups) -> tuple[Journal, list[str], list[dict]]:
+    """The journal, its lines and the records :meth:`Journal.append` would
+    have taken for ``groups``, each (config, trials, group)."""
+    path = str(tmp_path / "journal.log")
+    j = Journal.create(path)
+    j.write_header({"method": "x"})
+    records = []
+    for config, trials, group in groups:
+        j.append_group(config, trials, group)
+        records += [{**r, "config": config} for r in (*trials, group)]
+    j.close()
+    return j, _lines_of(path), records
+
+
 @pytest.mark.parametrize("config", [
     {"lr": 1, "momentum": 1.0, "nesterov": True},
     {"lr": 1.0, "momentum": True, "nesterov": 1},
@@ -180,13 +194,14 @@ def _appended(tmp_path, records) -> tuple[Journal, list[str]]:
     {"config": "null", 'k"ey': '"config": null', "t": "\\"},
 ], ids=range(5))
 def test_a_groups_lines_are_the_encoders_bytes(tmp_path, config):
-    records = _group_records(config) + _group_records(dict(config))
-    j, lines = _appended(tmp_path, records)
+    groups = [(config, *_group_records()), (dict(config), *_group_records())]
+    j, lines, records = _appended_groups(tmp_path, groups)
     assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
     for kept, line in zip(j.records, lines):
         _assert_parsed_form(kept, json.loads(line))
-    # the records share one kept config, never the caller's dict
-    assert all(r["config"] is j.records[0]["config"] for r in j.records)
+    # a group's records share one kept config, never the caller's dict
+    for first in (0, 4):
+        assert all(r["config"] is j.records[first]["config"] for r in j.records[first:first + 4])
     assert j.records[0]["config"] is not config
 
 
@@ -194,15 +209,14 @@ def test_a_groups_lines_are_the_encoders_bytes(tmp_path, config):
 @given(config=st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=5),
        records=st.lists(_records, min_size=1, max_size=3))
 def test_records_sharing_a_config_write_the_two_step_bytes(config, records):
-    records = [{**r, "config": config} for r in records] + [{"config": dict(config)}]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "journal.log")
         j = Journal.create(path)
         j.write_header({"method": "x"})
-        for record in records:
-            j.append(record)
+        j.append_group(config, records[:-1], records[-1])
         j.close()
         lines = _lines_of(path)
+    records = [{**r, "config": config} for r in records]
     assert lines == [_two_step_line({**r, "seq": i}) for i, r in enumerate(records, start=1)]
     _mutate(config)
     for kept, line in zip(j.records, lines):
@@ -264,15 +278,28 @@ def test_changing_the_callers_config_after_append_leaves_the_kept_records():
 @pytest.mark.parametrize("record", [
     # a second null "config" at any depth: the splice point is ambiguous
     {"t": "group", "config": {"x": 0.5}, "tags": {"config": None}},
-    # values the memo does not keep: containers and float subclasses
+    # values of other types than the JSON scalars: containers, float subclasses
     {"t": "group", "config": {"x": [0.5, 1]}},
     {"t": "group", "config": {"x": np.float64(0.1)}},
 ])
 def test_records_the_memo_cannot_splice_are_encoded_whole(tmp_path, record):
-    j, lines = _appended(tmp_path, [record, record])
-    assert lines == [_ENCODE({**record, "seq": 1}), _ENCODE({**record, "seq": 2})]
+    rest = {k: v for k, v in record.items() if k != "config"}
+    j, lines, records = _appended_groups(tmp_path, [(record["config"], [rest], rest)] * 2)
+    assert lines == [_ENCODE({**record, "seq": i}) for i in range(1, 5)]
     for kept, line in zip(j.records, lines):
         _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_group_whose_tag_holds_a_null_config_writes_the_encoders_bytes(tmp_path):
+    trials, group = _group_records()
+    trials[1]["tags"] = {"config": None}
+    group = {**group, "tags": {"member": 2, "config": None}}
+    config = {"lr": 0.5, "config": None}
+    j, lines, records = _appended_groups(tmp_path, [(config, trials, group)])
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+    assert j.records[-1]["tags"] == {"member": 2, "config": None}
 
 
 # every line goes through one C encoder per thread, built once
@@ -327,18 +354,44 @@ class _CountingFile:
         self.fh.close()
 
 
-def test_a_group_of_trials_is_flushed_once(tmp_path):
+def _counted(tmp_path) -> tuple[Journal, _CountingFile]:
     j = Journal.create(str(tmp_path / "journal.log"))
     j.write_header({"method": "x"})
     j._fh = counting = _CountingFile(j._fh)
-    for seed in range(5):
-        j.append({"t": "trial", "group": 0, "seed": seed})
-    assert counting.flushes == 0
-    j.append({"t": "group", "group": 0})
+    return j, counting
+
+
+def test_a_group_of_trials_is_flushed_once(tmp_path):
+    j, counting = _counted(tmp_path)
+    trials = [{"t": "trial", "group": 0, "seed": seed} for seed in range(5)]
+    j.append_group({"lr": 0.5}, trials, {"t": "group", "group": 0})
     assert counting.flushes == 1
     j.append({"t": "exploit", "interval": 1})
     assert counting.flushes == 2
     j.close()
+    assert [r["seq"] for r in j.records] == list(range(1, 8))
+
+
+def test_append_flushes_every_record_trial_included(tmp_path):
+    j, counting = _counted(tmp_path)
+    for n, kind in enumerate(["trial", "trial", "group", "exploit"], start=1):
+        j.append({"t": kind, "group": 0})
+        assert counting.flushes == n
+    j.close()
+
+
+def test_append_group_while_replaying_raises_and_writes_nothing(tmp_path):
+    path = str(tmp_path / "journal.log")
+    _written_journal(path, 2)
+    before = open(path, "rb").read()
+    j = Journal.open_for_resume(path)
+    records = list(j.records)
+    with pytest.raises(JournalError, match="replays"):
+        j.append_group({"lr": 0.5}, [{"t": "trial", "group": 2, "seed": 0}],
+                       {"t": "group", "group": 2})
+    j.close()
+    assert j.records == records and len(j._pending) == len(records)
+    assert open(path, "rb").read() == before
 
 
 @pytest.mark.parametrize("payload", [0, 4000])  # the second overflows the file buffer
@@ -450,6 +503,18 @@ def test_one_encoding_serves_every_seed_of_a_group(cls, monkeypatch):
 
 
 @pytest.mark.parametrize("cls", [SeededValley, NoisySphere])
+def test_a_known_configuration_in_a_new_object_on_a_new_seed_costs_what_a_fresh_one_gives(cls):
+    obj = cls(dimension=2)
+    values = {"x0": 0.25, "x1": 0.75}
+    for seed in (0, 1):
+        obj.evaluate(Configuration(dict(values)), 0.5, seed)
+    obj.evaluate(Configuration({"x0": 0.5, "x1": 0.5}), 0.5, 0)  # another in the slot
+    for seed in (2, 3):
+        cost, _ = obj.evaluate(Configuration(dict(values)), 0.5, seed)
+        assert cost.hex() == _fresh_cost(cls, values, 0.5, seed)[0].hex()
+
+
+@pytest.mark.parametrize("cls", [SeededValley, NoisySphere])
 def test_configurations_apart_in_type_or_sign_are_encoded_apart(cls, monkeypatch):
     space = parse_space("layers: int[0, 8]\nmomentum: (-1.0, 1.0)\n")
     # the integer takes 1 and True, the continuous 1, 1.0, 0.0 and -0.0
@@ -523,9 +588,15 @@ def test_threads_sharing_an_objective_get_the_sequential_costs():
     def costs(cfg):
         return [obj.evaluate(cfg, 0.5, s)[0] for s in range(5)]
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(costs, configs * 5))
-    assert got == want * 5
+    # threads switch inside evaluate, between a slot's digest and its unit vector
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(costs, configs * 20, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 20
 
 
 def test_threads_sharing_a_gridworld_get_the_sequential_outcomes():
