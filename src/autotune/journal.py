@@ -272,8 +272,9 @@ class Journal:
     def take_group_if_pending(self, key: dict) -> list[dict] | None:
         """During replay, consume and return one recorded evaluation group.
 
-        ``key`` holds config/budget/seeds/purpose; the queued trial records
-        plus their group record must match or the resume is rejected.
+        ``key`` holds every field of the group record that the request
+        fixes; the queued records must be trial records and then a group
+        record that has each of those fields, or the resume is rejected.
         """
         if not self._pending:
             return None

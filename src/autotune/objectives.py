@@ -156,20 +156,22 @@ def _bounded_noise(tag: str, digest: str, seed: int) -> float:
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
-def _seed_direction(tag: str, seed: int, dimension: int) -> np.ndarray:
-    """Unit vector that shifts seed ``seed``'s optimum; read-only.
+def _seed_optimum(tag: str, seed: int, dimension: int, sigma: float) -> np.ndarray:
+    """Seed ``seed``'s optimum, ``0.5 + sigma * u`` for a unit vector ``u``
+    derived from the seed; read-only.
 
     It depends only on its arguments, and deriving its stream costs more
     than the rest of an evaluation, so each one is computed once and
     shared. ``typed`` keeps keys that compare equal but print differently
     (``1`` and ``True``) apart, as the stream is keyed on their text.
     """
-    rng = _derived_rng(tag, "shift", seed)
-    v = rng.standard_normal(dimension)
-    norm = float(np.linalg.norm(v))
-    v = v / norm if norm > 0 else v
-    v.flags.writeable = False
-    return v
+    opt = np.full(dimension, 0.5)
+    if sigma != 0.0:
+        v = _derived_rng(tag, "shift", seed).standard_normal(dimension)
+        norm = float(np.linalg.norm(v))
+        opt = opt + sigma * (v / norm if norm > 0 else v)
+    opt.flags.writeable = False
+    return opt
 
 
 def _finite(name: str, value: float) -> float:
@@ -179,8 +181,8 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-# most (config digest, seed) terms, and most optima, one valley or sphere
-# instance remembers; a memo is emptied when it is full
+# most (config digest, seed) terms one valley or sphere instance remembers;
+# the memo is emptied when it is full
 _TERMS_CAP = 1 << 16
 
 
@@ -225,8 +227,6 @@ class SeededValley(Objective):
         self.space = space
         # (config digest, str(seed)) -> (squared distance, noise draw)
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
-        # str(seed) -> optimum (read-only)
-        self._optima: dict[str, np.ndarray] = {}
 
     def _slot(self, config: Configuration) -> list:
         """``[config, its items, its digest, its unit vector or None]``.
@@ -252,21 +252,7 @@ class SeededValley(Objective):
         return memo
 
     def optimum(self, seed: int) -> np.ndarray:
-        return self._optimum(seed).copy()
-
-    def _optimum(self, seed: int) -> np.ndarray:
-        """``optimum(seed)``, read-only and kept per seed's text."""
-        key = str(seed)
-        opt = self._optima.get(key)
-        if opt is None:
-            opt = np.full(self.dimension, 0.5)
-            if self.sigma != 0.0:
-                opt = opt + self.sigma * _seed_direction(self.name, seed, self.dimension)
-            opt.flags.writeable = False
-            if len(self._optima) >= _TERMS_CAP:
-                self._optima.clear()
-            self._optima[key] = opt
-        return opt
+        return _seed_optimum(self.name, seed, self.dimension, self.sigma).copy()
 
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
@@ -276,7 +262,8 @@ class SeededValley(Objective):
         if terms is None:
             if slot[3] is None:
                 slot[3] = to_unit(self.space, config)
-            dist2 = float(np.sum((slot[3] - self._optimum(seed)) ** 2))
+            opt = _seed_optimum(self.name, seed, self.dimension, self.sigma)
+            dist2 = float(np.sum((slot[3] - opt) ** 2))
             terms = (dist2, _bounded_noise(self.name, slot[2], seed))
             if len(self._terms) >= _TERMS_CAP:
                 self._terms.clear()
@@ -432,7 +419,9 @@ class GridworldQ(Objective):
     the same, and an episode that comes back to a state loops until the
     step cap: evaluation rolls out one episode up to the goal or the first
     repeated state, and :func:`_mean_return` gives the 100-episode mean of
-    its return bit for bit, so ``cost_metric`` keeps its meaning.
+    its return bit for bit, so ``cost_metric`` keeps its meaning. The
+    rollout follows the greedy actions training keeps (below), or each
+    row's :func:`_first_max` once the table holds a NaN.
 
     Each training step takes one uniform from the seed's stream, and a
     second when it explores, in the order a scalar ``rng.random()`` per draw
@@ -646,25 +635,25 @@ class GridworldQ(Objective):
             self._trained[key] = (step, payload)
         ckpt = CheckpointHandle(trained_fraction=budget, payload=payload)
         # ``nan`` is exact: a NaN entry stays NaN under every later update
-        return -self._greedy_return(rows, nan), ckpt
+        greedy = [_first_max(row) for row in rows] if nan else first
+        return -self._greedy_return(greedy), ckpt
 
     @staticmethod
-    def _greedy_return(rows: list[list[float]], nan: bool) -> float:
-        """Greedy return of the table ``rows``; ``nan``: whether it holds a NaN."""
-        seen = [False] * len(rows)
+    def _greedy_return(greedy: list[int]) -> float:
+        """Greedy return of the policy that takes action ``greedy[s]`` in state ``s``."""
+        seen = [False] * len(greedy)
         s = 0
         for length in range(1, _EPISODE_CAP + 1):
             if seen[s]:  # the policy and the grid are deterministic: a loop
                 break
             seen[s] = True
-            row = rows[s]
-            s, _, done = _TRANSITIONS[s][_first_max(row) if nan else row.index(max(row))]
+            s, _, done = _TRANSITIONS[s][greedy[s]]
             if done:
                 return _mean_return(length, True)
         return _mean_return(_EPISODE_CAP, False)
 
     def untrained_cost(self) -> float:
-        return -self._greedy_return([[0.0] * len(_MOVES)] * (_GRID * _GRID), False)
+        return -self._greedy_return([0] * (_GRID * _GRID))
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -9,9 +9,11 @@ every tuning seed; its spend is the budget fraction (seeds are the protocol's
 price of reliability, not extra tuning budget). Every trial and group lands
 in the journal; when the journal is in replay mode the runner returns
 recorded results instead of calling the objective, which is what makes
-interrupted runs resumable bit-for-bit. A replayed checkpoint holds only its
-path; the runner reads its payload before a live group resumes from it, so
-an objective finds it in ``resume.payload`` and never opens a pack.
+interrupted runs resumable bit-for-bit; replay checks every field that the
+request fixes in a group record (see :func:`_request`). A replayed
+checkpoint holds only its path; the runner reads its payload before a live
+group resumes from it, so an objective finds it in ``resume.payload`` and
+never opens a pack.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -57,7 +59,6 @@ class GroupResult:
     per_seed_cost: list  # float per seed, None where failed
     failed: bool
     checkpoints: dict  # seed -> CheckpointHandle
-    purpose: str = "tune"
 
     @property
     def mean_cost(self) -> float | None:
@@ -82,7 +83,7 @@ class TuneResult:
 
 @dataclass
 class _LiveGroup:
-    """A group to evaluate; it gets its id when it is journaled."""
+    """A requested group; a live one gets its id when it is journaled."""
 
     config: Configuration
     budget: float
@@ -214,17 +215,13 @@ class TrialRunner:
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
         """A replayed group's result, or a live group to evaluate."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
-        key = {
-            "config": dict(config.values),
-            "budget": budget,
-            "seeds": list(seeds),
-            "purpose": purpose,
-        }
-        replayed = self.journal.take_group_if_pending(key)
-        if replayed is not None:
-            self.groups_run += 1
-            return self._rehydrate(config, budget, seeds, purpose, replayed)
-        return _LiveGroup(config, budget, seeds, purpose, resume, tags)
+        live = _LiveGroup(config, budget, seeds, purpose, resume, tags)
+        if not self.journal.replaying:
+            return live
+        request = {**_request(live, self.groups_run), "config": config.values}
+        replayed = self.journal.take_group_if_pending(request)
+        self.groups_run += 1
+        return self._rehydrate(live, replayed)
 
     def _start_children(self) -> None:
         """Fork ``min(workers, CPU count) - 1`` children that inherit the
@@ -260,19 +257,15 @@ class TrialRunner:
     def _commit(self, live: _LiveGroup, trials: list[tuple]) -> GroupResult:
         """Persist a group's checkpoints, then journal its trials and itself
         under the next id."""
-        # spend is the incremental training fraction: resuming from a
-        # checkpoint at f and training to b costs b - f, not b
-        resumed_from = 0.0
-        if live.resume:
-            resumed_from = max(
-                h.trained_fraction for h in live.resume.values() if h is not None
-            )
         group = self.groups_run
         checkpoints = self._persist(
             group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         )
         per_seed = [cost for _, cost, _, _, _ in trials]
         failed = any(cost is None for cost in per_seed)
+        result = GroupResult(
+            group, live.config, live.budget, live.seeds, per_seed, failed, checkpoints
+        )
         trial_recs = [
             {
                 "t": TRIAL,
@@ -289,30 +282,11 @@ class TrialRunner:
             }
             for seed, cost, _, error, wall in trials
         ]
-        group_rec = {
-            "t": GROUP,
-            "group": group,
-            "budget": live.budget,
-            "seeds": list(live.seeds),
-            "mean_cost": None if failed else sum(per_seed) / len(per_seed),
-            "failed": failed,
-            "spend": live.budget - resumed_from,
-            "purpose": live.purpose,
-        }
-        if live.tags:
-            group_rec["tags"] = live.tags
+        group_rec = _request(live, group)
+        group_rec.update(mean_cost=result.mean_cost, failed=result.failed)
         self.journal.append_group(live.config.values, trial_recs, group_rec)
         self.groups_run += 1
-        return GroupResult(
-            group=group,
-            config=live.config,
-            budget=live.budget,
-            seeds=live.seeds,
-            per_seed_cost=per_seed,
-            failed=failed,
-            checkpoints=checkpoints,
-            purpose=live.purpose,
-        )
+        return result
 
     def _pack(self, directory: str) -> CheckpointPack:
         pack = self._packs.get(directory)
@@ -354,26 +328,36 @@ class TrialRunner:
                 h.payload = self._pack(directory).read(name)
         return live
 
-    def _rehydrate(self, config, budget, seeds, purpose, records) -> GroupResult:
-        trials = [r for r in records if r["t"] == TRIAL]
-        group_rec = records[-1]
+    def _rehydrate(self, live: _LiveGroup, records: list[dict]) -> GroupResult:
         per_seed = []
         checkpoints = {}
-        for rec in trials:
+        for rec in records[:-1]:  # the trial records, then the group record
             per_seed.append(rec["cost"])
             path, frac = rec.get("ckpt") or None, rec.get("frac")
             if frac is not None:  # a packed payload is read when a live group resumes
                 checkpoints[rec["seed"]] = CheckpointHandle(frac, None if path else b"", path)
-        return GroupResult(
-            group=group_rec["group"],
-            config=config,
-            budget=budget,
-            seeds=tuple(seeds),
-            per_seed_cost=per_seed,
-            failed=group_rec["failed"],
-            checkpoints=checkpoints,
-            purpose=purpose,
-        )
+        group = records[-1]
+        return GroupResult(group["group"], live.config, live.budget, live.seeds, per_seed,
+                           group["failed"], checkpoints)
+
+
+def _request(live: _LiveGroup, group: int) -> dict:
+    """The fields but ``config`` that a request fixes in its group record:
+    replay checks them and a live commit writes them. Spend is the training
+    added: resuming from f to budget b costs b - f; ``None`` resumes nothing."""
+    handles = (live.resume or {}).values()
+    resumed = max((h.trained_fraction for h in handles if h is not None), default=0.0)
+    fields = {
+        "t": GROUP,
+        "group": group,
+        "budget": live.budget,
+        "seeds": list(live.seeds),
+        "spend": live.budget - resumed,
+        "purpose": live.purpose,
+    }
+    if live.tags:
+        fields["tags"] = live.tags
+    return fields
 
 
 def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:

@@ -617,13 +617,78 @@ def normalised(out):
 
 
 def test_worker_pool_writes_the_single_worker_journal(space, tmp_path):
-    dehb = ["dehb", *VALLEY, *SEEDS, "--min-budget", "0.1", "--eta", "3", "--budget-runs", "6"]
-    assert tune(space, tmp_path / "w1", *dehb, "--workers", "1") == EXIT_OK
-    assert tune(space, tmp_path / "w2", *dehb, "--workers", "2") == EXIT_OK
+    assert tune(space, tmp_path / "w1", *DEHB, "--workers", "1") == EXIT_OK
+    assert tune(space, tmp_path / "w2", *DEHB, "--workers", "2") == EXIT_OK
     w1, w2 = normalised(tmp_path / "w1"), normalised(tmp_path / "w2")
     assert w1[0]["t"] == "header" and w1[0]["deterministic"] is True
     assert len(w1) > 30
     assert w2 == w1
+
+
+DEHB = ["dehb", *VALLEY, *SEEDS, "--min-budget", "0.1", "--eta", "3", "--budget-runs", "6"]
+PBT = ["pbt", *VALLEY, *SEEDS, "--budget-runs", "4", "--intervals", "4"]
+
+
+def edit_group(out, index, **fields):
+    """Set ``fields`` in the ``index``-th group record of ``out``'s journal."""
+    path = out / "rep000" / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if json.loads(line)["t"] == "group"][index]
+    lines[at] = json.dumps({**json.loads(lines[at]), **fields}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+def test_an_unedited_cut_journal_resumes_to_the_uninterrupted_run(space, tmp_path):
+    for args in (DEHB, PBT):
+        whole, out = tmp_path / f"{args[0]}-whole", tmp_path / args[0]
+        assert tune(space, whole, *args) == tune(space, out, *args) == EXIT_OK
+        cut_after_group(out, 5)
+        assert tune(space, out, *args) == EXIT_OK
+        assert normalised(out) == normalised(whole)
+        assert (out / "exports" / "incumbents.csv").read_bytes() == (
+            whole / "exports" / "incumbents.csv"
+        ).read_bytes()
+
+
+def test_a_cut_journal_whose_group_tags_were_edited_exits_4(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, *DEHB) == EXIT_OK
+    cut_after_group(out, 5)
+    path = out / "rep000" / JOURNAL_NAME
+    path.write_text(path.read_text().replace('"rung": 0', '"rung": 7', 1))
+    capsys.readouterr()
+    assert tune(space, out, *DEHB) == EXIT_CORRUPT
+    assert (
+        "resumed run diverged on group 0: tags={'iteration': 0, 'rung': 7} recorded vs "
+        "{'iteration': 0, 'rung': 0} requested"
+    ) in capsys.readouterr().err
+
+
+def test_a_cut_journal_whose_resumed_spend_was_edited_exits_4(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, *PBT) == EXIT_OK
+    groups = journal(out).of_type("group")
+    index = next(i for i, g in enumerate(groups) if g["spend"] != g["budget"])  # resumed
+    cut_after_group(out, index + 1)
+    edit_group(out, index, spend=groups[index]["budget"])
+    capsys.readouterr()
+    assert tune(space, out, *PBT) == EXIT_CORRUPT
+    spend, budget = groups[index]["spend"], groups[index]["budget"]
+    assert (
+        f"resumed run diverged on group {index}: spend={budget!r} recorded vs {spend!r} requested"
+    ) in capsys.readouterr().err
+
+
+def test_a_cut_journal_whose_group_id_was_edited_exits_4(space, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert tune(space, out, *DEHB) == EXIT_OK
+    cut_after_group(out, 5)
+    edit_group(out, 2, group=7)
+    capsys.readouterr()
+    assert tune(space, out, *DEHB) == EXIT_CORRUPT
+    assert "resumed run diverged on group 7: group=7 recorded vs 2 requested" in (
+        capsys.readouterr().err
+    )
 
 
 def test_sweeps_of_two_commands_share_an_out_and_each_resumes(space, tmp_path, capsys):

@@ -14,7 +14,7 @@ from autotune.journal import (
     ReplayMismatch,
     space_digest,
 )
-from autotune.objectives import NoisySphere
+from autotune.objectives import NoisySphere, SeededValley
 from autotune.runner import TrialRunner
 from autotune.space import ConfigSpace, Configuration, continuous
 
@@ -204,6 +204,18 @@ def test_runner_spend_counts_training_increment():
     assert groups[0]["spend"] == 0.25
     assert groups[1]["spend"] == pytest.approx(0.5)
     assert runner.journal.spend() == pytest.approx(0.75)
+
+
+def test_a_resume_of_none_handles_starts_fresh_and_spends_its_budget():
+    # raised "max() arg is an empty sequence" after evaluating, journaling nothing
+    runner = TrialRunner(SeededValley(), [0, 1])
+    cfg = Configuration({"x0": 0.25, "x1": 0.75})
+    res = runner.evaluate_group(cfg, 0.5, resume={0: None, 1: None})
+    assert res.per_seed_cost == TrialRunner(SeededValley(), [0, 1]).evaluate_group(
+        cfg, 0.5
+    ).per_seed_cost
+    [group] = runner.journal.of_type("group")
+    assert group["spend"] == group["budget"] == 0.5
 
 
 @pytest.mark.parametrize("seeds, message", [([], "non-empty"), ([1, 1], "distinct")])

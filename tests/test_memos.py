@@ -554,15 +554,8 @@ def test_memo_encodes_again_after_values_change(cls):
 
 
 
-def test_valley_hashes_each_text_and_derives_each_optimum_once(monkeypatch):
-    directions = []
-    derive = objectives_module._seed_direction.__wrapped__
-
-    def uncached(*args):
-        directions.append(args)
-        return derive(*args)
-
-    monkeypatch.setattr(objectives_module, "_seed_direction", uncached)
+def test_valley_hashes_each_text_and_derives_each_optimum_once():
+    objectives_module._seed_optimum.cache_clear()
     objectives_module._text_words.cache_clear()
     obj = SeededValley(dimension=2)
     want = {}
@@ -571,13 +564,16 @@ def test_valley_hashes_each_text_and_derives_each_optimum_once(monkeypatch):
         for seed in (3, 1, 2):
             want[k, seed] = _fresh_cost(SeededValley, config.values, 1.0, seed)[0]
             assert obj.evaluate(config, 1.0, seed)[0] == want[k, seed]
-    # one optimum per seed for ``obj``, and one per fresh objective above
-    assert len(directions) == 3 + 12
+    # one optimum per (tag, seed, dimension, sigma), shared by ``obj`` and
+    # every fresh objective above
+    info = objectives_module._seed_optimum.cache_info()
+    assert (info.misses, info.hits) == (3, 24 - 3)
     # the tag, "shift", three seeds and four digests, each hashed once over
-    # 24 noise streams (12 here, 12 fresh) and 15 optimum streams, of three
+    # 24 noise streams (12 here, 12 fresh) and 3 optimum streams, of three
     # items each
     info = objectives_module._text_words.cache_info()
-    assert (info.misses, info.hits) == (9, 3 * (24 + 15) - 9)
+    assert (info.misses, info.hits) == (9, 3 * (24 + 3) - 9)
+
 
 def test_threads_sharing_an_objective_get_the_sequential_costs():
     obj = SeededValley(dimension=3)

@@ -23,7 +23,7 @@ from autotune.objectives import (
     SeededValley,
     _derived_rng,
     _first_max,
-    _seed_direction,
+    _seed_optimum,
     config_digest,
     make_objective,
 )
@@ -136,26 +136,35 @@ def _fresh_seed_direction(tag, seed, dimension):
     return v / float(np.linalg.norm(v))
 
 
-def test_seed_direction_is_cached_read_only_and_exact():
-    keys = [("seeded_valley", 3, 2), ("noisy_sphere", 3, 2), ("seeded_valley", 3, 6)]
-    for tag, seed, dimension in keys:
-        cached = _seed_direction(tag, seed, dimension)
-        assert _seed_direction(tag, seed, dimension) is cached
-        assert cached.tobytes() == _fresh_seed_direction(tag, seed, dimension).tobytes()
+def _fresh_seed_optimum(tag, seed, dimension, sigma):
+    optimum = np.full(dimension, 0.5)
+    if sigma != 0.0:
+        optimum = optimum + sigma * _fresh_seed_direction(tag, seed, dimension)
+    return optimum
+
+
+def test_seed_optimum_is_cached_read_only_and_exact():
+    keys = [("seeded_valley", 3, 2, 0.25), ("noisy_sphere", 3, 2, 0.25),
+            ("seeded_valley", 3, 6, 0.25), ("seeded_valley", 3, 2, 0.0)]
+    for key in keys:
+        cached = _seed_optimum(*key)
+        assert _seed_optimum(*key) is cached
+        assert cached.tobytes() == _fresh_seed_optimum(*key).tobytes()
         with pytest.raises(ValueError):
             cached[0] = 0.0
         with pytest.raises(ValueError):
             cached += 1.0
-        assert cached.tobytes() == _fresh_seed_direction(tag, seed, dimension).tobytes()
+        assert cached.tobytes() == _fresh_seed_optimum(*key).tobytes()
 
 
-def test_seed_direction_keys_do_not_share_entries():
-    valley = _seed_direction("seeded_valley", 5, 2)
-    assert not np.array_equal(valley, _seed_direction("noisy_sphere", 5, 2))
-    assert _seed_direction("seeded_valley", 5, 3).shape == (3,)
+def test_seed_optimum_keys_do_not_share_entries():
+    valley = _seed_optimum("seeded_valley", 5, 2, 0.25)
+    assert not np.array_equal(valley, _seed_optimum("noisy_sphere", 5, 2, 0.25))
+    assert not np.array_equal(valley, _seed_optimum("seeded_valley", 5, 2, 0.5))
+    assert _seed_optimum("seeded_valley", 5, 3, 0.25).shape == (3,)
     # 1 == True, but the stream is keyed on their text
-    one, true = _seed_direction("seeded_valley", 1, 2), _seed_direction("seeded_valley", True, 2)
-    assert not np.array_equal(one, true)
+    one = _seed_optimum("seeded_valley", 1, 2, 0.25)
+    assert not np.array_equal(one, _seed_optimum("seeded_valley", True, 2, 0.25))
     sphere = NoisySphere(dimension=2, noise=0.0, shift_sigma=0.25)
     assert not np.array_equal(SeededValley(dimension=2, sigma=0.25).optimum(5), sphere.optimum(5))
 
@@ -167,10 +176,7 @@ def test_seed_direction_keys_do_not_share_entries():
 def reference_unit_cost(kind, space, config, budget, seed, sigma, noise):
     """||z - z*(s)||^2 [+ (1 - b) * 0.5 for the valley] + noise * eps(config, s)."""
     z = to_unit(space, config)
-    optimum = np.full(len(z), 0.5)
-    if sigma != 0.0:
-        optimum = optimum + sigma * _seed_direction(kind, seed, len(z))
-    dist2 = float(np.sum((z - optimum) ** 2))
+    dist2 = float(np.sum((z - _fresh_seed_optimum(kind, seed, len(z), sigma)) ** 2))
     eps = 2.0 * float(_derived_rng(kind, config_digest(config), seed).random()) - 1.0
     if kind == "seeded_valley":
         return dist2 + (1.0 - budget) * 0.5 + noise * eps
@@ -513,7 +519,7 @@ def _cycle(*steps):
 @example(_cycle((0, 1), (5, 1), (10, 1), (15, 1), (20, 3), (21, 3), (22, 3), (23, 3)))
 @given(_q_tables())
 def test_greedy_return_matches_the_100_episode_reference(q):
-    got = GridworldQ._greedy_return(q.tolist(), bool(np.isnan(q).any()))
+    got = GridworldQ._greedy_return([_first_max(r) for r in q.tolist()])
     assert got.hex() == reference_greedy_return(q).hex()
 
 
