@@ -8,11 +8,14 @@ other append flushes. So a record whose append returned survives a process
 kill; the trial records of a group cut short are lost or torn, and resume
 drops those anyway (see :func:`_trim_torn_group`).
 
-A journal opened for resume replays its existing records: every append made
-by the re-run is verified against the recorded one (ignoring wall time) and
-consumed instead of written, so a resumed run continues exactly where the
-interrupted one stopped. A truncated trailing line (torn write) is dropped
-with a logged warning; corruption before the last record is a hard error.
+A journal opened for resume replays its existing records: every record the
+re-run appends is checked against the recorded one on every field but
+``seq`` and ``wall_time``, and consumed instead of written, so a resumed run
+continues exactly where the interrupted one stopped. A group replays
+through the live path: the objective's outputs are read from its recorded
+trial records, and every other field is derived again and checked. A
+truncated trailing line (torn write) is dropped with a logged warning;
+corruption before the last record is a hard error.
 
 Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
 the record kept in memory is what a reader parses back from it.
@@ -20,6 +23,7 @@ the record kept in memory is what a reader parses back from it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -90,8 +94,12 @@ def space_digest(space_text: str) -> str:
     return hashlib.sha256(space_text.encode("utf-8")).hexdigest()
 
 
-def _strip_volatile(record: dict) -> dict:
-    return {k: v for k, v in record.items() if k not in _VOLATILE}
+def _difference(recorded: dict, current: dict) -> str | None:
+    """The first key, in sorted order, whose value differs between two
+    records, ignoring ``_VOLATILE``; None when none does."""
+    keys = (recorded.keys() | current.keys()).difference(_VOLATILE)
+    # ... marks a missing key; no JSON value equals it
+    return min((k for k in keys if recorded.get(k, ...) != current.get(k, ...)), default=None)
 
 
 class _NotPlain(Exception):
@@ -188,15 +196,11 @@ class Journal:
         line = _encode(header)
         header = _kept(header, line)
         if self.header is not None:
-            recorded, current = _strip_volatile(self.header), _strip_volatile(header)
-            if current != recorded:
-                key = min(  # ... marks a missing key; no JSON value equals it
-                    k for k in recorded.keys() | current.keys()
-                    if recorded.get(k, ...) != current.get(k, ...)
-                )
+            key = _difference(self.header, header)
+            if key is not None:
                 raise ReplayMismatch(
                     f"resumed run has a different header: {key} is "
-                    f"{recorded.get(key)!r} in the journal, {current.get(key)!r} now"
+                    f"{self.header.get(key)!r} in the journal, {header.get(key)!r} now"
                 )
             return
         self.header = header
@@ -207,27 +211,19 @@ class Journal:
         return bool(self._pending)
 
     def append(self, record: dict) -> int:
-        """Append (or verify against the replay queue); returns the seq number.
+        """Append (or check against the replay queue); returns the seq number.
 
         Keys, at every level of ``record``, must be ``str``. The record is
         written as one sorted JSON line and flushed, and the record kept is
         a copy that equals what a reader of that line parses: the same
         sorted keys, lists for tuples, plain floats, exact float values, and
-        no container shared with ``record``. A replayed record is encoded
-        too, so one that cannot be serialised raises as it would in a live
-        run.
+        no container shared with ``record``. While the journal replays, the
+        record is checked and consumed by :meth:`_replay`.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
         if self._pending:
-            expected = self._pending.popleft()
-            record = _kept(record, _encode(record))  # canonical types, exact floats
-            if _strip_volatile(expected) != _strip_volatile({**record, "seq": 0}):
-                raise ReplayMismatch(
-                    f"resumed run diverged: expected {expected.get('t')} "
-                    f"record {expected}, got {record}"
-                )
-            return expected["seq"]
+            return self._replay([record])
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
         record = {**record, "seq": seq}
         line = _encode(record)
@@ -236,9 +232,10 @@ class Journal:
         return seq
 
     def append_group(self, config: dict, trials: list[dict], group: dict) -> None:
-        """Append one live evaluation group, ``trials`` and then ``group``,
-        each with ``config`` as its ``"config"``, and flush once; a replayed
-        group is taken by :meth:`take_group_if_pending` instead.
+        """Append one evaluation group, ``trials`` and then ``group``, each
+        with ``config`` as its ``"config"``, and flush once; while the
+        journal replays, check and consume the recorded group instead (see
+        :meth:`_replay`).
 
         Each line is the one :meth:`append` would write: ``config`` is
         encoded once and its text spliced in, unless a record holds a null
@@ -247,10 +244,11 @@ class Journal:
         """
         if self.header is None:
             raise JournalError("header must be written before records")
-        if self._pending:
-            raise JournalError("a live group cannot be appended while the journal replays")
         text = _encode(config)
         kept_config = _kept(config, text)
+        if self._pending:
+            self._replay([{**record, "config": kept_config} for record in (*trials, group)])
+            return
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
         lines, kept_records = [], []
         for record in (*trials, group):
@@ -269,37 +267,46 @@ class Journal:
         self.records += kept_records  # only once every record has encoded
         self._write_line("\n".join(lines))
 
-    def take_group_if_pending(self, key: dict) -> list[dict] | None:
-        """During replay, consume and return one recorded evaluation group.
-
-        ``key`` holds every field of the group record that the request
-        fixes; the queued records must be trial records and then a group
-        record that has each of those fields, or the resume is rejected.
+    def take_group_if_pending(self, trials: int) -> list[dict] | None:
+        """During replay, the recorded trial records of the next evaluation
+        group, which must be ``trials`` trial records and then a group
+        record; None when nothing is pending. They stay queued until
+        :meth:`append_group` checks the group rebuilt from them.
         """
         if not self._pending:
             return None
-        key = _kept(key, _encode(key))
-        taken = []
-        for rec in self._pending:
-            taken.append(rec)
-            if rec["t"] == GROUP:
-                break
-            if rec["t"] != TRIAL:
+        queued = list(itertools.islice(self._pending, trials + 1))
+        kinds = [rec.get("t") for rec in queued]
+        if kinds != [TRIAL] * trials + [GROUP]:
+            raise ReplayMismatch(f"resumed run diverged: expected {trials} trial "
+                                 f"records and a group record, found {kinds}")
+        return queued[:-1]
+
+    def _replay(self, records: list[dict]) -> int:
+        """Check ``records`` against the next queued records, each on every
+        field but ``seq`` and ``wall_time``, and consume them; returns the
+        last one's seq. A mismatch raises :class:`ReplayMismatch` naming the
+        first field that differs. A record is encoded only on a mismatch: a
+        value JSON cannot hold never equals a recorded one, so its record
+        still raises as it would in a live run.
+        """
+        if len(self._pending) < len(records):
+            raise ReplayMismatch("resumed run diverged: the replay queue ends before its records")
+        for record, recorded in zip(records, self._pending):
+            if {**record, "seq": recorded["seq"]} == recorded:
+                continue
+            current = _kept(record, _encode(record))  # canonical types, exact floats
+            key = _difference(recorded, current)
+            if key is not None:
+                where = (f"group {recorded['group']}" if "group" in recorded
+                         else f"its {recorded.get('t')} record")
                 raise ReplayMismatch(
-                    f"resumed run diverged: expected trial records, found {rec['t']!r}"
+                    f"resumed run diverged on {where}: {key}={recorded.get(key)!r} "
+                    f"recorded vs {current.get(key)!r} requested"
                 )
-        else:
-            raise ReplayMismatch("replay queue ends inside an evaluation group")
-        group = taken[-1]
-        for k, v in key.items():
-            if group.get(k) != v:
-                raise ReplayMismatch(
-                    f"resumed run diverged on group {group.get('group')}: "
-                    f"{k}={group.get(k)!r} recorded vs {v!r} requested"
-                )
-        for _ in taken:
-            self._pending.popleft()
-        return taken
+        for _ in records:
+            seq = self._pending.popleft()["seq"]
+        return seq
 
     def _write_line(self, line: str) -> None:
         if self._fh is not None:

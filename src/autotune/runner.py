@@ -7,13 +7,13 @@ the best, and ends with :meth:`TrialRunner.complete`, which journals it with
 the optimizer's spend. One *group* is a (configuration, budget) evaluated on
 every tuning seed; its spend is the budget fraction (seeds are the protocol's
 price of reliability, not extra tuning budget). Every trial and group lands
-in the journal; when the journal is in replay mode the runner returns
-recorded results instead of calling the objective, which is what makes
-interrupted runs resumable bit-for-bit; replay checks every field that the
-request fixes in a group record (see :func:`_request`). A replayed
-checkpoint holds only its path; the runner reads its payload before a live
-group resumes from it, so an objective finds it in ``resume.payload`` and
-never opens a pack.
+in the journal; when the journal is in replay mode the runner reads what
+the objective produced from the recorded trial records instead of calling
+it, and builds the group as a live one (:meth:`TrialRunner._commit`), whose
+records the journal checks whole: that is what makes interrupted runs
+resumable bit-for-bit. A replayed checkpoint holds only its path; the
+runner reads its payload before a live group resumes from it, so an
+objective finds it in ``resume.payload`` and never opens a pack.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -213,15 +213,20 @@ class TrialRunner:
     # -- helpers -------------------------------------------------------------
 
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
-        """A replayed group's result, or a live group to evaluate."""
+        """A replayed group's result, committed from the outputs its trial
+        records hold, or a live group to evaluate."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
         live = _LiveGroup(config, budget, seeds, purpose, resume, tags)
         if not self.journal.replaying:
             return live
-        request = {**_request(live, self.groups_run), "config": config.values}
-        replayed = self.journal.take_group_if_pending(request)
-        self.groups_run += 1
-        return self._rehydrate(live, replayed)
+        # the objective's recorded outputs; a checkpoint's packed payload is
+        # read when a live group resumes from it
+        trials = []
+        for seed, rec in zip(seeds, self.journal.take_group_if_pending(len(seeds))):
+            frac, path = rec.get("frac"), rec.get("ckpt")
+            ckpt = None if frac is None else CheckpointHandle(frac, None if path else b"", path)
+            trials.append((seed, rec.get("cost"), ckpt, rec.get("error"), rec.get("wall_time")))
+        return self._commit(live, trials)
 
     def _start_children(self) -> None:
         """Fork ``min(workers, CPU count) - 1`` children that inherit the
@@ -255,12 +260,14 @@ class TrialRunner:
                 proc.join()
 
     def _commit(self, live: _LiveGroup, trials: list[tuple]) -> GroupResult:
-        """Persist a group's checkpoints, then journal its trials and itself
-        under the next id."""
+        """Journal a group's trials and itself under the next id and return
+        its result, for live and replayed groups alike: ``trials`` are the
+        objective's outputs, from :func:`_run_group` or from the journal.
+        Only a live group's checkpoints are persisted."""
         group = self.groups_run
-        checkpoints = self._persist(
-            group, {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
-        )
+        checkpoints = {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
+        if not self.journal.replaying:
+            checkpoints = self._persist(group, checkpoints)
         per_seed = [cost for _, cost, _, _, _ in trials]
         failed = any(cost is None for cost in per_seed)
         result = GroupResult(
@@ -282,8 +289,14 @@ class TrialRunner:
             }
             for seed, cost, _, error, wall in trials
         ]
-        group_rec = _request(live, group)
-        group_rec.update(mean_cost=result.mean_cost, failed=result.failed)
+        # spend is the training added: resuming from f to budget b costs b - f
+        handles = (live.resume or {}).values()
+        resumed = max((h.trained_fraction for h in handles if h is not None), default=0.0)
+        group_rec = {"t": GROUP, "group": group, "budget": live.budget, "seeds": list(live.seeds),
+                     "spend": live.budget - resumed, "purpose": live.purpose,
+                     "mean_cost": result.mean_cost, "failed": result.failed}
+        if live.tags:
+            group_rec["tags"] = live.tags
         self.journal.append_group(live.config.values, trial_recs, group_rec)
         self.groups_run += 1
         return result
@@ -327,37 +340,6 @@ class TrialRunner:
                     directory = self.checkpoint_dir
                 h.payload = self._pack(directory).read(name)
         return live
-
-    def _rehydrate(self, live: _LiveGroup, records: list[dict]) -> GroupResult:
-        per_seed = []
-        checkpoints = {}
-        for rec in records[:-1]:  # the trial records, then the group record
-            per_seed.append(rec["cost"])
-            path, frac = rec.get("ckpt") or None, rec.get("frac")
-            if frac is not None:  # a packed payload is read when a live group resumes
-                checkpoints[rec["seed"]] = CheckpointHandle(frac, None if path else b"", path)
-        group = records[-1]
-        return GroupResult(group["group"], live.config, live.budget, live.seeds, per_seed,
-                           group["failed"], checkpoints)
-
-
-def _request(live: _LiveGroup, group: int) -> dict:
-    """The fields but ``config`` that a request fixes in its group record:
-    replay checks them and a live commit writes them. Spend is the training
-    added: resuming from f to budget b costs b - f; ``None`` resumes nothing."""
-    handles = (live.resume or {}).values()
-    resumed = max((h.trained_fraction for h in handles if h is not None), default=0.0)
-    fields = {
-        "t": GROUP,
-        "group": group,
-        "budget": live.budget,
-        "seeds": list(live.seeds),
-        "spend": live.budget - resumed,
-        "purpose": live.purpose,
-    }
-    if live.tags:
-        fields["tags"] = live.tags
-    return fields
 
 
 def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:

@@ -3,15 +3,17 @@ repetition path (``runs.run_repetition``):
 
 * tuning on fewer seeds overfits them: the gap between a repetition's test
   mean and its tuning cost shrinks from 1 tuning seed to 5;
-* at equal budget an HPO method (DEHB) beats random search on the test
-  seeds.
+* at equal budget an HPO method (DEHB, and PBT with perturb exploration)
+  beats random search on the test seeds.
 
 Each claim is gated by an effect size, the difference of two means over
 their pooled standard error, on every base seed. The base seeds and the
 gates were fixed before the first run; a failing gate is a finding, not a
-reason to pick other seeds. DEHB plans whole iterations, so it spends less
-than its budget; "equal budget" means it never spends more, and each
-assertion message carries the mean spend the journals record.
+reason to pick other seeds; PBT's gates were fixed the same way when it
+was added. DEHB plans whole iterations, so it spends less than its budget;
+"equal budget" means a method never spends more, as every run's audit
+checks, and each assertion message carries the mean spend the journals
+record.
 """
 import math
 import os
@@ -30,7 +32,8 @@ BUDGET = 16
 TEST_SEEDS = range(100, 120)
 REPETITIONS = 20
 BASE_SEEDS = (3, 11, 29)
-METHODS = {"rs": MethodSpec("rs"), "dehb": MethodSpec("dehb")}
+# each at its defaults: PBT explores by perturbing, its population sized to the budget
+METHODS = {"rs": MethodSpec("rs"), "dehb": MethodSpec("dehb"), "pbt": MethodSpec("pbt")}
 TUNING_SEED_COUNTS = (1, 5)
 GATE = 3.0  # pooled standard errors
 
@@ -80,11 +83,19 @@ def test_one_tuning_seed_overfits_more_than_five(measured, method):
     )
 
 
-def test_dehb_beats_random_search_on_the_test_seeds(measured):
-    (_, rs, rs_spend), (_, dehb, dehb_spend) = measured["rs", 5], measured["dehb", 5]
-    z = z_score(rs, dehb)
-    assert dehb_spend <= BUDGET
+def beats_random_search(measured, method):
+    (_, rs, rs_spend), (_, hpo, spend) = measured["rs", 5], measured[method, 5]
+    z = z_score(rs, hpo)
     assert z > GATE, (
         f"5-seed test means: RS {rs.mean():.4f} (spend {rs_spend:.2f}), "
-        f"DEHB {dehb.mean():.4f} (spend {dehb_spend:.2f}), z {z:.1f}"
+        f"{method.upper()} {hpo.mean():.4f} (spend {spend:.2f}), z {z:.1f}"
     )
+
+
+def test_dehb_beats_random_search_on_the_test_seeds(measured):
+    assert measured["dehb", 5][2] <= BUDGET
+    beats_random_search(measured, "dehb")
+
+
+def test_pbt_beats_random_search_on_the_test_seeds(measured):
+    beats_random_search(measured, "pbt")

@@ -691,6 +691,59 @@ def test_a_cut_journal_whose_group_id_was_edited_exits_4(space, tmp_path, capsys
     )
 
 
+RS = ["rs", *VALLEY, *SEEDS, "--budget-runs", "4"]
+
+
+def edit_first(out, kind, edit):
+    """Update the first ``kind`` record of ``out``'s journal with
+    ``edit(record)``."""
+    path = out / "rep000" / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["t"] == kind)
+    record = json.loads(lines[at])
+    lines[at] = json.dumps({**record, **edit(record)}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("kind, edit, named", [
+    ("trial", lambda r: {"seed": 77}, "group 0: seed=77 recorded vs 0 requested"),
+    ("trial", lambda r: {"budget": 0.5}, "group 0: budget=0.5 recorded vs 1.0 requested"),
+    ("trial", lambda r: {"purpose": "test"}, "group 0: purpose='test' recorded vs 'tune'"),
+    ("trial", lambda r: {"group": 5}, "group 5: group=5 recorded vs 0 requested"),
+    ("trial", lambda r: {"config": {**r["config"], "layers": r["config"]["layers"] % 8 + 1}},
+     "group 0: config="),
+    ("trial", lambda r: {"status": "failed"}, "group 0: status='failed' recorded vs 'done'"),
+    ("group", lambda r: {"tags": {"rung": 3}}, "group 0: tags={'rung': 3} recorded vs None"),
+    ("group", lambda r: {"mean_cost": r["mean_cost"] + 1}, "group 0: mean_cost="),
+    ("group", lambda r: {"failed": True}, "group 0: failed=True recorded vs False requested"),
+], ids=["seed", "budget", "purpose", "trial-group", "config", "status", "tags", "mean_cost",
+        "failed"])
+def test_a_cut_journal_with_an_edited_record_exits_4_naming_the_field(
+    space, tmp_path, capsys, kind, edit, named
+):
+    out = tmp_path / "run"
+    assert tune(space, out, *RS) == EXIT_OK
+    cut_after_group(out, 3)
+    edit_first(out, kind, edit)
+    capsys.readouterr()
+    assert tune(space, out, *RS) == EXIT_CORRUPT
+    assert f"resumed run diverged on {named}" in capsys.readouterr().err
+
+
+def test_a_cut_journal_whose_trial_cost_was_nulled_exits_4_naming_the_status(
+    space, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    assert tune(space, out, *RS) == EXIT_OK
+    cut_after_group(out, 3)
+    edit_first(out, "trial", lambda r: {"cost": None})
+    capsys.readouterr()
+    assert tune(space, out, *RS) == EXIT_CORRUPT
+    assert "resumed run diverged on group 0: status='done' recorded vs 'failed' requested" in (
+        capsys.readouterr().err
+    )
+
+
 def test_sweeps_of_two_commands_share_an_out_and_each_resumes(space, tmp_path, capsys):
     out = tmp_path / "run"
     commands = []

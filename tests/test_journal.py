@@ -151,6 +151,36 @@ def test_replay_divergence_is_rejected(tmp_path):
         resumed.append({"t": "incumbent", "cost": 2.0, "config": {"x": 0.5}, "budget": 1.0})
 
 
+def test_a_replayed_record_is_checked_whole_but_for_seq_and_wall_time(tmp_path):
+    path = str(tmp_path / "journal.log")
+    j = make_journal(path)
+    j.append({"t": "exploit", "interval": 1, "wall_time": 0.5, "pair": [1, 2]})
+    j.append({"t": "exploit", "interval": 2})
+    j.close()
+    resumed = Journal.open_for_resume(path)
+    resumed.write_header(HEADER)
+    assert resumed.append({"t": "exploit", "interval": 1, "wall_time": 9.0, "pair": (1, 2)}) == 1
+    message = "diverged on its exploit record: extra=None recorded vs 1 requested"
+    with pytest.raises(ReplayMismatch, match=re.escape(message)):
+        resumed.append({"t": "exploit", "interval": 2, "extra": 1})
+    assert resumed.append({"t": "exploit", "interval": 2}) == 2  # the mismatch consumed nothing
+    assert not resumed.replaying
+    resumed.close()
+
+
+def test_a_replayed_group_must_hold_one_trial_record_per_seed(tmp_path):
+    path = str(tmp_path / "journal.log")
+    j = make_journal(path)
+    j.append_group({"x": 0.5}, [{"t": "trial", "seed": s} for s in (0, 1)], {"t": "group"})
+    j.close()
+    resumed = Journal.open_for_resume(path)
+    for seeds in (1, 3):
+        with pytest.raises(ReplayMismatch, match="expected .* trial records and a group record"):
+            resumed.take_group_if_pending(seeds)
+    assert [r["seed"] for r in resumed.take_group_if_pending(2)] == [0, 1]
+    resumed.close()
+
+
 def test_resume_header_mismatch_rejected(tmp_path):
     path = str(tmp_path / "journal.log")
     make_journal(path).close()

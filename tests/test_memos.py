@@ -18,7 +18,7 @@ import autotune.journal as journal_module
 import autotune.objectives as objectives_module
 import autotune.pbt as pbt_module
 from autotune.gp import GpFitError
-from autotune.journal import Journal, JournalError
+from autotune.journal import Journal, ReplayMismatch
 from autotune.objectives import GridworldQ, NoisySphere, ObjectiveSpec, SeededValley
 from autotune.pbt import run_pbt
 from autotune.protocol import MethodSpec, SeedPlan
@@ -386,11 +386,13 @@ def test_append_group_while_replaying_raises_and_writes_nothing(tmp_path):
     before = open(path, "rb").read()
     j = Journal.open_for_resume(path)
     records = list(j.records)
-    with pytest.raises(JournalError, match="replays"):
-        j.append_group({"lr": 0.5}, [{"t": "trial", "group": 2, "seed": 0}],
-                       {"t": "group", "group": 2})
+    with pytest.raises(ReplayMismatch, match="diverged on group 0: seed=0 recorded vs 1 requested"):
+        j.append_group(_CONFIG, [{"t": "trial", "group": 0, "seed": 1}], {"t": "group", "group": 0})
+    assert len(j._pending) == len(records)  # a mismatch consumes nothing
+    j.append_group(_CONFIG, [{"t": "trial", "group": 0, "seed": 0}], {"t": "group", "group": 0})
+    assert list(j._pending) == records[2:]
     j.close()
-    assert j.records == records and len(j._pending) == len(records)
+    assert j.records == records
     assert open(path, "rb").read() == before
 
 
@@ -422,12 +424,14 @@ def test_a_kill_before_the_group_record_resumes_to_the_groups_before_it(tmp_path
 # Journal.open_for_resume: one read, a rewrite only when records were dropped
 
 
+_CONFIG = {"lr": 0.5}
+
+
 def _written_journal(path: str, n: int) -> None:
     j = Journal.create(path)
     j.write_header({"method": "x"})
     for g in range(n):
-        j.append({"t": "trial", "group": g, "seed": 0})
-        j.append({"t": "group", "group": g})
+        j.append_group(_CONFIG, [{"t": "trial", "group": g, "seed": 0}], {"t": "group", "group": g})
     j.close()
 
 
@@ -450,10 +454,42 @@ def test_resume_of_an_intact_journal_reads_it_once_and_rewrites_nothing(tmp_path
     j = Journal.open_for_resume(path)
     assert modes == ["r", "a"]
     for g in range(3):
-        assert j.take_group_if_pending({"group": g}) is not None
-    assert not j.replaying
+        trial = {"t": "trial", "group": g, "seed": 0}
+        assert j.take_group_if_pending(1) == [{**trial, "config": _CONFIG, "seq": 2 * g + 1}]
+        j.append_group(_CONFIG, [trial], {"t": "group", "group": g})
+    assert not j.replaying and j.take_group_if_pending(1) is None
     j.close()
     assert open(path, "rb").read() == before
+
+
+def test_a_replayed_run_encodes_its_header_and_each_groups_config_and_writes_nothing(
+    tmp_path, monkeypatch
+):
+    path, ckpts = str(tmp_path / "journal.log"), str(tmp_path / "checkpoints")
+
+    def run(journal):
+        journal.write_header({"method": "pbt"})
+        obj = NoisySphere(dimension=3, noise=0.05)
+        runner = TrialRunner(obj, [0, 1, 2], journal=journal, checkpoint_dir=ckpts)
+        run_pbt(obj.space, runner, np.random.default_rng(3), population_size=4,
+                num_intervals=4, quantile=0.25)
+        runner.close()
+        journal.close()
+
+    run(Journal.create(path))
+    before = open(path, "rb").read()
+    pack = open(os.path.join(ckpts, "checkpoints.pack"), "rb").read()
+    encoded = []
+    real = journal_module._encode
+    monkeypatch.setattr(journal_module, "_encode", lambda v: encoded.append(v) or real(v))
+    resumed = Journal.open_for_resume(path)
+    run(resumed)
+    assert not resumed.replaying
+    groups = resumed.of_type("group")
+    assert len(groups) == 16 and {r["t"] for r in resumed.records} > {"exploit", "explore"}
+    assert encoded == [{"method": "pbt", "t": "header"}] + [g["config"] for g in groups]
+    assert open(path, "rb").read() == before
+    assert open(os.path.join(ckpts, "checkpoints.pack"), "rb").read() == pack
 
 
 @pytest.mark.parametrize("tail", ['{"t": "tri', '{"group": 3, "seed": 0, "seq": 7, "t": "trial"}\n'])
