@@ -26,6 +26,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 from collections import deque
@@ -325,7 +326,7 @@ class Journal:
 
     def spend(self) -> float:
         """Full-run equivalents spent on tuning: the groups of a ``TUNING`` purpose."""
-        return float(sum(r["spend"] for r in self.of_type(GROUP) if r.get("purpose") in TUNING))
+        return math.fsum(r["spend"] for r in self.of_type(GROUP) if r.get("purpose") in TUNING)
 
     def final_incumbent(self) -> dict | None:
         incs = self.of_type(INCUMBENT)

@@ -338,8 +338,8 @@ def _first_max(row: list[float]) -> int:
     ``max(row)`` is the entry there: ``max`` keeps the first of equal
     maxima, ``index`` finds the first entry equal to it, and ``==`` and
     ``>`` agree on every float but NaN (-0.0 == 0.0 ties, like any other).
-    Greedy picks use those C-level forms and call this only on a table that
-    holds a NaN, where ``max`` would depend on the NaN's position."""
+    Training calls this on each row of a resumed or continued table, which
+    may hold a NaN, where ``max`` would depend on the NaN's position."""
     best = 0
     top = row[0]
     for i, v in enumerate(row):
@@ -420,8 +420,7 @@ class GridworldQ(Objective):
     step cap: evaluation rolls out one episode up to the goal or the first
     repeated state, and :func:`_mean_return` gives the 100-episode mean of
     its return bit for bit, so ``cost_metric`` keeps its meaning. The
-    rollout follows the greedy actions training keeps (below), or each
-    row's :func:`_first_max` once the table holds a NaN.
+    rollout follows the greedy actions training keeps (below).
 
     Each training step takes one uniform from the seed's stream, and a
     second when it explores, in the order a scalar ``rng.random()`` per draw
@@ -434,13 +433,12 @@ class GridworldQ(Objective):
     * epsilon, ``epsilon * epsilon_decay**episode``, is fixed within an
       episode, so it is computed at the first step a call takes in each
       episode, and an overflow fails the trial at that same step;
-    * while the table holds no NaN, each state's greedy action, the first
-      index of its row's maximum, and that entry are kept in two lists and
-      updated after each write; a row is scanned again, with
-      ``row.index(max(row))``, only when the write lowered its greedy entry
-      (see :func:`_first_max` for why that is ``np.argmax``'s pick).
-      ``_first_max`` picks from the step that writes the first NaN on, or
-      from the start when a resumed table holds one.
+    * each state's greedy action, ``np.argmax``'s pick for its row (see
+      :func:`_first_max`), and the entry there are kept in two lists and
+      updated after each write. A NaN written before a row's first NaN
+      takes the pick; a NaN entry stays NaN under every later update, so a
+      row is scanned again, with ``row.index(max(row))``, only when a write
+      lowered its greedy entry, which was not NaN, and the row holds none.
 
     A call without ``resume`` continues a run it trained before. Each
     instance remembers, per exact bits of the four hyperparameters and the
@@ -536,11 +534,9 @@ class GridworldQ(Objective):
         # a fraction of the numpy scalar round trips; the arithmetic is the same
         rows = q.tolist()
         if fresh:  # an all-zero table: every greedy action is 0, worth 0.0
-            nan = False
             first, top = [0] * len(rows), [0.0] * len(rows)
         else:
-            nan = bool(np.isnan(q).any())
-            first = [0 if nan else row.index(max(row)) for row in rows]
+            first = [_first_max(row) for row in rows]
             top = [row[b] for row, b in zip(rows, first)]
         s = state["pos"][0] * _GRID + state["pos"][1]
         step = state["step"]
@@ -574,37 +570,30 @@ class GridworldQ(Objective):
                     action = int(draws[i + 1] * moves)
                     i += 2
                 else:
-                    action = _first_max(rows[s]) if nan else first[s]
+                    action = first[s]
                     i += 1
                 ns, reward, done = _TRANSITIONS[s][action]
-                if done:
-                    target = reward
-                elif nan:
-                    next_row = rows[ns]
-                    target = reward + gamma * next_row[_first_max(next_row)]
-                else:
-                    target = reward + gamma * top[ns]
+                target = reward if done else reward + gamma * top[ns]
                 row = rows[s]
                 v = row[action]
                 v += lr * (target - v)
                 row[action] = v
-                if not nan:
-                    # keep first[s] the first index of the row's maximum and
-                    # top[s] the entry there; NaN compares false with all
-                    if action == first[s]:
-                        if v >= top[s]:
-                            top[s] = v
-                        elif v != v:
-                            nan = True
-                        else:  # the greedy entry fell
-                            b = first[s] = row.index(max(row))
-                            top[s] = row[b]
-                    elif v >= top[s]:
-                        if v > top[s] or action < first[s]:
-                            first[s] = action
-                            top[s] = v
-                    elif v != v:
-                        nan = True
+                # keep first[s] the row's _first_max and top[s] the entry
+                # there; NaN compares false with all, and a NaN entry stays NaN
+                b = first[s]
+                if action == b:
+                    if v >= top[s] or v != v:
+                        top[s] = v
+                    else:  # the greedy entry fell, so the row holds no NaN
+                        b = first[s] = row.index(max(row))
+                        top[s] = row[b]
+                elif v >= top[s]:
+                    if v > top[s] or action < b:
+                        first[s] = action
+                        top[s] = v
+                elif v != v and (action < b or top[s] == top[s]):
+                    first[s] = action
+                    top[s] = v
                 if done:
                     break
                 s = ns
@@ -634,9 +623,7 @@ class GridworldQ(Objective):
                 self._trained.clear()
             self._trained[key] = (step, payload)
         ckpt = CheckpointHandle(trained_fraction=budget, payload=payload)
-        # ``nan`` is exact: a NaN entry stays NaN under every later update
-        greedy = [_first_max(row) for row in rows] if nan else first
-        return -self._greedy_return(greedy), ckpt
+        return -self._greedy_return(first), ckpt
 
     @staticmethod
     def _greedy_return(greedy: list[int]) -> float:

@@ -225,7 +225,8 @@ class TrialRunner:
         for seed, rec in zip(seeds, self.journal.take_group_if_pending(len(seeds))):
             frac, path = rec.get("frac"), rec.get("ckpt")
             ckpt = None if frac is None else CheckpointHandle(frac, None if path else b"", path)
-            trials.append((seed, rec.get("cost"), ckpt, rec.get("error"), rec.get("wall_time")))
+            trials.append((seed, _number(rec.get("cost")), ckpt, rec.get("error"),
+                           rec.get("wall_time")))
         return self._commit(live, trials)
 
     def _start_children(self) -> None:
@@ -342,9 +343,18 @@ class TrialRunner:
         return live
 
 
+def _number(cost):
+    """``cost`` if it is a finite number, else None: any other cost fails
+    its trial, live or replayed, where the rebuilt record then differs."""
+    try:
+        return cost if math.isfinite(cost) else None
+    except (TypeError, OverflowError):  # None, not a number, or an int past float range
+        return None
+
+
 def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
     """(seed, cost, checkpoint, error, wall time) per seed; a failure or
-    a non-finite cost leaves cost and checkpoint None."""
+    a cost that is not a finite number leaves cost and checkpoint None."""
     trials = []
     for seed in live.seeds:
         handle = None if live.resume is None else live.resume.get(seed)
@@ -354,7 +364,7 @@ def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
             cost, ckpt = objective.evaluate(live.config, live.budget, seed, resume=handle)
         except EvaluationError as err:
             error = str(err)
-        if cost is not None and not math.isfinite(cost):
+        if cost is not None and _number(cost) is None:
             cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
         trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
     return trials

@@ -98,4 +98,5 @@ def test_dehb_beats_random_search_on_the_test_seeds(measured):
 
 
 def test_pbt_beats_random_search_on_the_test_seeds(measured):
+    assert measured["pbt", 5][2] <= BUDGET
     beats_random_search(measured, "pbt")

@@ -716,8 +716,12 @@ def edit_first(out, kind, edit):
     ("group", lambda r: {"tags": {"rung": 3}}, "group 0: tags={'rung': 3} recorded vs None"),
     ("group", lambda r: {"mean_cost": r["mean_cost"] + 1}, "group 0: mean_cost="),
     ("group", lambda r: {"failed": True}, "group 0: failed=True recorded vs False requested"),
+    # a cost that is not a number fails its trial, replayed as live
+    ("trial", lambda r: {"cost": "abc"}, "group 0: cost='abc' recorded vs None requested"),
+    ("trial", lambda r: {"cost": [1]}, "group 0: cost=[1] recorded vs None requested"),
+    ("trial", lambda r: {"cost": {"a": 1}}, "group 0: cost={'a': 1} recorded vs None requested"),
 ], ids=["seed", "budget", "purpose", "trial-group", "config", "status", "tags", "mean_cost",
-        "failed"])
+        "failed", "cost-str", "cost-list", "cost-dict"])
 def test_a_cut_journal_with_an_edited_record_exits_4_naming_the_field(
     space, tmp_path, capsys, kind, edit, named
 ):

@@ -225,6 +225,14 @@ def test_runner_groups_and_spend():
     assert all(t["status"] == "done" for t in trials)
 
 
+def test_spend_is_summed_without_rounding_error():
+    # one float at a time, ten spends of 0.1 sum to 0.9999999999999999
+    j = make_journal()
+    for i in range(10):
+        j.append({"t": "group", "group": i, "spend": 0.1, "purpose": "tune"})
+    assert j.spend() == 1.0
+
+
 def test_runner_spend_counts_training_increment():
     runner, _ = sphere_runner()
     cfg = Configuration({"x0": 0.5})
@@ -291,6 +299,20 @@ def test_runner_failure_becomes_inf_cost():
     assert res.cost == float("inf")
     statuses = [t["status"] for t in runner.journal.of_type("trial")]
     assert statuses == ["done", "failed"]
+
+
+@pytest.mark.parametrize("cost", ["abc", [1], 10**400], ids=["str", "list", "huge-int"])
+def test_runner_fails_a_trial_whose_cost_is_not_a_finite_number(cost):
+    class Odd(NoisySphere):
+        def evaluate(self, config, budget, seed, resume=None):
+            _, ckpt = super().evaluate(config, budget, seed, resume=resume)
+            return cost, ckpt
+
+    runner = TrialRunner(Odd(dimension=1, noise=0.0), seeds=[0])
+    res = runner.evaluate_group(Configuration({"x0": 0.5}), 1.0)
+    assert res.failed and res.per_seed_cost == [None] and res.checkpoints == {}
+    [trial] = runner.journal.of_type("trial")
+    assert trial["status"] == "failed" and trial["error"] == f"non-finite cost {cost!r}"
 
 
 def test_runner_parallel_matches_sequential_results():

@@ -581,7 +581,7 @@ def test_divergent_q_tables_match_numpy_training(lr, epsilon, gamma, decay, budg
 
 
 # the training kernel draws its uniforms in blocks, fixes epsilon per episode
-# and picks greedily with ``max`` until the table holds a NaN; each must give
+# and keeps each row's greedy pick across writes, NaN or not; each must give
 # the bits of one scalar draw, one epsilon and one ``_first_max`` per step
 
 
@@ -654,14 +654,21 @@ NAN_CONFIG = {"learning_rate": 1000.0, "epsilon": 0.5, "gamma": 0.9, "epsilon_de
 NAN_RUN_SHA256 = "3243ddb05e0eda3f009318b86c283dea6a69720e57fca174abd198634f6e3737"
 
 
-@pytest.mark.parametrize("split", [None, 0.5, 2 / 3], ids=["fresh", "nan-mid-call", "nan-resumed"])
-def test_a_nan_in_the_table_switches_to_the_argmax_rule(split):
+@pytest.mark.parametrize(
+    "split, resumed",
+    [(None, False), (0.5, True), (2 / 3, True), (0.5, False)],
+    ids=["fresh", "nan-mid-call", "nan-resumed", "nan-continued"],
+)
+def test_nan_and_finite_tables_train_through_one_greedy_rule(split, resumed):
+    # the full run in one call, resumed from a checkpoint taken before or
+    # after the first NaN, or continued from the instance's memo of the 0.5 run
     cfg = Configuration(NAN_CONFIG)
     obj = GridworldQ(total_steps=600)
     resume = None
     if split is not None:
-        _, resume = obj.evaluate(cfg, split, 3)
-        assert np.isnan(pickle.loads(resume.payload)["q"]).any() == (split > 315 / 600)
+        _, part = obj.evaluate(cfg, split, 3)
+        assert np.isnan(pickle.loads(part.payload)["q"]).any() == (split > 315 / 600)
+        resume = part if resumed else None
     cost, ckpt = obj.evaluate(cfg, 1.0, 3, resume=resume)
     got = pickle.loads(ckpt.payload)
     want = numpy_reference_state(1000.0, 0.5, 0.9, 0.99, 1.0, 3, 600)
