@@ -8,11 +8,11 @@ searches: it states its settings' defaults once, in its signature, and its
 spend once, in its ``plan``. The ``TrialRunner`` owns the objective, the
 tuning seeds, the journal and the incumbent, which it keeps from the
 full-budget results a tuner offers (``keep_best``) and journals with the
-spend in ``complete``; an objective resumes from ``resume.payload``, which
-the runner sets. The protocol layer handles
-tuning/test seed splits, repetitions, budget audits, method ranking and
-reproducibility checklist reports; runs journal to disk and resume after
-interruption.
+spend in ``complete``. An objective returns its state as bytes, which the
+runner packs at the group's budget, and resumes from ``resume.payload``,
+which the runner sets. The protocol layer handles tuning/test seed splits,
+repetitions, budget audits, method ranking and reproducibility checklist
+reports; runs journal to disk and resume after interruption.
 """
 from ._version import __version__
 from .budgets import ladder, rung_capacity

@@ -77,10 +77,13 @@ class CheckpointPack:
     def flush(self) -> None:
         self._writer.flush()
 
-    def read(self, name: str) -> bytes:
+    def __contains__(self, name: str) -> bool:
         if self._index is None:
             self._scan()
-        if name not in self._index:
+        return name in self._index
+
+    def read(self, name: str) -> bytes:
+        if name not in self:
             raise PackError(f"no checkpoint {name!r} in {self.path}")
         offset, size = self._index[name]
         if self._writer is not None:

@@ -4,9 +4,9 @@ Costs are minimized. Budget is a fraction in (0, 1] of a full training run;
 training can resume from a checkpoint so schedulers that change configurations
 mid-run (population-based training) get exact continuation: resuming a run at
 fraction f and training on to b yields bit-identical cost to a fresh run to b
-when the configuration is unchanged. An objective returns its state in a
-:class:`CheckpointHandle` and resumes from ``resume.payload``, which the
-runner sets.
+when the configuration is unchanged. An objective returns its state as bytes,
+which the runner packs as a :class:`CheckpointHandle` of the group's budget,
+and resumes from ``resume.payload``, which the runner sets.
 
 Every objective has a ``name``, a ``cost_metric`` and ``evaluate``. The
 built-in kinds, with the parameters an :class:`ObjectiveSpec` may give them:
@@ -77,10 +77,10 @@ class EvaluationError(RuntimeError):
 class CheckpointHandle:
     """An opaque training-state payload and the fraction of a run it holds.
 
-    ``path`` is where the runner packed the payload: the pack's directory
-    joined with the name of its frame (see :mod:`autotune.checkpoints`). A
-    replayed handle holds no payload until a live group resumes from it.
-    ``trained_fraction`` never decreases along one training lineage.
+    Only the runner builds one: ``trained_fraction`` is the budget of the
+    group whose objective returned ``payload``, and ``path`` the pack's
+    directory joined with its frame's name (see :mod:`autotune.checkpoints`).
+    A replayed handle holds no payload until a live group resumes from it.
     """
 
     trained_fraction: float
@@ -136,7 +136,9 @@ class Objective:
         budget: float,
         seed: int,
         resume: CheckpointHandle | None = None,
-    ) -> tuple[float, CheckpointHandle]:
+    ) -> tuple[float, bytes | None]:
+        """Cost of ``config`` at ``budget`` on ``seed``, and the training state
+        as bytes (None: no checkpoint), which the runner packs at ``budget``."""
         raise NotImplementedError
 
     def _check_budget(self, budget: float, resume: CheckpointHandle | None) -> None:
@@ -269,9 +271,7 @@ class SeededValley(Objective):
                 self._terms.clear()
             self._terms[key] = terms
         dist2, eps = terms
-        cost = dist2 + (1.0 - budget) * self.penalty
-        cost += self.noise * eps
-        return cost, CheckpointHandle(trained_fraction=budget, payload=b"")
+        return dist2 + (1.0 - budget) * self.penalty + self.noise * eps, b""
 
 
 class NoisySphere(SeededValley):
@@ -622,8 +622,7 @@ class GridworldQ(Objective):
             if key not in self._trained and len(self._trained) >= _TRAINED_CAP:
                 self._trained.clear()
             self._trained[key] = (step, payload)
-        ckpt = CheckpointHandle(trained_fraction=budget, payload=payload)
-        return -self._greedy_return(first), ckpt
+        return -self._greedy_return(first), payload
 
     @staticmethod
     def _greedy_return(greedy: list[int]) -> float:
@@ -761,11 +760,10 @@ class ExternalCommand(Objective):
                 raise EvaluationError(
                     f"malformed cost output {lines[-1].strip()!r}", output=output
                 ) from err
-            payload = b""
-            if os.path.exists(ckpt_path):
-                with open(ckpt_path, "rb") as fh:
-                    payload = fh.read()
-            return cost, CheckpointHandle(trained_fraction=budget, payload=payload)
+            if not os.path.exists(ckpt_path):
+                return cost, b""
+            with open(ckpt_path, "rb") as fh:
+                return cost, fh.read()
         finally:
             if os.path.exists(ckpt_path):
                 os.unlink(ckpt_path)

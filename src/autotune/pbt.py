@@ -237,11 +237,7 @@ def run_pbt(
         )
         for m, res in zip(members, results):
             prev, m.cost = m.cost, res.cost
-            for seed, ckpt in res.checkpoints.items():
-                old = m.checkpoints.get(seed)
-                if old is not None and ckpt.trained_fraction < old.trained_fraction:
-                    raise RuntimeError("checkpoint fraction regressed within a lineage")
-                m.checkpoints[seed] = ckpt
+            m.checkpoints.update(res.checkpoints)
             if not res.failed and explore_mode == GP:
                 if model_cost:
                     gp_points.append((m.encoded(space), budget, res.cost))
@@ -268,7 +264,8 @@ def run_pbt(
         )
         for loser_i, winner_i in pairs:
             loser, winner = members[loser_i], members[winner_i]
-            loser.checkpoints = dict(winner.checkpoints)  # handles are never written to
+            # shared: only the runner writes a handle, filling a replayed one's payload once
+            loser.checkpoints = dict(winner.checkpoints)
             loser.cost = winner.cost
             if float(rng.random()) < explore_prob:
                 new_cfg, mode = explore_config(winner.config, interval)

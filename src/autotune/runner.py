@@ -11,9 +11,12 @@ in the journal; when the journal is in replay mode the runner reads what
 the objective produced from the recorded trial records instead of calling
 it, and builds the group as a live one (:meth:`TrialRunner._commit`), whose
 records the journal checks whole: that is what makes interrupted runs
-resumable bit-for-bit. A replayed checkpoint holds only its path; the
-runner reads its payload before a live group resumes from it, so an
-objective finds it in ``resume.payload`` and never opens a pack.
+resumable bit-for-bit. An objective returns its state as bytes; the runner
+gives each checkpoint, live or replayed, its group's budget and its frame's
+name. Before a live group resumes from a replayed checkpoint, the runner
+reads its payload from ``checkpoint_dir``'s pack when that holds the frame,
+else from the recorded pack: a run directory owns its frames, so a copied
+run never reads a pack that has replaced the original's.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -32,7 +35,7 @@ import signal
 import time
 from dataclasses import dataclass
 
-from .checkpoints import PACK_NAME, CheckpointPack
+from .checkpoints import CheckpointPack
 from .journal import COMPLETE, GROUP, INCUMBENT, TRIAL, Journal
 from .objectives import (
     DONE,
@@ -213,18 +216,20 @@ class TrialRunner:
     # -- helpers -------------------------------------------------------------
 
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
-        """A replayed group's result, committed from the outputs its trial
-        records hold, or a live group to evaluate."""
+        """A replayed group's result, committed from the objective's outputs
+        and the pack directory its trial records hold, or a live group."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
         live = _LiveGroup(config, budget, seeds, purpose, resume, tags)
         if not self.journal.replaying:
             return live
-        # the objective's recorded outputs; a checkpoint's packed payload is
-        # read when a live group resumes from it
+        # a checkpoint's packed payload is read when a live group resumes from it
         trials = []
         for seed, rec in zip(seeds, self.journal.take_group_if_pending(len(seeds))):
-            frac, path = rec.get("frac"), rec.get("ckpt")
-            ckpt = None if frac is None else CheckpointHandle(frac, None if path else b"", path)
+            ckpt, path = None, rec.get("ckpt")
+            if rec.get("frac") is not None:  # a ckpt that is no path is rebuilt as None
+                name = _frame_name(self.groups_run, seed, budget)
+                path = os.path.join(os.path.dirname(path), name) if isinstance(path, str) else None
+                ckpt = CheckpointHandle(budget, None if path else b"", path)
             trials.append((seed, _number(rec.get("cost")), ckpt, rec.get("error"),
                            rec.get("wall_time")))
         return self._commit(live, trials)
@@ -268,7 +273,7 @@ class TrialRunner:
         group = self.groups_run
         checkpoints = {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         if not self.journal.replaying:
-            checkpoints = self._persist(group, checkpoints)
+            self._persist(group, checkpoints)
         per_seed = [cost for _, cost, _, _, _ in trials]
         failed = any(cost is None for cost in per_seed)
         result = GroupResult(
@@ -303,44 +308,39 @@ class TrialRunner:
         return result
 
     def _pack(self, directory: str) -> CheckpointPack:
-        pack = self._packs.get(directory)
-        if pack is None:
-            if directory == self.checkpoint_dir:
-                pack = CheckpointPack.open_for_append(directory)
-            else:
-                pack = CheckpointPack(directory)
-            self._packs[directory] = pack
-        return pack
+        if directory not in self._packs:
+            own = directory == self.checkpoint_dir
+            opened = CheckpointPack.open_for_append if own else CheckpointPack
+            self._packs[directory] = opened(directory)
+        return self._packs[directory]
 
-    def _persist(self, group_id: int, checkpoints: dict) -> dict:
-        """Append a group's checkpoint payloads to the pack and flush them,
-        so every checkpoint its journal records name survives a kill."""
+    def _persist(self, group_id: int, checkpoints: dict) -> None:
+        """Pack a group's new checkpoints, setting each one's path, and flush
+        them, so every checkpoint its journal records name survives a kill."""
         if self.checkpoint_dir is None or not checkpoints:
-            return checkpoints
+            return
         pack = self._pack(self.checkpoint_dir)
-        persisted = {}
-        for seed, ckpt in checkpoints.items():
-            name = f"g{group_id:06d}_s{seed}_f{ckpt.trained_fraction:.6f}.ckpt"
-            path = pack.append(name, ckpt.payload)
-            persisted[seed] = CheckpointHandle(ckpt.trained_fraction, ckpt.payload, path)
+        for seed, h in checkpoints.items():
+            h.path = pack.append(_frame_name(group_id, seed, h.trained_fraction), h.payload)
         pack.flush()
-        return persisted
 
     def _read_resume(self, live: _LiveGroup) -> _LiveGroup:
         """``live``, once each replayed checkpoint it resumes from holds its
-        payload, read through the pack of its directory, whose index this
-        runner keeps; worker processes open no pack. A relative path (an
-        older journal's) or a directory without a pack (a run moved away from
-        it) is read through ``checkpoint_dir``'s pack."""
+        payload, read from ``checkpoint_dir``'s pack when that holds its
+        frame, else from the pack at its recorded path; this runner keeps
+        each pack's index, and worker processes open no pack."""
         for h in (live.resume or {}).values():
             if h is not None and h.payload is None:
                 directory, name = os.path.split(h.path)
-                if directory not in self._packs and self.checkpoint_dir is not None and not (
-                    os.path.isabs(directory) and os.path.exists(os.path.join(directory, PACK_NAME))
-                ):
+                if self.checkpoint_dir is not None and name in self._pack(self.checkpoint_dir):
                     directory = self.checkpoint_dir
                 h.payload = self._pack(directory).read(name)
         return live
+
+
+def _frame_name(group: int, seed: int, budget: float) -> str:
+    """The name of the frame that packs a group's checkpoint on ``seed``."""
+    return f"g{group:06d}_s{seed}_f{budget:.6f}.ckpt"
 
 
 def _number(cost):
@@ -353,19 +353,21 @@ def _number(cost):
 
 
 def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
-    """(seed, cost, checkpoint, error, wall time) per seed; a failure or
-    a cost that is not a finite number leaves cost and checkpoint None."""
+    """(seed, cost, checkpoint at the group's budget, error, wall time) per
+    seed; a failure or a cost that is not a finite number leaves cost and
+    checkpoint None."""
     trials = []
     for seed in live.seeds:
         handle = None if live.resume is None else live.resume.get(seed)
         t0 = time.perf_counter()
-        cost, ckpt, error = None, None, ""
+        cost, payload, error = None, None, ""
         try:
-            cost, ckpt = objective.evaluate(live.config, live.budget, seed, resume=handle)
+            cost, payload = objective.evaluate(live.config, live.budget, seed, resume=handle)
         except EvaluationError as err:
             error = str(err)
         if cost is not None and _number(cost) is None:
-            cost, ckpt, error = None, None, f"non-finite cost {cost!r}"
+            cost, payload, error = None, None, f"non-finite cost {cost!r}"
+        ckpt = None if payload is None else CheckpointHandle(live.budget, payload)
         trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
     return trials
 

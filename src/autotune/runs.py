@@ -15,11 +15,11 @@ objective ``external_command-`` and 8 hex digits of its command's sha256
 share an ``--out``.
 
 A trial record's ``ckpt`` is ``<out>/rep000/checkpoints/<name>``, made
-absolute so a run resumes from any working directory: the pack in that
-directory holds the payload in its frame ``<name>`` (see
-:mod:`autotune.checkpoints`); a run directory moved away from the paths
-its journal names resumes from its own pack. Reports read only the rep*/
-journals.
+absolute so a run resumes from any working directory, where the pack holds
+frame ``<name>`` (see :mod:`autotune.checkpoints`). A resumed run reads a
+frame from its own pack when that holds it, since the run directory owns
+its frames: a moved or copied run never reads a pack a later run replaced.
+Reports read only the rep*/ journals.
 
 Every run, repetition or sweep, opens its directory through
 :func:`opened_run`. Resuming re-runs the optimizer or sweep

@@ -131,7 +131,7 @@ os._exit({crash_code})  # no close of the journal or the pack
     objective = GridworldQ(total_steps=200)
     for trial in trials:
         _, fresh = objective.evaluate(Configuration(GRID_CONFIG), trial["budget"], trial["seed"])
-        assert read_checkpoint(trial["ckpt"]) == fresh.payload
+        assert read_checkpoint(trial["ckpt"]) == fresh
 
 
 def test_replayed_handles_read_through_the_runners_pack(tmp_path, monkeypatch):

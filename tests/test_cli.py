@@ -720,8 +720,15 @@ def edit_first(out, kind, edit):
     ("trial", lambda r: {"cost": "abc"}, "group 0: cost='abc' recorded vs None requested"),
     ("trial", lambda r: {"cost": [1]}, "group 0: cost=[1] recorded vs None requested"),
     ("trial", lambda r: {"cost": {"a": 1}}, "group 0: cost={'a': 1} recorded vs None requested"),
+    # a checkpoint's fraction is its group's budget, and its frame's name is derived
+    ("trial", lambda r: {"frac": "abc"}, "group 0: frac='abc' recorded vs 1.0 requested"),
+    ("trial", lambda r: {"frac": 0.5}, "group 0: frac=0.5 recorded vs 1.0 requested"),
+    ("trial", lambda r: {"ckpt": os.path.join(os.path.dirname(r["ckpt"]), "renamed.ckpt")},
+     "group 0: ckpt="),
+    ("trial", lambda r: {"ckpt": 5}, "group 0: ckpt=5 recorded vs None requested"),
 ], ids=["seed", "budget", "purpose", "trial-group", "config", "status", "tags", "mean_cost",
-        "failed", "cost-str", "cost-list", "cost-dict"])
+        "failed", "cost-str", "cost-list", "cost-dict", "frac-str", "frac", "ckpt-name",
+        "ckpt-int"])
 def test_a_cut_journal_with_an_edited_record_exits_4_naming_the_field(
     space, tmp_path, capsys, kind, edit, named
 ):
@@ -732,6 +739,19 @@ def test_a_cut_journal_with_an_edited_record_exits_4_naming_the_field(
     capsys.readouterr()
     assert tune(space, out, *RS) == EXIT_CORRUPT
     assert f"resumed run diverged on {named}" in capsys.readouterr().err
+
+
+def test_a_cut_pbt_journal_whose_frac_was_edited_exits_4(space, tmp_path, capsys):
+    # the fraction of a checkpoint a later group resumes from; this raised TypeError
+    out = tmp_path / "run"
+    assert tune(space, out, *PBT) == EXIT_OK
+    cut_after_group(out, 3)
+    edit_first(out, "trial", lambda r: {"frac": "abc"})
+    capsys.readouterr()
+    assert tune(space, out, *PBT) == EXIT_CORRUPT
+    assert "resumed run diverged on group 0: frac='abc' recorded vs 0.25 requested" in (
+        capsys.readouterr().err
+    )
 
 
 def test_a_cut_journal_whose_trial_cost_was_nulled_exits_4_naming_the_status(

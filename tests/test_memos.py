@@ -638,8 +638,8 @@ def test_threads_sharing_a_gridworld_get_the_sequential_outcomes():
     calls = [(c, budget, seed) for c in configs for budget in (0.1, 0.4, 1.0) for seed in (0, 1)]
 
     def outcome(obj, call):
-        cost, ckpt = obj.evaluate(*call)
-        return cost.hex(), ckpt.payload
+        cost, payload = obj.evaluate(*call)
+        return cost.hex(), payload
 
     want = [outcome(GridworldQ(total_steps=300), call) for call in calls]
     shared = GridworldQ(total_steps=300)

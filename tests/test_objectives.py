@@ -214,9 +214,9 @@ def test_sphere_and_valley_costs_match_the_reference_bit_for_bit(case):
     for kind, obj in (("noisy_sphere", sphere), ("seeded_valley", valley)):
         want = reference_unit_cost(kind, space, config, budget, seed, sigma, noise)
         for _ in range(2):  # the second call reuses the encoded configuration
-            cost, ckpt = obj.evaluate(config, budget, seed)
+            cost, payload = obj.evaluate(config, budget, seed)
             assert cost == want
-            assert ckpt.trained_fraction == budget
+            assert payload == b""
 
 
 def test_each_objective_class_binds_its_own_evaluate():
@@ -359,7 +359,7 @@ class FixedCosts:
         value = self.by_seed[seed]
         if value is None:
             raise EvaluationError(f"seed {seed} scripted to fail")
-        return value, CheckpointHandle(trained_fraction=budget, payload=b"")
+        return value, b""
 
 
 def group(by_seed, seeds):
@@ -393,9 +393,9 @@ def test_multi_seed_rejects_bad_seed_lists():
 def test_evaluate_resume_precondition():
     obj = NoisySphere(dimension=1, noise=0.0)
     cfg = Configuration({"x0": 0.5})
-    _, ckpt = obj.evaluate(cfg, 0.5, 0)
-    with pytest.raises(ValueError):
-        obj.evaluate(cfg, 0.5, 0, resume=ckpt)  # not strictly past the checkpoint
+    _, payload = obj.evaluate(cfg, 0.5, 0)
+    with pytest.raises(ValueError):  # not strictly past the checkpoint
+        obj.evaluate(cfg, 0.5, 0, resume=CheckpointHandle(0.5, payload))
     with pytest.raises(ValueError):
         obj.evaluate(cfg, 1.5, 0)
 
@@ -437,8 +437,8 @@ GOLDEN_CHECKPOINT_SHA256 = [
 def test_gridworld_golden_checkpoint_payloads_are_frozen():
     obj = GridworldQ(total_steps=GOLDEN["total_steps"])
     for case, digest in zip(GOLDEN["cases"], GOLDEN_CHECKPOINT_SHA256, strict=True):
-        _, ckpt = obj.evaluate(golden_config(), case["budget"], case["seed"])
-        assert hashlib.sha256(ckpt.payload).hexdigest() == digest
+        _, payload = obj.evaluate(golden_config(), case["budget"], case["seed"])
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -542,12 +542,14 @@ def test_gridworld_matches_reference_inside_default_space(unit, budget, split, s
         cfg["learning_rate"], cfg["epsilon"], cfg["gamma"], cfg["epsilon_decay"],
         budget, seed, total_steps=total,
     )
-    cost, ckpt = obj.evaluate(cfg, budget, seed)
+    cost, payload = obj.evaluate(cfg, budget, seed)
     assert cost.hex() == want.hex()
     _, part = obj.evaluate(cfg, budget * split, seed)
-    resumed, resumed_ckpt = obj.evaluate(cfg, budget, seed, resume=part)
+    resumed, resumed_payload = obj.evaluate(
+        cfg, budget, seed, resume=CheckpointHandle(budget * split, part)
+    )
     assert resumed.hex() == want.hex()
-    assert resumed_ckpt.payload == ckpt.payload
+    assert resumed_payload == payload
 
 
 @settings(max_examples=40, deadline=None)
@@ -570,8 +572,8 @@ def test_divergent_q_tables_match_numpy_training(lr, epsilon, gamma, decay, budg
     cfg = Configuration(
         {"learning_rate": lr, "epsilon": epsilon, "gamma": gamma, "epsilon_decay": decay}
     )
-    cost, ckpt = GridworldQ(total_steps=total).evaluate(cfg, budget, seed)
-    got = pickle.loads(ckpt.payload)
+    cost, payload = GridworldQ(total_steps=total).evaluate(cfg, budget, seed)
+    got = pickle.loads(payload)
     want = numpy_reference_state(lr, epsilon, gamma, decay, budget, seed, total)
     got_q, want_q = got.pop("q"), want.pop("q")
     assert got_q.dtype == want_q.dtype
@@ -602,24 +604,25 @@ def test_training_across_several_draw_blocks_matches_the_references(epsilon, dec
     values = {"learning_rate": 0.2, "epsilon": epsilon, "gamma": 0.95, "epsilon_decay": decay}
     cfg = Configuration(values)
     obj = GridworldQ(total_steps=total)
-    cost, ckpt = obj.evaluate(cfg, 1.0, seed)
+    cost, payload = obj.evaluate(cfg, 1.0, seed)
     assert cost == reference_cost(0.2, epsilon, 0.95, decay, 1.0, seed, total_steps=total)
-    got = pickle.loads(ckpt.payload)
+    got = pickle.loads(payload)
     want = numpy_reference_state(0.2, epsilon, 0.95, decay, 1.0, seed, total)
     assert got.pop("q").tobytes() == want.pop("q").tobytes()
     assert got == want
     _, part = obj.evaluate(cfg, 0.37, seed)
-    assert obj.evaluate(cfg, 1.0, seed, resume=part)[1].payload == ckpt.payload
+    assert obj.evaluate(cfg, 1.0, seed, resume=CheckpointHandle(0.37, part))[1] == payload
 
 
 def test_a_resume_chain_leaves_the_scalar_loops_stream_state():
     cfg = golden_config()
     values = [cfg[k] for k in ("learning_rate", "epsilon", "gamma", "epsilon_decay")]
     obj = GridworldQ(total_steps=5000)
-    ckpt = None
+    resume = None
     for budget in (0.013, 0.4, 0.41, 1.0):
-        _, ckpt = obj.evaluate(cfg, budget, 6, resume=ckpt)
-        got = pickle.loads(ckpt.payload)
+        _, payload = obj.evaluate(cfg, budget, 6, resume=resume)
+        resume = CheckpointHandle(budget, payload)
+        got = pickle.loads(payload)
         want = numpy_reference_state(*values, budget, 6, 5000)
         assert got["rng"] == want["rng"]
         assert got["step"] == want["step"]
@@ -667,10 +670,10 @@ def test_nan_and_finite_tables_train_through_one_greedy_rule(split, resumed):
     resume = None
     if split is not None:
         _, part = obj.evaluate(cfg, split, 3)
-        assert np.isnan(pickle.loads(part.payload)["q"]).any() == (split > 315 / 600)
-        resume = part if resumed else None
-    cost, ckpt = obj.evaluate(cfg, 1.0, 3, resume=resume)
-    got = pickle.loads(ckpt.payload)
+        assert np.isnan(pickle.loads(part)["q"]).any() == (split > 315 / 600)
+        resume = CheckpointHandle(split, part) if resumed else None
+    cost, payload = obj.evaluate(cfg, 1.0, 3, resume=resume)
+    got = pickle.loads(payload)
     want = numpy_reference_state(1000.0, 0.5, 0.9, 0.99, 1.0, 3, 600)
     got_q, want_q = got.pop("q"), want.pop("q")
     assert np.isnan(got_q).any()
@@ -678,7 +681,7 @@ def test_nan_and_finite_tables_train_through_one_greedy_rule(split, resumed):
     assert got == want
     assert cost.hex() == (-reference_greedy_return(want_q)).hex()
     if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # digests of numpy 2 pickles
-        assert hashlib.sha256(ckpt.payload).hexdigest() == NAN_RUN_SHA256
+        assert hashlib.sha256(payload).hexdigest() == NAN_RUN_SHA256
 
 
 def test_fresh_streams_are_kept_per_seed_text():
@@ -686,9 +689,9 @@ def test_fresh_streams_are_kept_per_seed_text():
     cfg = golden_config()
     obj = GridworldQ(total_steps=300)
     for seed in (1, True, 1, True):
-        _, ckpt = obj.evaluate(cfg, 0.5, seed)
-        assert ckpt.payload == GridworldQ(total_steps=300).evaluate(cfg, 0.5, seed)[1].payload
-    assert obj.evaluate(cfg, 0.5, 1)[1].payload != obj.evaluate(cfg, 0.5, True)[1].payload
+        _, payload = obj.evaluate(cfg, 0.5, seed)
+        assert payload == GridworldQ(total_steps=300).evaluate(cfg, 0.5, seed)[1]
+    assert obj.evaluate(cfg, 0.5, 1)[1] != obj.evaluate(cfg, 0.5, True)[1]
 
 
 def test_gridworld_zero_learning_rate_never_improves():
@@ -730,30 +733,21 @@ def test_gridworld_determinism():
 def test_gridworld_continuation_consistency():
     obj = GridworldQ(total_steps=600)
     cfg = golden_config()
-    fresh, fresh_ckpt = obj.evaluate(cfg, 1.0, 5)
+    fresh, fresh_payload = obj.evaluate(cfg, 1.0, 5)
     for split in (0.2, 0.5, 0.85):
-        part, ckpt = obj.evaluate(cfg, split, 5)
-        resumed, resumed_ckpt = obj.evaluate(cfg, 1.0, 5, resume=ckpt)
+        _, part = obj.evaluate(cfg, split, 5)
+        resumed, resumed_payload = obj.evaluate(cfg, 1.0, 5, resume=CheckpointHandle(split, part))
         assert resumed == fresh  # bit-identical continuation
-        assert resumed_ckpt.payload == fresh_ckpt.payload
-        assert ckpt.trained_fraction == split
+        assert resumed_payload == fresh_payload
 
 
 def test_synthetic_continuation_consistency():
     for obj in (NoisySphere(dimension=2, noise=0.1), SeededValley(dimension=2)):
         cfg = Configuration({"x0": 0.3, "x1": 0.8})
         fresh, _ = obj.evaluate(cfg, 1.0, 9)
-        _, ckpt = obj.evaluate(cfg, 0.4, 9)
-        resumed, _ = obj.evaluate(cfg, 1.0, 9, resume=ckpt)
+        _, part = obj.evaluate(cfg, 0.4, 9)
+        resumed, _ = obj.evaluate(cfg, 1.0, 9, resume=CheckpointHandle(0.4, part))
         assert resumed == fresh
-
-
-def test_gridworld_checkpoint_fraction_advances():
-    obj = GridworldQ(total_steps=300)
-    cfg = golden_config()
-    _, c1 = obj.evaluate(cfg, 0.3, 0)
-    _, c2 = obj.evaluate(cfg, 0.7, 0, resume=c1)
-    assert c1.trained_fraction < c2.trained_fraction
 
 
 # a call without ``resume`` continues the latest such call of the same
@@ -763,10 +757,10 @@ def test_gridworld_checkpoint_fraction_advances():
 
 def _outcome(obj, cfg, budget, seed):
     try:
-        cost, ckpt = obj.evaluate(cfg, budget, seed)
+        cost, payload = obj.evaluate(cfg, budget, seed)
     except EvaluationError as err:
         return "failed", str(err)
-    return cost.hex(), ckpt.payload
+    return cost.hex(), payload
 
 
 def _gridworld_config(lr, epsilon, gamma, decay):
@@ -826,7 +820,8 @@ def test_a_higher_budget_trains_on_from_the_latest_lower_one(monkeypatch):
     obj.evaluate(other, 1.0, 4)  # one bit apart: its own run
     assert started == [4, 4, True, 4]
     _, part = obj.evaluate(cfg, 0.1, 5)
-    obj.evaluate(cfg, 0.6, 5, resume=part)  # a resume neither reads nor fills the memo
+    # a resume neither reads nor fills the memo
+    obj.evaluate(cfg, 0.6, 5, resume=CheckpointHandle(0.1, part))
     obj.evaluate(cfg, 0.7, 5)
     assert started == [4, 4, True, 4, 5]
     # the latest step count of (cfg, 4), (cfg, True), (other, 4) and (cfg, 5)
@@ -873,10 +868,10 @@ def test_a_resumed_table_with_ties_and_signed_zeros_trains_as_numpy_does(
         "steps_in_episode": steps_in_episode,
     }
     resume = CheckpointHandle(trained_fraction=0.3, payload=pickle.dumps(start, protocol=4))
-    cost, ckpt = GridworldQ(total_steps=total).evaluate(
+    cost, payload = GridworldQ(total_steps=total).evaluate(
         _gridworld_config(0.5, epsilon, 0.9, 0.99), 0.75, seed, resume=resume
     )
-    got = pickle.loads(ckpt.payload)
+    got = pickle.loads(payload)
     want = numpy_reference_state(0.5, epsilon, 0.9, 0.99, 0.75, seed, total, start=start)
     assert got.pop("q").tobytes() == want["q"].tobytes()
     assert cost.hex() == (-reference_greedy_return(want.pop("q"))).hex()
@@ -905,9 +900,9 @@ def test_external_command_reads_env_and_reports_cost(tmp_path):
     )
     space = ConfigSpace([continuous("x", 0.0, 1.0)])
     obj = ExternalCommand(cmd)
-    cost, ckpt = obj.evaluate(Configuration({"x": 0.75}), 0.5, 3)
+    cost, payload = obj.evaluate(Configuration({"x": 0.75}), 0.5, 3)
     assert cost == pytest.approx(0.25 + 0.05)
-    assert ckpt.trained_fraction == 0.5
+    assert payload == b""  # the command wrote no checkpoint
 
 
 def test_external_command_checkpoint_round_trip(tmp_path):
@@ -923,12 +918,13 @@ def test_external_command_checkpoint_round_trip(tmp_path):
     )
     space = ConfigSpace([continuous("x", 0.0, 1.0)])
     obj = ExternalCommand(cmd)
-    cost0, ckpt = obj.evaluate(Configuration({"x": 0.5}), 0.5, 0)
+    cost0, payload = obj.evaluate(Configuration({"x": 0.5}), 0.5, 0)
     assert cost0 == 0.0
-    assert ckpt.payload == b"1"
-    cost1, ckpt2 = obj.evaluate(Configuration({"x": 0.5}), 1.0, 0, resume=ckpt)
+    assert payload == b"1"
+    resume = CheckpointHandle(0.5, payload)
+    cost1, payload = obj.evaluate(Configuration({"x": 0.5}), 1.0, 0, resume=resume)
     assert cost1 == 1.0
-    assert ckpt2.payload == b"2"
+    assert payload == b"2"
 
 
 def test_external_command_nonzero_exit_fails_with_output(tmp_path):

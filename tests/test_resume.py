@@ -34,11 +34,11 @@ METHODS = {  # name -> (method, budget in full runs)
 EVALUATE = GridworldQ.evaluate
 
 
-def run(directory, method, workers=1):
+def run(directory, method, workers=1, rng_seed=7, objective=OBJECTIVE):
     spec, budget = METHODS[method]
     return run_repetition(
-        str(directory), spec, SPACE_TEXT, OBJECTIVE, SEEDS, budget, rng_seed=7, repetition=0,
-        workers=workers,
+        str(directory), spec, SPACE_TEXT, objective, SEEDS, budget, rng_seed=rng_seed,
+        repetition=0, workers=workers,
     )
 
 
@@ -115,8 +115,11 @@ def test_parallel_journal_equals_the_sequential_one(tmp_path, method):
     run(tmp_path / "w2", method, workers=2)
     assert records(tmp_path / "w2") == records(tmp_path / "w1")
     for directory in ("w1", "w2"):
-        groups = [r["group"] for r in journal(tmp_path / directory).of_type("group")]
-        assert groups == list(range(len(groups)))
+        groups = journal(tmp_path / directory).of_type("group")
+        assert [g["group"] for g in groups] == list(range(len(groups)))
+        # a checkpoint's fraction is the budget of the group that wrote it
+        for trial in journal(tmp_path / directory).of_type("trial"):
+            assert trial["frac"] == groups[trial["group"]]["budget"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -137,6 +140,36 @@ def test_resume_from_a_cut_journal_in_a_new_directory(tmp_path, method, workers,
         assert read_checkpoint(rec["ckpt"]) == read_checkpoint(
             str(full / "checkpoints" / os.path.basename(rec["ckpt"]))
         )
+
+
+def frames(directory):
+    """Each frame name the journal in ``directory`` records, with the payload
+    that directory's own pack holds under it."""
+    names = [os.path.basename(rec["ckpt"]) for rec in journal(directory).of_type("trial")]
+    return {name: read_checkpoint(str(directory / "checkpoints" / name)) for name in names}
+
+
+def test_a_copied_run_resumes_from_its_own_pack_after_the_original_is_replaced(tmp_path):
+    # at the default 2,000 steps, a resume from the wrong frames changes
+    # trial costs as well as frames
+    objective = ObjectiveSpec("gridworld_q", {})
+    original, copy = tmp_path / "original", tmp_path / "copy"
+    run(original, "pbt", objective=objective)
+    expected, expected_frames = records(original), frames(original)
+    shutil.copytree(original, copy)
+    path = copy / JOURNAL_NAME
+    lines = path.read_text().splitlines(keepends=True)
+    ends = [i for i, line in enumerate(lines) if json.loads(line)["t"] == "group"]
+    path.write_text("".join(lines[: ends[5] + 1]))  # the copy is cut after 6 groups
+    # another run now packs other payloads under the names the copy's journal
+    # records in the original directory
+    shutil.rmtree(original)
+    run(original, "pbt", rng_seed=5, objective=objective)
+    assert frames(original) != expected_frames
+
+    run(copy, "pbt", objective=objective)
+    assert records(copy) == expected
+    assert frames(copy) == expected_frames
 
 
 def test_resume_trims_a_pack_cut_inside_its_last_frame(tmp_path, ctrl_c):

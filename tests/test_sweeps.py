@@ -7,7 +7,7 @@ import math
 import pytest
 
 from autotune.cli import EXIT_OK, main
-from autotune.objectives import CheckpointHandle, EvaluationError, SeededValley
+from autotune.objectives import EvaluationError, SeededValley
 from autotune.runner import TrialRunner
 from autotune.runs import JOURNAL_NAME
 from autotune.space import ConfigSpace, Configuration, continuous
@@ -29,7 +29,7 @@ class ScriptedCosts:
         cost = self.costs[(config["x"], seed)]
         if cost is None:
             raise EvaluationError(f"seed {seed} scripted to fail")
-        return cost, CheckpointHandle(trained_fraction=budget, payload=b"")
+        return cost, b""
 
 
 def sweep(costs, values, seeds=(0, 1)):
