@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from json.encoder import encode_basestring_ascii
 
 from .journal import JournalError
 
@@ -66,8 +67,10 @@ class CheckpointPack:
 
     def append(self, name: str, payload: bytes) -> str:
         """Buffer one frame; returns the checkpoint's path."""
-        # the bytes of json.dumps({"name": name, "size": len(payload)}) + "\n"
-        header = b'{"name": %s, "size": %d}\n' % (json.dumps(name).encode(), len(payload))
+        # the bytes of json.dumps({"name": name, "size": len(payload)}) + "\n";
+        # json.dumps encodes a str with encode_basestring_ascii
+        header = b'{"name": %s, "size": %d}\n' % (encode_basestring_ascii(name).encode(),
+                                                   len(payload))
         self._writer.write(header + payload)
         start = self._end + len(header)
         self._index[name] = (start, len(payload))

@@ -18,7 +18,12 @@ truncated trailing line (torn write) is dropped with a logged warning;
 corruption before the last record is a hard error.
 
 Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
-the record kept in memory is what a reader parses back from it.
+the record kept in memory is what a reader parses back from it. A live
+group's trial records are written from one template per group, which holds
+what they share (the sorted keys, ``budget``, ``group``, ``purpose``, ``t``
+and the config text) and takes each trial's other values as the C encoder
+writes them; a record the template does not fit is encoded whole (see
+:meth:`Journal.append_group`).
 """
 from __future__ import annotations
 
@@ -138,6 +143,62 @@ def _kept(record: dict, line: str) -> dict:
         return json.loads(line)
 
 
+# the keys of the trial records the runner writes, which _trial_lines fills in
+_TRIAL_KEYS = ("budget", "ckpt", "cost", "error", "frac", "group", "purpose", "seed",
+               "status", "t", "wall_time")
+
+
+def _text(value) -> str:
+    """The C encoder's text for ``value``, a ``str``, an exact ``int``, a
+    finite exact ``float`` or None; raises :class:`_NotPlain` for any other."""
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif t is int:
+        return int.__repr__(value)
+    elif value is None:
+        return "null"
+    raise _NotPlain
+
+
+def _trial_lines(config_text: str, kept_config: dict, trials: list[dict], seq: int):
+    """The lines and kept records of ``trials``, numbered from ``seq``, each
+    with the config whose text is ``config_text``: what encoding each record
+    whole gives, built from one template of what they share. Raises
+    :class:`_NotPlain` or :class:`KeyError` unless every trial has exactly
+    the runner's keys, the first trial's ``budget``, ``group``, ``purpose``
+    and ``t`` objects, and values :func:`_text` takes."""
+    if not trials:
+        return [], []
+    first = trials[0]
+    budget, group, purpose, t = first["budget"], first["group"], first["purpose"], first["t"]
+    budget_text = _text(budget)  # also the text of a frac set to the group's budget
+    head = '{"budget": ' + budget_text + ', "ckpt": '
+    middle = ', "config": ' + config_text + ', "cost": '
+    shared = ', "group": ' + _text(group) + ', "purpose": ' + _text(purpose) + ', "seed": '
+    tail = ', "t": ' + _text(t) + ', "wall_time": '
+    lines, kept = [], []
+    for r in trials:
+        if (len(r) != len(_TRIAL_KEYS) or r["budget"] is not budget or r["group"] is not group
+                or r["purpose"] is not purpose or r["t"] is not t):
+            raise _NotPlain
+        ckpt, cost, error, frac = r["ckpt"], r["cost"], r["error"], r["frac"]
+        seed, status, wall_time = r["seed"], r["status"], r["wall_time"]
+        lines.append(f'{head}{_text(ckpt)}{middle}{_text(cost)}, "error": {_text(error)}, '
+                     f'"frac": {budget_text if frac is budget else _text(frac)}'
+                     f'{shared}{_text(seed)}, "seq": {seq}, '
+                     f'"status": {_text(status)}{tail}{_text(wall_time)}}}')
+        kept.append({"budget": budget, "ckpt": ckpt, "config": kept_config, "cost": cost,
+                     "error": error, "frac": frac, "group": group, "purpose": purpose,
+                     "seed": seed, "seq": seq, "status": status, "t": t,
+                     "wall_time": wall_time})
+        seq += 1
+    return lines, kept
+
+
 # where a record whose "config" is None holds it in its line. A quote inside
 # a string is always escaped, so this text never lies inside one: it appears
 # once for each "config" key with a null value, at any depth
@@ -238,10 +299,18 @@ class Journal:
         journal replays, check and consume the recorded group instead (see
         :meth:`_replay`).
 
-        Each line is the one :meth:`append` would write: ``config`` is
-        encoded once and its text spliced in, unless a record holds a null
-        ``"config"`` of its own (in a tag, say), and the kept records share
-        one parsed copy of it, which must not be mutated.
+        Each line is the one :meth:`append` would write, and the kept
+        records share one parsed copy of ``config``, which must not be
+        mutated. ``config`` is encoded once. The trial records are written
+        from one template (see :func:`_trial_lines`) when each has exactly
+        the runner's eleven keys (``budget``, ``ckpt``, ``cost``, ``error``,
+        ``frac``, ``group``, ``purpose``, ``seed``, ``status``, ``t``,
+        ``wall_time``), the first trial's ``budget``, ``group``, ``purpose``
+        and ``t`` objects, and only values that are a ``str``, an exact
+        ``int``, a finite exact ``float`` or None. Otherwise, and for the
+        group record always, each record is encoded with a null
+        ``"config"`` and the config text spliced in, unless it holds a null
+        ``"config"`` of its own (in a tag, say) and is encoded whole.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
@@ -251,8 +320,13 @@ class Journal:
             self._replay([{**record, "config": kept_config} for record in (*trials, group)])
             return
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        lines, kept_records = [], []
-        for record in (*trials, group):
+        try:
+            lines, kept_records = _trial_lines(text, kept_config, trials, seq)
+            rest = (group,)
+        except (_NotPlain, KeyError):  # a trial the template does not fit
+            lines, kept_records, rest = [], [], (*trials, group)
+        seq += len(lines)
+        for record in rest:
             record = {**record, "config": None, "seq": seq}
             line = _encode(record)
             if line.count(_CONFIG_SLOT) == 1:

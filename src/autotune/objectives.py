@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -610,7 +611,8 @@ class GridworldQ(Objective):
             rng.bit_generator.advance(used + i)
 
         state = {
-            "q": np.array(rows, dtype=q.dtype),
+            "q": np.fromiter(itertools.chain.from_iterable(rows), q.dtype, q.size).reshape(
+                q.shape),
             "rng": rng.bit_generator.state,
             "step": step,
             "episode": episode,

@@ -40,7 +40,7 @@ import numpy as np
 from ._version import __version__
 from .checklist import emit_checklist
 from .journal import GROUP, TRIAL, Journal, JournalError, space_digest
-from .objectives import ObjectiveSpec, make_objective
+from .objectives import DONE, FAILED, ObjectiveSpec, make_objective
 from .protocol import (
     IncumbentReport,
     MethodSpec,
@@ -301,12 +301,21 @@ def repetition_dirs(run_dir: str, planned: list[str] | tuple[str, ...] = ()) -> 
 
 
 def trials_csv(journal: Journal) -> str:
+    """The ``trials.csv`` text of ``journal``: a header row, then one row per
+    trial record in journal order: its ``seq``, its config's value of each
+    parameter (every parameter any trial's config names, sorted; the
+    space's parameters when no trial exists), ``budget``, ``seed``, ``cost``
+    (empty for None), ``status`` and ``wall_time``, each as ``csv.writer``
+    prints it. A group's config cells are formatted once; a row whose fields
+    have the runner's types (int ``seq`` and ``seed``, float ``budget`` and
+    ``wall_time``, float or None ``cost``, status ``done`` or ``failed``) is
+    written with them by one format string, any other row cell by cell."""
     trials = journal.of_type(TRIAL)
     params = sorted({k for r in trials for k in r["config"]}) or sorted(
         parse_space(journal.header["space_text"]).names
     )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    rows: list[str] = []
+    w = csv.writer(_Lines(rows), lineterminator="\n")
     w.writerow(["seq", *params, "budget", "seed", "cost", "status", "wall_time"])
     group = None
     for r in trials:
@@ -315,18 +324,28 @@ def trials_csv(journal: Journal) -> str:
         if r["group"] != group:
             group = r["group"]
             cells = [_cell(r["config"].get(p, "")) for p in params]
-        w.writerow(
-            [
-                r["seq"],
-                *cells,
-                repr(r["budget"]),
-                r["seed"],
-                "" if r["cost"] is None else repr(r["cost"]),
-                r["status"],
-                repr(r["wall_time"]),
-            ]
-        )
-    return buf.getvalue()
+            # the cells and a comma, as they print inside a row: the last
+            # empty cell keeps a lone empty one from printing as ""
+            w.writerow([*cells, ""])
+            prefix = rows.pop()[:-1]
+        seq, budget, seed, cost = r["seq"], r["budget"], r["seed"], r["cost"]
+        status, wall_time = r["status"], r["wall_time"]
+        if (type(seq) is int and type(seed) is int and type(budget) is float
+                and type(wall_time) is float and (cost is None or type(cost) is float)
+                and status in (DONE, FAILED)):  # statuses csv.writer never quotes
+            cost_cell = "" if cost is None else repr(cost)
+            rows.append(f"{seq},{prefix}{budget!r},{seed},{cost_cell},{status},{wall_time!r}\n")
+        else:
+            w.writerow([seq, *cells, repr(budget), seed, "" if cost is None else repr(cost),
+                        status, repr(wall_time)])
+    return "".join(rows)
+
+
+class _Lines:
+    """A file for ``csv.writer`` that keeps each line it writes in a list."""
+
+    def __init__(self, lines: list[str]):
+        self.write = lines.append
 
 
 def _cell(value) -> str:

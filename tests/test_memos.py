@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -300,6 +301,117 @@ def test_a_group_whose_tag_holds_a_null_config_writes_the_encoders_bytes(tmp_pat
     for kept, line in zip(j.records, lines):
         _assert_parsed_form(kept, json.loads(line))
     assert j.records[-1]["tags"] == {"member": 2, "config": None}
+
+
+# a live group's trial records are written from one template per group; any
+# record it does not fit is encoded whole, to the same bytes
+
+_KEYS = ("budget", "ckpt", "cost", "error", "frac", "group", "purpose", "seed", "status", "t",
+         "wall_time")
+_texts = st.text(alphabet=st.sampled_from('ab é☃"\\\n\x00\ud800/\'{}[]:,'), max_size=8)
+
+
+# values the template must turn away, and two it must take
+_EDGES = [math.nan, math.inf, -math.inf, True, False, np.float64(0.5), IntEnum("E", "a").a,
+          type("Text", (str,), {})("a"), [1], -0.0, 'é"\\']
+_edges = st.sampled_from(_EDGES)
+
+
+@st.composite
+def _runner_groups(draw):
+    """A config and the trial records of one group as the runner builds them
+    (one ``budget``, ``group`` and ``purpose`` object for the group, ``frac``
+    its budget or None), where in half of the groups one trial differs in one
+    way: a value of any type (another budget object among them), or a key
+    missing or added."""
+    budget = draw(st.sampled_from([0.25, 1.0, 0.1 + 0.2, 1e-05]) | st.floats(1e-6, 1.0))
+    group, purpose = draw(st.integers(0, 10**6)), draw(st.sampled_from(["tune", "test"]) | _texts)
+    trials = [
+        {"t": "trial", "group": group, "budget": budget, "purpose": purpose, "seed": seed,
+         "cost": draw(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                                st.integers())),
+         "status": draw(st.sampled_from(["done", "failed"]) | _texts),
+         "error": draw(st.one_of(st.none(), st.just(""), _texts)),
+         "wall_time": draw(st.floats(0, 10)),
+         "ckpt": draw(st.none() | _texts.map(lambda t: f"/runs/{t}.ckpt")),
+         "frac": draw(st.sampled_from([budget, None]))}
+        for seed in range(draw(st.integers(1, 5)))
+    ]
+    if draw(st.booleans()):
+        trial, key = draw(st.sampled_from(trials)), draw(st.sampled_from(_KEYS))
+        how = draw(st.sampled_from(["value", "missing", "added"]))
+        if how == "value":
+            trial[key] = draw(_edges | _values | st.just(pickle.loads(pickle.dumps(trial[key]))))
+        elif how == "missing":
+            del trial[key]
+        else:
+            trial[draw(_texts)] = draw(_values)
+    config = draw(st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=4))
+    group_rec = {"t": "group", "group": group, "budget": budget, "seeds": list(range(len(trials))),
+                 "purpose": purpose, "failed": False}
+    return config, trials, group_rec
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=st.lists(_runner_groups(), min_size=1, max_size=3))
+def test_runner_shaped_trial_records_write_the_encoders_bytes(groups):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.log")
+        j = Journal.create(path)
+        j.write_header({"method": "x"})
+        records = []
+        for config, trials, group in groups:
+            j.append_group(config, trials, group)
+            records += [{**r, "config": config} for r in (*trials, group)]
+        j.close()
+        lines = _lines_of(path)
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_trial_off_the_runners_shape_in_one_way_writes_the_encoders_bytes(tmp_path):
+    groups = []
+    for key in _KEYS:
+        for value in [*_EDGES, ...]:  # ... drops the key
+            trials, group = _group_records()
+            if value is ...:
+                del trials[1][key]
+            else:
+                trials[1][key] = value
+            groups.append(({"lr": 0.5}, trials, group))
+    trials, group = _group_records()
+    trials[1]["extra"] = None
+    groups.append(({"lr": 0.5}, trials, group))
+    j, lines, records = _appended_groups(tmp_path, groups)
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_live_valley_run_never_encodes_a_trial_record(tmp_path, monkeypatch):
+    encoded = []
+    real = journal_module._encode
+    monkeypatch.setattr(journal_module, "_encode", lambda v: encoded.append(v) or real(v))
+    run_repetition(
+        str(tmp_path), MethodSpec("dehb", options={"min_budget": 0.25, "eta": 2}),
+        "x0: (0.0, 1.0)\nx1: (0.0, 1.0)\n",
+        ObjectiveSpec("seeded_valley", {}), SeedPlan([0, 1, 2, 3, 4], [5, 6]), 4,
+        rng_seed=0, repetition=0,
+    )
+    records = Journal.load(str(tmp_path / JOURNAL_NAME)).records
+    groups = [r for r in records if r["t"] == "group"]
+    assert len(groups) > 5 and {len(g["seeds"]) for g in groups} == {5, 1}
+    # the header, each group's config and its group record, and the records
+    # appended one by one (incumbents, complete)
+    want = [encoded[0]]
+    for r in records:
+        if r["t"] == "group":
+            want += [r["config"], {**r, "config": None}]
+        elif r["t"] != "trial":
+            want.append(r)
+    assert encoded[0]["t"] == "header"
+    assert encoded == want
 
 
 # every line goes through one C encoder per thread, built once

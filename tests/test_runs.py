@@ -3,15 +3,20 @@ import csv
 import gc
 import hashlib
 import io
+import math
 import os
 import shutil
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autotune.cli import main
 from autotune.journal import Journal
 from autotune.runs import JOURNAL_NAME, TuneExports, trials_csv
+from autotune.space import parse_space
 
 SPACE_TEXT = """\
 lr: log(1e-05, 1.0)
@@ -159,3 +164,89 @@ def test_trials_csv_keeps_its_pinned_bytes():
         ["True", "-0.0"], ["True", "-0.0"],
     ]
     assert rows[1][1] == "relu,tanh" and rows[5][1] == 'say "gelu"' and rows[7][2] == ""
+
+
+def _reference_trials_csv(journal):
+    """trials_csv as it was when every row went through csv.writer."""
+    trials = journal.of_type("trial")
+    params = sorted({k for r in trials for k in r["config"]}) or sorted(
+        parse_space(journal.header["space_text"]).names
+    )
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["seq", *params, "budget", "seed", "cost", "status", "wall_time"])
+    group = None
+    for r in trials:
+        if r["group"] != group:
+            group = r["group"]
+            cells = []
+            for p in params:
+                value = r["config"].get(p, "")
+                cells.append("" if value is None else
+                             repr(value) if isinstance(value, float) else str(value))
+        w.writerow([r["seq"], *cells, repr(r["budget"]), r["seed"],
+                    "" if r["cost"] is None else repr(r["cost"]), r["status"],
+                    repr(r["wall_time"])])
+    return buf.getvalue()
+
+
+def _journal_of(space_text, groups):
+    """A journal holding, for each (config, trials) of ``groups``, a trial
+    record per dict in ``trials``, which holds the fields that differ from a
+    runner's trial, and a group record."""
+    records = []
+    for group, (config, trials) in enumerate(groups):
+        for trial in trials:
+            records.append({"t": "trial", "group": group, "config": config,
+                            "seq": len(records) + 1, "budget": 0.5, "seed": 0, "cost": 0.25,
+                            "status": "done", "wall_time": 1e-05, **trial})
+        records.append({"t": "group", "group": group, "config": config, "seq": len(records) + 1})
+    return Journal(header={"t": "header", "space_text": space_text}, records=records)
+
+
+_ODD_TRIALS = [
+    {"cost": None, "status": "failed"}, {"cost": 3}, {"cost": np.float64(0.1)},
+    {"status": "pruned"}, {"status": 'a,"b"\n'}, {"budget": 1}, {"wall_time": np.float64(2.5)},
+    {"seed": True}, {"seq": "7"}, {"cost": -0.0, "budget": math.inf, "wall_time": math.nan},
+    # fields whose text needs quoting
+    {"seq": "7,8"}, {"seed": "1,2"}, {"budget": [0.5, 1]}, {"cost": "x,y"}, {"wall_time": "a,b"},
+]
+
+
+@pytest.mark.parametrize("space_text, groups", [
+    (SPACE_TEXT, [
+        ({"lr": 0.001, "momentum": -0.0, "layers": 3, "activation": "relu,tanh"}, [{}, {}]),
+        ({"lr": 1e-05, "layers": 1.0, "activation": 'say "gelu"'}, _ODD_TRIALS),
+        ({"lr": None, "momentum": 0.5, "layers": True, "activation": "line\nbreak\r"}, [{}]),
+        ({}, [{}, {"cost": None, "status": "failed"}]),
+    ]),
+    ("lr: log(1e-05, 1.0)\n", [({"lr": 0.5}, [{}]), ({}, [{}, *_ODD_TRIALS]),
+                               ({"lr": ""}, [{}]), ({"lr": "a,b"}, [{}])]),
+    ("activation: {relu, tanh}\n", [({}, [{}])]),  # every cell from the space, empty
+], ids=["four-params", "one-param", "one-param-from-space"])
+def test_trials_csv_writes_what_csv_writer_writes(space_text, groups):
+    journal = _journal_of(space_text, groups)
+    assert trials_csv(journal) == _reference_trials_csv(journal)
+
+
+_cell_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(alphabet=' a,"\n\r\'é', max_size=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_trials_csv_writes_what_csv_writer_writes_for_any_values(names, data):
+    groups = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        config = data.draw(st.dictionaries(st.sampled_from(names), _cell_values))
+        trials = data.draw(st.lists(st.fixed_dictionaries({}, optional={
+            "cost": st.one_of(st.none(), st.floats(), st.integers()),
+            "status": st.sampled_from(["done", "failed", "x,y"]),
+            "budget": st.floats(), "wall_time": st.floats(),
+        }), min_size=1, max_size=3))
+        groups.append((config, trials))
+    journal = _journal_of("".join(f"{n}: (0.0, 1.0)\n" for n in names), groups)
+    assert trials_csv(journal) == _reference_trials_csv(journal)
