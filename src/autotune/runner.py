@@ -225,13 +225,17 @@ class TrialRunner:
         # a checkpoint's packed payload is read when a live group resumes from it
         trials = []
         for seed, rec in zip(seeds, self.journal.take_group_if_pending(len(seeds))):
-            ckpt, path = None, rec.get("ckpt")
-            if rec.get("frac") is not None:  # a ckpt that is no path is rebuilt as None
+            cost, ckpt, path = _number(rec.get("cost")), None, rec.get("ckpt")
+            # a trial whose cost and status both say it failed keeps no
+            # checkpoint, as live; one that only its cost or only its status
+            # calls failed keeps it, so the mismatch names the edited field.
+            # A ckpt that is no path is rebuilt as None
+            failed = cost is None and rec.get("status") != DONE
+            if rec.get("frac") is not None and not failed:
                 name = _frame_name(self.groups_run, seed, budget)
                 path = os.path.join(os.path.dirname(path), name) if isinstance(path, str) else None
                 ckpt = CheckpointHandle(budget, None if path else b"", path)
-            trials.append((seed, _number(rec.get("cost")), ckpt, rec.get("error"),
-                           rec.get("wall_time")))
+            trials.append((seed, cost, ckpt, rec.get("error"), rec.get("wall_time")))
         return self._commit(live, trials)
 
     def _start_children(self) -> None:

@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -45,9 +47,12 @@ def journal(out):
 
 
 def test_fresh_run_exits_0(space, tmp_path, capsys):
-    assert tune(space, tmp_path / "run", "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
-    assert "repetition 0: incumbent cost" in capsys.readouterr().out
-    assert journal(tmp_path / "run").spend() == 3.0
+    sphere = ["--objective", "noisy_sphere", "--objective-param", "shift_sigma=0.2"]
+    for name, objective in (("valley", VALLEY), ("sphere", sphere)):
+        out = tmp_path / name
+        assert tune(space, out, "rs", *objective, *SEEDS, "--budget-runs", "3") == EXIT_OK
+        assert "repetition 0: incumbent cost" in capsys.readouterr().out
+        assert journal(out).spend() == 3.0
 
 
 def test_overlapping_seeds_exit_2(space, tmp_path, capsys):
@@ -445,26 +450,65 @@ GRIDWORLD_PBT = ["pbt", "--objective", "gridworld_q", "--budget-runs", "4", "--i
 
 def cut_after_group(out, count):
     """Cut ``out``'s journal after its ``count``-th group record, whose later
-    groups resume from checkpoints in its pack, and drop its exports."""
+    groups resume from checkpoints in its pack, and drop its exports if it wrote any."""
     path = out / "rep000" / JOURNAL_NAME
     lines = path.read_text().splitlines(keepends=True)
     ends = [i for i, line in enumerate(lines) if json.loads(line)["t"] == "group"]
     path.write_text("".join(lines[: ends[count - 1] + 1]))
-    shutil.rmtree(out / "exports")
+    if (out / "exports").exists():
+        shutil.rmtree(out / "exports")
 
 
-def test_a_run_with_a_relative_out_resumes_from_another_directory(tmp_path, monkeypatch):
-    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
-    for name in ("whole", "a", "b"):  # ends in b
-        (tmp_path / name).mkdir()
-        monkeypatch.chdir(tmp_path / name)
-        if name != "b":
-            assert tune("../g.txt", "run", *GRIDWORLD_PBT) == EXIT_OK
-    cut_after_group(tmp_path / "a" / "run", 9)
-    # the journal names its checkpoints by absolute paths, not from a/
-    assert tune("../g.txt", "../a/run", *GRIDWORLD_PBT) == EXIT_OK
-    whole = (tmp_path / "whole" / "run" / "exports" / "incumbents.csv").read_bytes()
-    assert (tmp_path / "a" / "run" / "exports" / "incumbents.csv").read_bytes() == whole
+STATEFUL_COMMAND = os.path.join(os.path.dirname(__file__), "data", "stateful_command.py")
+RESUMABLE = {  # name -> (space, tune arguments) of a PBT run that resumes from checkpoints
+    "gridworld": (GRIDWORLD_SPACE, GRIDWORLD_PBT),
+    # a training run that keeps its state in the file AUTOTUNE_CHECKPOINT names
+    "stateful-command": (
+        "lr: log(1e-05, 1.0)\nmomentum: (0.0, 0.99)\n",
+        ["pbt", "--objective", f"cmd:{shlex.join([sys.executable, STATEFUL_COMMAND])}",
+         "--budget-runs", "4", "--intervals", "4", "--tuning-seeds", "0", "--test-seeds", "1"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The exports directory of an uninterrupted run of each RESUMABLE run."""
+    exports = {}
+    for name, (space_text, args) in RESUMABLE.items():
+        root = tmp_path_factory.mktemp(name)
+        (root / "space.txt").write_text(space_text)
+        assert tune(str(root / "space.txt"), root / "run", *args) == EXIT_OK
+        exports[name] = root / "run" / "exports"
+    return exports
+
+
+def without_wall_time(trials_csv) -> list[list[str]]:
+    return [row[:-1] for row in csv.reader(io.StringIO(trials_csv.read_text()))]
+
+
+def assert_same_exports(exports, expected):
+    assert (exports / "incumbents.csv").read_bytes() == (expected / "incumbents.csv").read_bytes()
+    assert without_wall_time(exports / "trials.csv") == without_wall_time(
+        expected / "trials.csv"
+    )
+
+
+def test_a_run_with_a_relative_out_resumes_from_another_directory(
+    tmp_path, monkeypatch, uninterrupted
+):
+    for name, (space_text, args) in RESUMABLE.items():
+        root = tmp_path / name
+        for here in ("a", "b"):
+            (root / here).mkdir(parents=True)
+        (root / "s.txt").write_text(space_text)
+        monkeypatch.chdir(root / "a")
+        assert tune("../s.txt", "run", *args) == EXIT_OK
+        cut_after_group(root / "a" / "run", 9)
+        # the journal names its checkpoints by absolute paths, not from a/
+        monkeypatch.chdir(root / "b")
+        assert tune("../s.txt", "../a/run", *args) == EXIT_OK
+        assert_same_exports(root / "a" / "run" / "exports", uninterrupted[name])
 
 
 def test_a_resume_whose_pack_is_gone_exits_4(tmp_path, monkeypatch, capsys):
@@ -481,12 +525,12 @@ def test_a_resume_whose_pack_is_gone_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_a_journal_naming_checkpoints_relatively_resumes_from_another_directory(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, uninterrupted
 ):
     # older journals name each checkpoint from where their run started; from
     # b/ this one ended in "no checkpoint pack at run/rep000/...", exit 4
     (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
-    for name in ("whole", "a", "b"):  # ends in b
+    for name in ("a", "b"):  # ends in b
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)
         if name != "b":
@@ -499,27 +543,23 @@ def test_a_journal_naming_checkpoints_relatively_resumes_from_another_directory(
     assert absolute in text
     path.write_text(text.replace(absolute, checkpoints))
     assert tune("../g.txt", "../a/run", *GRIDWORLD_PBT) == EXIT_OK
-    whole = (tmp_path / "whole" / "run" / "exports" / "incumbents.csv").read_bytes()
+    whole = (uninterrupted["gridworld"] / "incumbents.csv").read_bytes()
     assert (tmp_path / "a" / "run" / "exports" / "incumbents.csv").read_bytes() == whole
 
 
-def without_wall_time(trials_csv) -> list[list[str]]:
-    return [row[:-1] for row in csv.reader(io.StringIO(trials_csv.read_text()))]
-
-
-def test_a_moved_run_directory_resumes_from_its_own_pack(tmp_path, monkeypatch):
+def test_a_moved_run_directory_resumes_from_its_own_pack(tmp_path, monkeypatch, uninterrupted):
     # the journal names checkpoints in run/, which no longer exists; this
     # ended in "no checkpoint pack at .../run/rep000/...", exit 4
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "g.txt").write_text(GRIDWORLD_SPACE)
-    for out in ("whole", "run"):
-        assert tune("g.txt", out, *GRIDWORLD_PBT) == EXIT_OK
-    cut_after_group(tmp_path / "run", 9)
-    shutil.move(tmp_path / "run", tmp_path / "moved")
-    assert tune("g.txt", "moved", *GRIDWORLD_PBT) == EXIT_OK
-    moved, whole = tmp_path / "moved" / "exports", tmp_path / "whole" / "exports"
-    assert (moved / "incumbents.csv").read_bytes() == (whole / "incumbents.csv").read_bytes()
-    assert without_wall_time(moved / "trials.csv") == without_wall_time(whole / "trials.csv")
+    for name, (space_text, args) in RESUMABLE.items():
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.chdir(root)
+        (root / "s.txt").write_text(space_text)
+        assert tune("s.txt", "run", *args) == EXIT_OK
+        cut_after_group(root / "run", 9)
+        shutil.move(root / "run", root / "moved")
+        assert tune("s.txt", "moved", *args) == EXIT_OK
+        assert_same_exports(root / "moved" / "exports", uninterrupted[name])
 
 
 def test_a_report_names_a_torn_last_record_on_stderr(space, tmp_path, capsys):
@@ -537,6 +577,7 @@ def test_report_on_a_missing_directory_exits_4(tmp_path, capsys):
     assert "no journals under" in capsys.readouterr().err
 
 
+@pytest.mark.corrupt_journal
 def test_corrupt_line_in_the_middle_exits_4(space, tmp_path, capsys):
     out = tmp_path / "run"
     assert tune(space, out, "rs", *VALLEY, *SEEDS, "--budget-runs", "3") == EXIT_OK
@@ -623,6 +664,10 @@ def test_worker_pool_writes_the_single_worker_journal(space, tmp_path):
     assert w1[0]["t"] == "header" and w1[0]["deterministic"] is True
     assert len(w1) > 30
     assert w2 == w1
+    # a finished run replayed at two workers writes nothing new
+    before = {path: path.read_bytes() for path in (tmp_path / "w1").rglob("*") if path.is_file()}
+    assert tune(space, tmp_path / "w1", *DEHB, "--workers", "2") == EXIT_OK
+    assert {path: path.read_bytes() for path in before} == before
 
 
 DEHB = ["dehb", *VALLEY, *SEEDS, "--min-budget", "0.1", "--eta", "3", "--budget-runs", "6"]
@@ -648,6 +693,31 @@ def test_an_unedited_cut_journal_resumes_to_the_uninterrupted_run(space, tmp_pat
         assert (out / "exports" / "incumbents.csv").read_bytes() == (
             whole / "exports" / "incumbents.csv"
         ).read_bytes()
+
+
+def test_a_run_killed_after_its_first_group_record_resumes_to_the_uninterrupted_run(
+    space, tmp_path
+):
+    whole, out = tmp_path / "whole", tmp_path / "run"
+    assert tune(space, whole, *DEHB) == EXIT_OK
+    pid = os.fork()
+    if pid == 0:  # the child is killed as soon as its first group record is flushed
+        try:
+            append_group = Journal.append_group
+
+            def append_group_then_die(self, *args):
+                append_group(self, *args)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            Journal.append_group = append_group_then_die
+            tune(space, out, *DEHB)
+        finally:
+            os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    assert len(journal(out).of_type("group")) == 1 < len(journal(whole).of_type("group"))
+    assert tune(space, out, *DEHB) == EXIT_OK
+    assert_same_exports(out / "exports", whole / "exports")
 
 
 def test_a_cut_journal_whose_group_tags_were_edited_exits_4(space, tmp_path, capsys):
@@ -750,6 +820,28 @@ def test_a_cut_pbt_journal_whose_frac_was_edited_exits_4(space, tmp_path, capsys
     capsys.readouterr()
     assert tune(space, out, *PBT) == EXIT_CORRUPT
     assert "resumed run diverged on group 0: frac='abc' recorded vs 0.25 requested" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_cut_journal_whose_failed_trial_was_given_a_checkpoint_exits_4(
+    space, tmp_path, capsys
+):
+    # a live failed trial keeps no checkpoint; this replayed one as kept and exited 3
+    script = tmp_path / "cost.sh"
+    script.write_text('[ "$AUTOTUNE_SEED" = 0 ] && exit 1\necho "cost=$LR"\n')
+    args = ["rs", "--objective", f"cmd:sh {script}", "--budget-runs", "2",
+            "--tuning-seeds", "0,1", "--test-seeds", "5"]
+    out = tmp_path / "run"
+    assert tune(space, out, *args) == EXIT_OBJECTIVE
+    cut_after_group(out, 1)
+    failed, kept = journal(out).of_type("trial")[:2]
+    assert failed["status"] == "failed" and kept["ckpt"]
+    ckpt = os.path.join(os.path.dirname(kept["ckpt"]), "g000000_s0_f1.000000.ckpt")
+    edit_first(out, "trial", lambda r: {"frac": 1.0, "ckpt": ckpt})
+    capsys.readouterr()
+    assert tune(space, out, *args) == EXIT_CORRUPT
+    assert f"resumed run diverged on group 0: ckpt={ckpt!r} recorded vs None requested" in (
         capsys.readouterr().err
     )
 

@@ -99,6 +99,7 @@ def test_torn_trailing_record_dropped_with_warning(tmp_path):
     assert any("torn" in w for w in loaded.warnings)
 
 
+@pytest.mark.corrupt_journal
 def test_mid_journal_corruption_is_hard_error(tmp_path):
     path = str(tmp_path / "journal.log")
     j = make_journal(path)
@@ -113,6 +114,7 @@ def test_mid_journal_corruption_is_hard_error(tmp_path):
         Journal.load(path)
 
 
+@pytest.mark.corrupt_journal
 def test_sequence_break_is_corruption(tmp_path):
     path = str(tmp_path / "journal.log")
     j = make_journal(path)

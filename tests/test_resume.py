@@ -28,7 +28,10 @@ METHODS = {  # name -> (method, budget in full runs)
     "dehb": (MethodSpec("dehb", options={"min_budget": 0.1, "eta": 3.0}), 6),
     "pbt": (MethodSpec("pbt", options={**PBT, "explore_mode": "perturb"}), 4),
     "pbt-gp": (MethodSpec("pbt", name="pbt-gp", options={**PBT, "explore_mode": "gp"}), 4),
+    "pbt-gp-warmstart": (MethodSpec("pbt", name="pbt-gp", options={
+        **PBT, "explore_mode": "gp", "warmstart_runs": 2}), 6),
 }
+RESUMED = [method for method in METHODS if method != "pbt-gp-warmstart"]
 
 
 EVALUATE = GridworldQ.evaluate
@@ -114,6 +117,10 @@ def test_parallel_journal_equals_the_sequential_one(tmp_path, method):
     run(tmp_path / "w1", method, workers=1)
     run(tmp_path / "w2", method, workers=2)
     assert records(tmp_path / "w2") == records(tmp_path / "w1")
+    # a promotion trains on in the process that trained its lower rung, or
+    # from step 0 in another, to the same payloads
+    packs = [(tmp_path / w / "checkpoints" / PACK_NAME).read_bytes() for w in ("w1", "w2")]
+    assert packs[0] == packs[1]
     for directory in ("w1", "w2"):
         groups = journal(tmp_path / directory).of_type("group")
         assert [g["group"] for g in groups] == list(range(len(groups)))
@@ -123,7 +130,7 @@ def test_parallel_journal_equals_the_sequential_one(tmp_path, method):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", RESUMED)
 def test_resume_from_a_cut_journal_in_a_new_directory(tmp_path, method, workers, ctrl_c):
     full, cut, resumed = tmp_path / "full", tmp_path / "cut", tmp_path / "resumed"
     run(full, method, workers)
