@@ -7,9 +7,11 @@ holds the pack, ``<directory>/checkpoints.pack``, and the name selects the
 frame. When a name occurs twice, the later frame wins.
 
 Appends are buffered until :meth:`CheckpointPack.flush`; a frame whose flush
-returned survives a process kill. A kill during a write can leave a torn
-last frame. Opening a pack for appending truncates it, with a logged
-warning; reading ignores it.
+returned survives a process kill. The runner hands the pack a group's frames
+at once (:meth:`CheckpointPack.extend`), and their headers and payloads go
+out in one write. A kill during a write can leave a torn last frame.
+Opening a pack for appending truncates it, with a logged warning; reading
+ignores it.
 A frame header that does not parse is :class:`PackError`. Only the
 :class:`autotune.runner.TrialRunner` opens packs; objectives get payloads.
 """
@@ -36,7 +38,7 @@ class CheckpointPack:
 
     ``CheckpointPack(directory)`` reads and scans on the first :meth:`read`;
     :meth:`open_for_append` scans at once, trims a torn last frame, and
-    accepts :meth:`append`.
+    accepts :meth:`append` and :meth:`extend`.
     """
 
     def __init__(self, directory: str):
@@ -67,15 +69,23 @@ class CheckpointPack:
 
     def append(self, name: str, payload: bytes) -> str:
         """Buffer one frame; returns the checkpoint's path."""
-        # the bytes of json.dumps({"name": name, "size": len(payload)}) + "\n";
-        # json.dumps encodes a str with encode_basestring_ascii
-        header = b'{"name": %s, "size": %d}\n' % (encode_basestring_ascii(name).encode(),
-                                                   len(payload))
-        self._writer.write(header + payload)
-        start = self._end + len(header)
-        self._index[name] = (start, len(payload))
-        self._end = start + len(payload)
-        return self._prefix + name
+        return self.extend([name], [payload])[0]
+
+    def extend(self, names: list[str], payloads: list[bytes]) -> list[str]:
+        """Buffer one frame for each name and the payload at its position,
+        all in one write; returns the checkpoints' paths."""
+        data, paths, end = bytearray(), [], self._end
+        for name, payload in zip(names, payloads):
+            # the bytes of json.dumps({"name": name, "size": len(payload)}) + "\n";
+            # json.dumps encodes a str with encode_basestring_ascii
+            data += b'{"name": %s, "size": %d}\n' % (encode_basestring_ascii(name).encode(),
+                                                     len(payload))
+            self._index[name] = (end + len(data), len(payload))
+            data += payload
+            paths.append(self._prefix + name)
+        self._writer.write(data)
+        self._end = end + len(data)
+        return paths
 
     def flush(self) -> None:
         self._writer.flush()

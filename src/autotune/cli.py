@@ -21,8 +21,10 @@ journal corruption.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -142,12 +144,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="autotune")
+    # argparse builds a HelpFormatter for each argument it adds, and each one
+    # would read the terminal's width: every parser here shares one reading
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = parser_class(prog="autotune")
     parser.add_argument("--version", action="version", version=f"autotune {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     tune = sub.add_parser("tune", help="run an optimizer")
-    tsub = tune.add_subparsers(dest="method", required=True)
+    tsub = tune.add_subparsers(dest="method", required=True, parser_class=parser_class)
 
     rs = tsub.add_parser("rs", help="random search at full budget")
     _add_common(rs)

@@ -19,11 +19,11 @@ corruption before the last record is a hard error.
 
 Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
 the record kept in memory is what a reader parses back from it. A live
-group's trial records are written from one template per group, which holds
-what they share (the sorted keys, ``budget``, ``group``, ``purpose``, ``t``
-and the config text) and takes each trial's other values as the C encoder
-writes them; a record the template does not fit is encoded whole (see
-:meth:`Journal.append_group`).
+group's trial records and its group record come from one template per
+group, which holds what they share (the sorted keys, ``budget``, ``group``,
+``purpose``, ``t`` and the config text, encoded once) and takes each
+record's other values as the C encoder writes them; a record the template
+does not fit is encoded whole (see :meth:`Journal.append_group`).
 """
 from __future__ import annotations
 
@@ -52,33 +52,37 @@ log = logging.getLogger(__name__)
 # fields excluded when comparing a replayed record to the recorded one
 _VOLATILE = ("seq", "wall_time")
 
-_ENCODER = json.JSONEncoder(sort_keys=True)
-# _ENCODER.encode builds a new C encoder on every call; each thread builds one,
-# with the markers dict of its circular-reference check, and keeps it
-_encoders = threading.local()
 
-if c_make_encoder is None:  # a Python built without json's C accelerator
-    _encode = _ENCODER.encode
-else:
+def _kept_encoder(template: json.JSONEncoder):
+    """``template.encode``, for an ``ensure_ascii`` encoder, through one C
+    encoder per thread: ``template.encode`` builds a new C encoder on every
+    call, and each thread here builds one, with the markers dict of its
+    circular-reference check, and keeps it."""
+    if c_make_encoder is None:  # a Python built without json's C accelerator
+        return template.encode
+    encoders = threading.local()
 
-    def _encode(value) -> str:
-        """``_ENCODER.encode(value)``, through this thread's C encoder."""
+    def encode(value) -> str:
         try:
-            markers, encoder = _encoders.pair
+            markers, encoder = encoders.pair
         except AttributeError:
             markers = {}
             encoder = c_make_encoder(
-                markers, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
-                _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
-                _ENCODER.skipkeys, _ENCODER.allow_nan,
+                markers, template.default, encode_basestring_ascii, template.indent,
+                template.key_separator, template.item_separator, template.sort_keys,
+                template.skipkeys, template.allow_nan,
             )
-            _encoders.pair = markers, encoder
+            encoders.pair = markers, encoder
         try:
             return "".join(encoder(value, 0))
         except BaseException:
             markers.clear()  # the containers it was inside when it raised
             raise
 
+    return encode
+
+
+_encode = _kept_encoder(json.JSONEncoder(sort_keys=True))
 
 # the types json.loads gives scalars back as, each for a value of that exact type
 _LEAVES = frozenset((str, int, float, bool, type(None)))
@@ -146,6 +150,14 @@ def _kept(record: dict, line: str) -> dict:
 # the keys of the trial records the runner writes, which _trial_lines fills in
 _TRIAL_KEYS = ("budget", "ckpt", "cost", "error", "frac", "group", "purpose", "seed",
                "status", "t", "wall_time")
+# the keys of the group records the runner writes, bar an optional "tags",
+# which _group_line fills in
+_GROUP_KEYS = ("budget", "failed", "group", "mean_cost", "purpose", "seeds", "spend", "t")
+
+_quote = encode_basestring_ascii  # the C encoder's text for a str
+_repr = float.__repr__  # its text for a finite exact float
+_INF = math.inf
+_INT, _STR = frozenset((int,)), frozenset((str,))  # exact types, as type() gives them
 
 
 def _text(value) -> str:
@@ -170,7 +182,9 @@ def _trial_lines(config_text: str, kept_config: dict, trials: list[dict], seq: i
     whole gives, built from one template of what they share. Raises
     :class:`_NotPlain` or :class:`KeyError` unless every trial has exactly
     the runner's keys, the first trial's ``budget``, ``group``, ``purpose``
-    and ``t`` objects, and values :func:`_text` takes."""
+    and ``t`` objects, and values :func:`_text` takes. The types a live
+    trial holds in each field are written inline, and :func:`_text` is
+    called only for the rest."""
     if not trials:
         return [], []
     first = trials[0]
@@ -187,10 +201,17 @@ def _trial_lines(config_text: str, kept_config: dict, trials: list[dict], seq: i
             raise _NotPlain
         ckpt, cost, error, frac = r["ckpt"], r["cost"], r["error"], r["frac"]
         seed, status, wall_time = r["seed"], r["status"], r["wall_time"]
-        lines.append(f'{head}{_text(ckpt)}{middle}{_text(cost)}, "error": {_text(error)}, '
-                     f'"frac": {budget_text if frac is budget else _text(frac)}'
-                     f'{shared}{_text(seed)}, "seq": {seq}, '
-                     f'"status": {_text(status)}{tail}{_text(wall_time)}}}')
+        cost_text = _repr(cost) if type(cost) is float and -_INF < cost < _INF else _text(cost)
+        wall_text = (_repr(wall_time) if type(wall_time) is float and -_INF < wall_time < _INF
+                     else _text(wall_time))
+        lines.append(
+            f'{head}{_quote(ckpt) if type(ckpt) is str else _text(ckpt)}{middle}{cost_text}'
+            f', "error": {_quote(error) if type(error) is str else _text(error)}'
+            f', "frac": {budget_text if frac is budget else _text(frac)}'
+            f'{shared}{int.__repr__(seed) if type(seed) is int else _text(seed)}, "seq": {seq}'
+            f', "status": {_quote(status) if type(status) is str else _text(status)}'
+            f'{tail}{wall_text}}}'
+        )
         kept.append({"budget": budget, "ckpt": ckpt, "config": kept_config, "cost": cost,
                      "error": error, "frac": frac, "group": group, "purpose": purpose,
                      "seed": seed, "seq": seq, "status": status, "t": t,
@@ -199,10 +220,60 @@ def _trial_lines(config_text: str, kept_config: dict, trials: list[dict], seq: i
     return lines, kept
 
 
+def _group_line(config_text: str, kept_config: dict, group: dict, seq: int):
+    """The line and kept record of ``group``, numbered ``seq``, with the
+    config whose text is ``config_text``: what encoding the record whole
+    gives, built from the group's template. Raises :class:`_NotPlain` or
+    :class:`KeyError` unless ``group`` has exactly the runner's keys, a
+    ``bool`` ``failed``, a list of exact ``int`` ``seeds``, ``tags``, if
+    any, a dict of ``str`` keys and exact ``int`` values, and other values
+    :func:`_text` takes."""
+    failed, seeds = group["failed"], group["seeds"]
+    if (len(group) != len(_GROUP_KEYS) + ("tags" in group) or type(failed) is not bool
+            or type(seeds) is not list or not {*map(type, seeds)} <= _INT):
+        raise _NotPlain
+    budget, number, t = group["budget"], group["group"], group["t"]
+    mean_cost, purpose, spend = group["mean_cost"], group["purpose"], group["spend"]
+    line = (f'{{"budget": {_text(budget)}, "config": {config_text}, '
+            f'"failed": {"true" if failed else "false"}, "group": {_text(number)}, '
+            f'"mean_cost": {_text(mean_cost)}, "purpose": {_text(purpose)}, '
+            f'"seeds": [{", ".join(map(int.__repr__, seeds))}], "seq": {seq}, '
+            f'"spend": {_text(spend)}, "t": {_text(t)}')
+    kept = {"budget": budget, "config": kept_config, "failed": failed, "group": number,
+            "mean_cost": mean_cost, "purpose": purpose, "seeds": list(seeds), "seq": seq,
+            "spend": spend, "t": t}
+    if "tags" in group:
+        tags = group["tags"]
+        if (type(tags) is not dict or not {*map(type, tags)} <= _STR
+                or not {*map(type, tags.values())} <= _INT):
+            raise _NotPlain
+        kept["tags"] = tags = {k: tags[k] for k in sorted(tags)}
+        line += ', "tags": {' + ", ".join(f"{_quote(k)}: {int.__repr__(v)}"
+                                         for k, v in tags.items()) + "}"
+    return line + "}", kept
+
+
 # where a record whose "config" is None holds it in its line. A quote inside
 # a string is always escaped, so this text never lies inside one: it appears
 # once for each "config" key with a null value, at any depth
 _CONFIG_SLOT = '"config": null'
+
+
+def _spliced(config: dict, config_text: str, kept_config: dict, record: dict, seq: int):
+    """The line and kept record of ``record`` with ``config`` as its
+    ``"config"``, numbered ``seq``: encoded with a null ``"config"`` and the
+    config's text spliced in, unless it holds a null ``"config"`` of its own
+    (in a tag, say) and is encoded whole."""
+    record = {**record, "config": None, "seq": seq}
+    line = _encode(record)
+    if line.count(_CONFIG_SLOT) == 1:
+        line = line.replace(_CONFIG_SLOT, '"config": ' + config_text)
+    else:
+        record["config"] = config
+        line = _encode(record)
+    kept = _kept(record, line)
+    kept["config"] = kept_config
+    return line, kept
 
 
 @dataclass
@@ -301,44 +372,46 @@ class Journal:
 
         Each line is the one :meth:`append` would write, and the kept
         records share one parsed copy of ``config``, which must not be
-        mutated. ``config`` is encoded once. The trial records are written
-        from one template (see :func:`_trial_lines`) when each has exactly
-        the runner's eleven keys (``budget``, ``ckpt``, ``cost``, ``error``,
-        ``frac``, ``group``, ``purpose``, ``seed``, ``status``, ``t``,
-        ``wall_time``), the first trial's ``budget``, ``group``, ``purpose``
-        and ``t`` objects, and only values that are a ``str``, an exact
-        ``int``, a finite exact ``float`` or None. Otherwise, and for the
-        group record always, each record is encoded with a null
-        ``"config"`` and the config text spliced in, unless it holds a null
-        ``"config"`` of its own (in a tag, say) and is encoded whole.
+        mutated. A live ``config`` is encoded once, and a replayed one only
+        when :func:`_plain` cannot copy it. The records are written from one
+        template per group: the trial records (see :func:`_trial_lines`)
+        when each has exactly the runner's eleven keys (``budget``,
+        ``ckpt``, ``cost``, ``error``, ``frac``, ``group``, ``purpose``,
+        ``seed``, ``status``, ``t``, ``wall_time``), the first trial's
+        ``budget``, ``group``, ``purpose`` and ``t`` objects, and only
+        values that are a ``str``, an exact ``int``, a finite exact
+        ``float`` or None; the group record (see :func:`_group_line`) when
+        it has the runner's keys and ``tags``, if any, of ``str`` keys and
+        exact ``int`` values. Any other record is encoded as
+        :func:`_spliced` says.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
-        text = _encode(config)
-        kept_config = _kept(config, text)
         if self._pending:
+            try:
+                kept_config = _plain(config)
+            except _NotPlain:
+                kept_config = json.loads(_encode(config))
             self._replay([{**record, "config": kept_config} for record in (*trials, group)])
             return
+        text = _encode(config)
+        kept_config = _kept(config, text)
         seq = (self.records[-1]["seq"] + 1) if self.records else 1
         try:
             lines, kept_records = _trial_lines(text, kept_config, trials, seq)
-            rest = (group,)
         except (_NotPlain, KeyError):  # a trial the template does not fit
-            lines, kept_records, rest = [], [], (*trials, group)
-        seq += len(lines)
-        for record in rest:
-            record = {**record, "config": None, "seq": seq}
-            line = _encode(record)
-            if line.count(_CONFIG_SLOT) == 1:
-                line = line.replace(_CONFIG_SLOT, '"config": ' + text)
-            else:
-                record["config"] = config
-                line = _encode(record)
-            kept = _kept(record, line)
-            kept["config"] = kept_config
-            kept_records.append(kept)
-            lines.append(line)
-            seq += 1
+            lines, kept_records = [], []
+            for i, record in enumerate(trials, start=seq):
+                line, kept = _spliced(config, text, kept_config, record, i)
+                lines.append(line)
+                kept_records.append(kept)
+        seq += len(trials)
+        try:
+            line, kept = _group_line(text, kept_config, group, seq)
+        except (_NotPlain, KeyError):
+            line, kept = _spliced(config, text, kept_config, group, seq)
+        lines.append(line)
+        kept_records.append(kept)
         self.records += kept_records  # only once every record has encoded
         self._write_line("\n".join(lines))
 

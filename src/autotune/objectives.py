@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import pickle
 import shlex
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .journal import _kept_encoder
 from .space import (
     ConfigSpace,
     Configuration,
@@ -89,14 +91,18 @@ class CheckpointHandle:
     path: str | None = None
 
 
+# json.dumps(values, sort_keys=True, separators=(",", ":")), through one kept
+# C encoder per thread
+_compact = _kept_encoder(json.JSONEncoder(sort_keys=True, separators=(",", ":")))
+
+
 def config_digest(config: Configuration) -> str:
     """Stable digest of a configuration (exact for floats via repr)."""
-    blob = json.dumps(config.values, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_compact(config.values).encode("utf-8")).hexdigest()
 
 
-def _derived_rng(*entropy) -> np.random.Generator:
-    """Deterministic stream keyed on strings/ints; independent of caller rngs.
+def _seed_sequence(*entropy) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of a stream keyed on strings/ints.
 
     Each item's text is hashed, and the first 16 bytes of each hash are read
     as four little-endian 32-bit words. ``SeedSequence`` takes them as one
@@ -104,7 +110,13 @@ def _derived_rng(*entropy) -> np.random.Generator:
     which it reads several times faster.
     """
     blob = b"".join(_text_words(str(item)) for item in entropy)
-    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(blob, dtype="<u4")))
+    return np.random.SeedSequence(np.frombuffer(blob, dtype="<u4"))
+
+
+def _derived_rng(*entropy) -> np.random.Generator:
+    """Deterministic stream keyed on strings/ints; independent of caller rngs
+    (see :func:`_seed_sequence`)."""
+    return np.random.default_rng(_seed_sequence(*entropy))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -151,11 +163,43 @@ class Objective:
             )
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# for each 32-bit word SeedSequence.generate_state(4, np.uint64) outputs, the
+# pool word it reads and its hash constant before and after that word:
+# INIT_B, multiplied by MULT_B once per word
+_STATE_HASHES = tuple(
+    (i % 4, 0x8B51F9DD * 0x58F38DED**i & _M32, 0x8B51F9DD * 0x58F38DED ** (i + 1) & _M32)
+    for i in range(8)
+)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's LCG multiplier
+
+
 def _bounded_noise(tag: str, digest: str, seed: int) -> float:
     """Deterministic zero-mean draw in [-1, 1] keyed on (objective, config
-    digest, seed)."""
-    rng = _derived_rng(tag, digest, seed)
-    return 2.0 * float(rng.random()) - 1.0
+    digest, seed): ``2 * _derived_rng(tag, digest, seed).random() - 1``.
+
+    It builds no ``Generator``. From the pool numpy's ``SeedSequence``
+    mixes, it repeats numpy's integer arithmetic: ``generate_state(4,
+    np.uint64)``, PCG64's seeding with those words (``pcg64_set_seed``),
+    one XSL-RR output, and ``random()``'s 53-bit double. The bits are
+    pinned against numpy by
+    ``tests/test_objectives.py::test_bounded_noise_is_the_generators_first_draw``.
+    """
+    pool = _seed_sequence(tag, digest, seed).pool.tolist()
+    words = []
+    for i, before, after in _STATE_HASHES:
+        word = (pool[i] ^ before) * after & _M32
+        words.append(word ^ word >> 16)
+    # four 64-bit words, each of two 32-bit words read little-endian: the
+    # seed's state and then its stream, each 128 bits with its high word first
+    state = (words[1] << 96) | (words[0] << 64) | (words[3] << 32) | words[2]
+    inc = ((words[5] << 96) | (words[4] << 64) | (words[7] << 32) | words[6]) << 1 | 1
+    # from state 0: one step, add the seed state, one step, and the draw's step
+    state = ((inc + state) * _PCG_MULT + inc) & _M128
+    state = (state * _PCG_MULT + inc) & _M128
+    x, rotation = ((state >> 64) ^ state) & _M64, state >> 122
+    x = (x >> rotation | x << (64 - rotation)) & _M64
+    return 2.0 * ((x >> 11) * (1.0 / 9007199254740992.0)) - 1.0
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -209,7 +253,7 @@ class SeededValley(Objective):
     name = "seeded_valley"
     cost_metric = "seed-shifted squared distance plus partial-budget penalty"
     penalty = 0.5  # cost of each fraction of a full run left untrained
-    _memo: list | None = None  # [config, its items, digest, unit vector or None]
+    _memo: list | None = None  # [config, its keys, its values, digest, unit vector or None]
 
     def __init__(
         self,
@@ -232,26 +276,28 @@ class SeededValley(Objective):
         self._terms: dict[tuple[str, str], tuple[float, float]] = {}
 
     def _slot(self, config: Configuration) -> list:
-        """``[config, its items, its digest, its unit vector or None]``.
+        """``[config, its keys, its values, its digest, its unit vector or None]``.
 
         The digest tells ``1``, ``1.0`` and ``True`` apart and ``0.0`` from
         ``-0.0``. A group evaluates one configuration object on every seed,
         so the last slot is kept; its unit vector is encoded on the first
         miss in ``_terms``, its only reader. A hit needs that object holding
-        the very same value objects. Under ``--workers`` each forked worker
-        has its own copy of the objective, slot and ``_terms``; a cost never
-        depends on what they hold.
+        equal keys, in the same order, and the very same value objects. Under
+        ``--workers`` each forked worker has its own copy of the objective,
+        slot and ``_terms``; a cost never depends on what they hold.
         """
-        items = tuple(config.values.items())
+        values = config.values
         memo = self._memo
         if (
             memo is not None
             and memo[0] is config
-            and len(memo[1]) == len(items)
-            and all(k == j and v is w for (k, v), (j, w) in zip(memo[1], items))
+            and len(memo[2]) == len(values)
+            and all(map(operator.is_, memo[2], values.values()))
+            and all(map(operator.eq, memo[1], values))
         ):
             return memo
-        memo = self._memo = [config, items, config_digest(config), None]
+        memo = self._memo = [config, tuple(values), tuple(values.values()),
+                             config_digest(config), None]
         return memo
 
     def optimum(self, seed: int) -> np.ndarray:
@@ -260,14 +306,14 @@ class SeededValley(Objective):
     def evaluate(self, config, budget, seed, resume=None):
         self._check_budget(budget, resume)
         slot = self._slot(config)
-        key = (slot[2], str(seed))
+        key = (slot[3], str(seed))
         terms = self._terms.get(key)
         if terms is None:
-            if slot[3] is None:
-                slot[3] = to_unit(self.space, config)
+            if slot[4] is None:
+                slot[4] = to_unit(self.space, config)
             opt = _seed_optimum(self.name, seed, self.dimension, self.sigma)
-            dist2 = float(np.sum((slot[3] - opt) ** 2))
-            terms = (dist2, _bounded_noise(self.name, slot[2], seed))
+            dist2 = float(np.sum((slot[4] - opt) ** 2))
+            terms = (dist2, _bounded_noise(self.name, slot[3], seed))
             if len(self._terms) >= _TERMS_CAP:
                 self._terms.clear()
             self._terms[key] = terms

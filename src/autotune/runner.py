@@ -224,7 +224,9 @@ class TrialRunner:
             return live
         # a checkpoint's packed payload is read when a live group resumes from it
         trials = []
-        for seed, rec in zip(seeds, self.journal.take_group_if_pending(len(seeds))):
+        recorded = self.journal.take_group_if_pending(len(seeds))
+        names = _frame_names(self.groups_run, budget, seeds)
+        for seed, rec, name in zip(seeds, recorded, names):
             cost, ckpt, path = _number(rec.get("cost")), None, rec.get("ckpt")
             # a trial whose cost and status both say it failed keeps no
             # checkpoint, as live; one that only its cost or only its status
@@ -232,10 +234,11 @@ class TrialRunner:
             # A ckpt that is no path is rebuilt as None
             failed = cost is None and rec.get("status") != DONE
             if rec.get("frac") is not None and not failed:
-                name = _frame_name(self.groups_run, seed, budget)
                 path = os.path.join(os.path.dirname(path), name) if isinstance(path, str) else None
                 ckpt = CheckpointHandle(budget, None if path else b"", path)
-            trials.append((seed, cost, ckpt, rec.get("error"), rec.get("wall_time")))
+            # a trial with a cost ran without error, live; a failed one keeps its message
+            error = "" if cost is not None else rec.get("error")
+            trials.append((seed, cost, ckpt, error, rec.get("wall_time")))
         return self._commit(live, trials)
 
     def _start_children(self) -> None:
@@ -277,7 +280,7 @@ class TrialRunner:
         group = self.groups_run
         checkpoints = {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         if not self.journal.replaying:
-            self._persist(group, checkpoints)
+            self._persist(group, live.budget, checkpoints)
         per_seed = [cost for _, cost, _, _, _ in trials]
         failed = any(cost is None for cost in per_seed)
         result = GroupResult(
@@ -318,14 +321,18 @@ class TrialRunner:
             self._packs[directory] = opened(directory)
         return self._packs[directory]
 
-    def _persist(self, group_id: int, checkpoints: dict) -> None:
-        """Pack a group's new checkpoints, setting each one's path, and flush
-        them, so every checkpoint its journal records name survives a kill."""
+    def _persist(self, group_id: int, budget: float, checkpoints: dict) -> None:
+        """Pack a group's new checkpoints, each of ``budget``, in one write,
+        setting each one's path, and flush them, so every checkpoint its
+        journal records name survives a kill."""
         if self.checkpoint_dir is None or not checkpoints:
             return
         pack = self._pack(self.checkpoint_dir)
-        for seed, h in checkpoints.items():
-            h.path = pack.append(_frame_name(group_id, seed, h.trained_fraction), h.payload)
+        handles = checkpoints.values()
+        paths = pack.extend(_frame_names(group_id, budget, checkpoints),
+                            [h.payload for h in handles])
+        for h, path in zip(handles, paths):
+            h.path = path
         pack.flush()
 
     def _read_resume(self, live: _LiveGroup) -> _LiveGroup:
@@ -342,9 +349,11 @@ class TrialRunner:
         return live
 
 
-def _frame_name(group: int, seed: int, budget: float) -> str:
-    """The name of the frame that packs a group's checkpoint on ``seed``."""
-    return f"g{group:06d}_s{seed}_f{budget:.6f}.ckpt"
+def _frame_names(group: int, budget: float, seeds) -> list[str]:
+    """The names of the frames that pack a group's checkpoints on ``seeds``,
+    live or replayed: the one definition of a frame's name."""
+    prefix, suffix = f"g{group:06d}_s", f"_f{budget:.6f}.ckpt"
+    return [f"{prefix}{seed}{suffix}" for seed in seeds]
 
 
 def _number(cost):

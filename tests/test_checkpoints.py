@@ -32,6 +32,47 @@ def write_pack(directory, frames):
     return paths
 
 
+class _CountingWriter:
+    """A pack's file, counting its writes."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_a_groups_frames_are_the_bytes_of_per_frame_appends_in_one_write(tmp_path):
+    frames = [("g000001_s0_f0.250000.ckpt", b""), ("g000001_s1_f0.250000.ckpt", b"x\n" * 9),
+              ("é☃.ckpt", b'{"name": "a", "size": 1}\n'), ("g000001_s0_f0.250000.ckpt", b"z")]
+    one = write_pack(tmp_path / "one", [("first.ckpt", b"before")])
+    pack = CheckpointPack.open_for_append(str(tmp_path / "group"))
+    pack.append("first.ckpt", b"before")
+    pack._writer = counting = _CountingWriter(pack._writer)
+    paths = pack.extend([name for name, _ in frames], [payload for _, payload in frames])
+    assert counting.writes == 1
+    pack.flush()
+    index = dict(pack._index)
+    pack.close()
+    one += write_pack(tmp_path / "one", frames)
+    assert paths == [os.path.join(str(tmp_path / "group"), name) for name, _ in frames]
+    assert [os.path.basename(p) for p in one[1:]] == [os.path.basename(p) for p in paths]
+    grouped = (tmp_path / "group" / PACK_NAME).read_bytes()
+    assert grouped == (tmp_path / "one" / PACK_NAME).read_bytes()
+    scanned = CheckpointPack(str(tmp_path / "group"))
+    assert read_checkpoint(paths[0]) == b"z" and read_checkpoint(paths[2]) == frames[2][1]
+    assert "first.ckpt" in scanned and scanned._index == index
+    scanned.close()
+    appended = CheckpointPack.open_for_append(str(tmp_path / "group"))
+    assert appended._end == len(grouped) and appended.extend([], []) == []
+    appended.close()
+    assert (tmp_path / "group" / PACK_NAME).read_bytes() == grouped
+
+
 def test_frames_round_trip_and_the_later_frame_wins(tmp_path):
     frames = [("a.ckpt", b"first"), ("b.ckpt", b"line\nbreaks\n"), ("a.ckpt", b"second")]
     paths = write_pack(tmp_path, frames)

@@ -1,5 +1,6 @@
 """``cli.main`` exit codes: 0 success, 2 usage error, 3 objective failure,
 4 journal corruption; and the journal a worker pool writes."""
+import argparse
 import csv
 import gc
 import hashlib
@@ -16,7 +17,7 @@ import warnings
 import pytest
 
 import autotune
-from autotune.cli import EXIT_CORRUPT, EXIT_OBJECTIVE, EXIT_OK, EXIT_USAGE, main
+from autotune.cli import EXIT_CORRUPT, EXIT_OBJECTIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from autotune.journal import Journal
 from autotune.protocol import MethodSpec
 from autotune.runs import JOURNAL_NAME
@@ -796,9 +797,11 @@ def edit_first(out, kind, edit):
     ("trial", lambda r: {"ckpt": os.path.join(os.path.dirname(r["ckpt"]), "renamed.ckpt")},
      "group 0: ckpt="),
     ("trial", lambda r: {"ckpt": 5}, "group 0: ckpt=5 recorded vs None requested"),
+    # a trial with a cost ran without error, live
+    ("trial", lambda r: {"error": "edited"}, "group 0: error='edited' recorded vs '' requested"),
 ], ids=["seed", "budget", "purpose", "trial-group", "config", "status", "tags", "mean_cost",
         "failed", "cost-str", "cost-list", "cost-dict", "frac-str", "frac", "ckpt-name",
-        "ckpt-int"])
+        "ckpt-int", "error"])
 def test_a_cut_journal_with_an_edited_record_exits_4_naming_the_field(
     space, tmp_path, capsys, kind, edit, named
 ):
@@ -844,6 +847,55 @@ def test_a_cut_journal_whose_failed_trial_was_given_a_checkpoint_exits_4(
     assert f"resumed run diverged on group 0: ckpt={ckpt!r} recorded vs None requested" in (
         capsys.readouterr().err
     )
+
+
+def test_a_failed_trial_replays_its_recorded_error(space, tmp_path, capsys):
+    # only a live run can say why a trial failed, so replay keeps its message
+    script = tmp_path / "cost.sh"
+    script.write_text('[ "$AUTOTUNE_SEED" = 0 ] && exit 1\necho "cost=$LR"\n')
+    args = ["rs", "--objective", f"cmd:sh {script}", "--budget-runs", "2",
+            "--tuning-seeds", "0,1", "--test-seeds", "5"]
+    out = tmp_path / "run"
+    assert tune(space, out, *args) == EXIT_OBJECTIVE
+    cut_after_group(out, 1)
+    edit_first(out, "trial", lambda r: {"error": "another message"})
+    assert tune(space, out, *args) == EXIT_OBJECTIVE
+    failed = journal(out).of_type("trial")[0]
+    assert failed["status"] == "failed" and failed["error"] == "another message"
+    assert len(journal(out).of_type("group")) == 2
+
+
+def _parsers(parser, words=()):
+    """The words that select each parser, ``parser`` and those below it, and
+    the parser."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                yield from _parsers(sub, (*words, word))
+
+
+@pytest.mark.parametrize("columns", ["52", "137"])
+def test_every_commands_help_is_argparses_at_the_terminal_width(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    want = {}
+    for words, parser in _parsers(build_parser()):
+        parser.formatter_class = argparse.HelpFormatter  # reads the width itself
+        want[words] = parser.format_help()
+    assert len(want) == 7 and all(text.count("\n") > 3 for text in want.values())
+    for words, text in want.items():
+        with pytest.raises(SystemExit) as exit_:
+            main([*words, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+def test_a_parser_reads_the_terminal_width_once(monkeypatch):
+    widths = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: widths.append(a) or real(*a))
+    build_parser().parse_args(["tune", "rs", "--space", "s", "--objective", "o", "--out", "d"])
+    assert len(widths) == 1
 
 
 def test_a_cut_journal_whose_trial_cost_was_nulled_exits_4_naming_the_status(

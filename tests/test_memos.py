@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import autotune.journal as journal_module
 import autotune.objectives as objectives_module
 import autotune.pbt as pbt_module
+from autotune.checkpoints import CheckpointPack
 from autotune.gp import GpFitError
 from autotune.journal import Journal, ReplayMismatch
 from autotune.objectives import GridworldQ, NoisySphere, ObjectiveSpec, SeededValley
@@ -389,6 +390,124 @@ def test_a_trial_off_the_runners_shape_in_one_way_writes_the_encoders_bytes(tmp_
         _assert_parsed_form(kept, json.loads(line))
 
 
+# a group record is written from one template per group; any record the
+# template does not fit is encoded whole, to the same bytes
+
+_GROUP_FITS = {
+    "as-is": {},
+    "tags": {"tags": {"rung": 2, "bracket": -1, "é☃": 2**70}},
+    "empty-tags": {"tags": {}},
+    "failed": {"failed": True, "mean_cost": None},
+    "no-seeds": {"seeds": []},
+    "str-group": {"group": "g0", "purpose": 'a "quoted" ☃'},
+}
+_GROUP_MISFITS = {
+    "extra-key": {"extra": 1},
+    "missing-key": {"spend": ...},
+    "config-key": {"config": None},
+    "nested-tag": {"tags": {"rung": {"k": 1}}},
+    "float-tag": {"tags": {"rung": 1.0}},
+    "bool-tag": {"tags": {"rung": True}},
+    "str-tag": {"tags": {"member": "a"}},
+    "int-key-tag": {"tags": {1: 2}},
+    "none-tags": {"tags": None},
+    "nan-mean": {"mean_cost": math.nan},
+    "inf-mean": {"mean_cost": math.inf},
+    "np-mean": {"mean_cost": np.float64(0.2)},
+    "tuple-seeds": {"seeds": (3, 1, 2)},
+    "bool-seed": {"seeds": [True, 1, 2]},
+    "int-failed": {"failed": 0},
+}
+
+
+def _edited_group(edit: dict) -> dict:
+    _, group = _group_records()
+    group.update(edit)
+    return {k: v for k, v in group.items() if v is not ...}
+
+
+@pytest.mark.parametrize("edit", [*_GROUP_FITS.values(), *_GROUP_MISFITS.values()],
+                         ids=[*_GROUP_FITS, *_GROUP_MISFITS])
+def test_a_group_record_writes_the_encoders_bytes(tmp_path, monkeypatch, edit):
+    encoded = []
+    real = journal_module._encode
+    monkeypatch.setattr(journal_module, "_encode", lambda v: encoded.append(v) or real(v))
+    group = _edited_group(edit)
+    trials, _ = _group_records()
+    config = {"lr": 0.5, "name": "gélu"}
+    j, lines, records = _appended_groups(tmp_path, [(config, trials, group)] * 2)
+    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+    assert all(r["config"] is j.records[0]["config"] for r in j.records[:4])
+    # the template encodes nothing but each group's config
+    fits = edit in _GROUP_FITS.values()
+    assert (encoded == [{"method": "x"} | {"t": "header"}, config, config]) is fits
+
+
+_group_fields = st.fixed_dictionaries(
+    {"t": st.just("group") | _texts, "group": st.integers(), "budget": _floats | st.integers(),
+     "seeds": st.lists(st.integers(), max_size=5), "spend": _floats,
+     "purpose": st.sampled_from(["tune", "test"]) | _texts,
+     "mean_cost": st.none() | _floats, "failed": st.booleans()},
+    optional={"tags": st.dictionaries(_texts, st.integers(), max_size=3) | _values},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=4),
+       group=_group_fields)
+def test_runner_shaped_group_records_write_the_encoders_bytes(config, group):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.log")
+        j = Journal.create(path)
+        j.write_header({"method": "x"})
+        j.append_group(config, [], group)
+        j.append_group(config, [], group)
+        j.close()
+        lines = _lines_of(path)
+    assert lines == [_ENCODE({**group, "config": config, "seq": i}) for i in (1, 2)]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
+
+
+def test_a_live_valley_run_writes_one_pack_write_per_group(tmp_path, monkeypatch):
+    writes = []
+    real = CheckpointPack.open_for_append
+
+    def counted(directory):
+        pack = real(directory)
+        fh = pack._writer
+
+        class Counting:
+            def write(self, data):
+                writes.append(data)
+                return fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
+        pack._writer = Counting()
+        return pack
+
+    monkeypatch.setattr(CheckpointPack, "open_for_append", staticmethod(counted))
+    run_repetition(
+        str(tmp_path), MethodSpec("dehb", options={"min_budget": 0.25, "eta": 2}),
+        "x0: (0.0, 1.0)\nx1: (0.0, 1.0)\n",
+        ObjectiveSpec("seeded_valley", {}), SeedPlan([0, 1, 2, 3, 4], [5, 6]), 4,
+        rng_seed=0, repetition=0,
+    )
+    trials = Journal.load(str(tmp_path / JOURNAL_NAME)).of_type("trial")
+    groups = {}
+    for t in trials:
+        assert t["ckpt"] is not None  # every valley trial leaves a checkpoint
+        groups.setdefault(t["group"], []).append(os.path.basename(t["ckpt"]).encode())
+    assert len(groups) > 5 and len(trials) > len(groups)
+    assert len(writes) == len(groups)
+    for data, names in zip(writes, groups.values()):
+        assert data == b"".join(b'{"name": "%s", "size": 0}\n' % name for name in names)
+
+
 def test_a_live_valley_run_never_encodes_a_trial_record(tmp_path, monkeypatch):
     encoded = []
     real = journal_module._encode
@@ -402,12 +521,12 @@ def test_a_live_valley_run_never_encodes_a_trial_record(tmp_path, monkeypatch):
     records = Journal.load(str(tmp_path / JOURNAL_NAME)).records
     groups = [r for r in records if r["t"] == "group"]
     assert len(groups) > 5 and {len(g["seeds"]) for g in groups} == {5, 1}
-    # the header, each group's config and its group record, and the records
-    # appended one by one (incumbents, complete)
+    # the header, each group's config, and the records appended one by one
+    # (incumbents, complete): trial and group records come from the template
     want = [encoded[0]]
     for r in records:
         if r["t"] == "group":
-            want += [r["config"], {**r, "config": None}]
+            want.append(r["config"])
         elif r["t"] != "trial":
             want.append(r)
     assert encoded[0]["t"] == "header"
@@ -574,9 +693,7 @@ def test_resume_of_an_intact_journal_reads_it_once_and_rewrites_nothing(tmp_path
     assert open(path, "rb").read() == before
 
 
-def test_a_replayed_run_encodes_its_header_and_each_groups_config_and_writes_nothing(
-    tmp_path, monkeypatch
-):
+def test_a_replayed_run_encodes_only_its_header_and_writes_nothing(tmp_path, monkeypatch):
     path, ckpts = str(tmp_path / "journal.log"), str(tmp_path / "checkpoints")
 
     def run(journal):
@@ -599,7 +716,8 @@ def test_a_replayed_run_encodes_its_header_and_each_groups_config_and_writes_not
     assert not resumed.replaying
     groups = resumed.of_type("group")
     assert len(groups) == 16 and {r["t"] for r in resumed.records} > {"exploit", "explore"}
-    assert encoded == [{"method": "pbt", "t": "header"}] + [g["config"] for g in groups]
+    # each replayed config is copied by _plain, never encoded
+    assert encoded == [{"method": "pbt", "t": "header"}]
     assert open(path, "rb").read() == before
     assert open(os.path.join(ckpts, "checkpoints.pack"), "rb").read() == pack
 

@@ -6,6 +6,7 @@ import pickle
 import stat
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -341,6 +342,63 @@ def test_the_memo_never_exceeds_its_cap(monkeypatch):
             assert 1 <= len(obj._terms) <= 5
             want = _memo_objective(SeededValley).evaluate(config, 1.0, seed)[0]
             assert cost.hex() == want.hex()
+
+
+# the valley's noise draw and config digest, without per-call builders
+
+
+def test_bounded_noise_is_the_generators_first_draw():
+    configs = [Configuration({"x": k / 7, "name": "naïve ☃ gélu"[: k % 13], "on": k % 2 == 0})
+               for k in range(50)]
+    digests = [config_digest(c) for c in configs]
+    seeds = [True, False, -1, -(2**31), -(2**70), 2**64, 2**64 + 1, 2**80, *range(-20, 80)]
+    keys = [(tag, d, seed) for tag in ("seeded_valley", "noisy_sphere") for d in digests
+            for seed in seeds]
+    assert len(keys) >= 10_000
+    for tag, digest, seed in keys:
+        want = 2.0 * derived_stream(tag, digest, seed).random() - 1.0
+        assert objectives_module._bounded_noise(tag, digest, seed).hex() == want.hex()
+
+
+_digest_values = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, None, "", "gélu", "☃\u2028\x00"]),
+    st.integers(), st.floats(), st.text(max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.dictionaries(st.text(max_size=6), _digest_values, min_size=1, max_size=5))
+def test_config_digest_is_the_compact_dumps_digest_from_every_thread(values):
+    config = Configuration(values)
+    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    want = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda _: config_digest(config), range(16)))
+    assert got == [want] * 16
+
+
+def test_a_reordered_or_mutated_configuration_misses_the_valleys_slot():
+    obj = SeededValley(sigma=0.25, noise=0.1, space=MIXED_SPACE)
+    config = Configuration({"x": 0.25, "lr": 0.01})
+    slot = obj._slot(config)
+    assert obj._slot(config) is slot
+    config.values["x"] = 0.5  # another value object under the same key
+    assert obj._slot(config) is not slot
+    slot = obj._slot(config)
+    config.values.pop("x")
+    config.values["x"] = 0.5  # the same objects, in another order
+    assert obj._slot(config) is not slot
+    other = Configuration(dict(config.values))
+    slot = obj._slot(other)
+    other.values["extra"] = 1  # one more key after the same ones
+    assert obj._slot(other) is not slot
+    slot = obj._slot(other)
+    other.values["renamed"] = other.values.pop("extra")  # the same value under another key
+    assert obj._slot(other) is not slot
+    fresh = SeededValley(sigma=0.25, noise=0.1, space=MIXED_SPACE)
+    for seed in range(3):
+        want = fresh.evaluate(Configuration(dict(config.values)), 1.0, seed)[0]
+        assert obj.evaluate(config, 1.0, seed)[0].hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
