@@ -6,10 +6,11 @@ checkpoint is addressed by the path ``<directory>/<name>``: the directory
 holds the pack, ``<directory>/checkpoints.pack``, and the name selects the
 frame. When a name occurs twice, the later frame wins.
 
-Appends are buffered until :meth:`CheckpointPack.flush`; a frame whose flush
-returned survives a process kill. The runner hands the pack a group's frames
-at once (:meth:`CheckpointPack.extend`), and their headers and payloads go
-out in one write. A kill during a write can leave a torn last frame.
+Frames are appended by :meth:`CheckpointPack.extend` alone, to which the
+runner hands a group's frames at once: their headers and payloads go out in
+one write, buffered until :meth:`CheckpointPack.flush`, and a frame whose
+flush returned survives a process kill. A kill during a write can leave a
+torn last frame.
 Opening a pack for appending truncates it, with a logged warning; reading
 ignores it.
 A frame header that does not parse is :class:`PackError`. Only the
@@ -38,7 +39,7 @@ class CheckpointPack:
 
     ``CheckpointPack(directory)`` reads and scans on the first :meth:`read`;
     :meth:`open_for_append` scans at once, trims a torn last frame, and
-    accepts :meth:`append` and :meth:`extend`.
+    accepts :meth:`extend`.
     """
 
     def __init__(self, directory: str):
@@ -66,10 +67,6 @@ class CheckpointPack:
             pack._index = {}
         pack._writer = open(pack.path, "ab")
         return pack
-
-    def append(self, name: str, payload: bytes) -> str:
-        """Buffer one frame; returns the checkpoint's path."""
-        return self.extend([name], [payload])[0]
 
     def extend(self, names: list[str], payloads: list[bytes]) -> list[str]:
         """Buffer one frame for each name and the payload at its position,

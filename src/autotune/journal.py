@@ -18,12 +18,13 @@ truncated trailing line (torn write) is dropped with a logged warning;
 corruption before the last record is a hard error.
 
 Every line is ``json.JSONEncoder(sort_keys=True).encode`` of its record, and
-the record kept in memory is what a reader parses back from it. A live
-group's trial records and its group record come from one template per
-group, which holds what they share (the sorted keys, ``budget``, ``group``,
-``purpose``, ``t`` and the config text, encoded once) and takes each
-record's other values as the C encoder writes them; a record the template
-does not fit is encoded whole (see :meth:`Journal.append_group`).
+the record kept in memory is what a reader parses back from it. The journal
+alone builds a group's records, from the values the runner hands
+:meth:`Journal.append_group`, and writes a live group's lines from one
+template per group, which holds what they share (the sorted keys,
+``budget``, ``group``, ``purpose`` and the config text, encoded once) and
+takes each record's other values as the C encoder writes them. The runner
+makes those values exact types, so every record fits the template.
 """
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ EXPLOIT = "exploit"
 EXPLORE = "explore"
 INCUMBENT = "incumbent"
 COMPLETE = "complete"
+DONE = "done"  # a trial record's status
+FAILED = "failed"
 TUNING = ("tune", "warmstart")  # the group purposes a run's budget pays for
 
 log = logging.getLogger(__name__)
@@ -147,133 +150,70 @@ def _kept(record: dict, line: str) -> dict:
         return json.loads(line)
 
 
-# the keys of the trial records the runner writes, which _trial_lines fills in
-_TRIAL_KEYS = ("budget", "ckpt", "cost", "error", "frac", "group", "purpose", "seed",
-               "status", "t", "wall_time")
-# the keys of the group records the runner writes, bar an optional "tags",
-# which _group_line fills in
-_GROUP_KEYS = ("budget", "failed", "group", "mean_cost", "purpose", "seeds", "spend", "t")
-
 _quote = encode_basestring_ascii  # the C encoder's text for a str
 _repr = float.__repr__  # its text for a finite exact float
-_INF = math.inf
-_INT, _STR = frozenset((int,)), frozenset((str,))  # exact types, as type() gives them
 
 
-def _text(value) -> str:
-    """The C encoder's text for ``value``, a ``str``, an exact ``int``, a
-    finite exact ``float`` or None; raises :class:`_NotPlain` for any other."""
-    t = type(value)
-    if t is str:
-        return encode_basestring_ascii(value)
-    if t is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-    elif t is int:
-        return int.__repr__(value)
-    elif value is None:
-        return "null"
-    raise _NotPlain
+def _float(value: float) -> str:
+    """The C encoder's text for an exact float: a group's ``mean_cost`` is
+    infinite when its finite per-seed costs sum past float range."""
+    return _repr(value) if math.isfinite(value) else _encode(value)
 
 
-def _trial_lines(config_text: str, kept_config: dict, trials: list[dict], seq: int):
-    """The lines and kept records of ``trials``, numbered from ``seq``, each
-    with the config whose text is ``config_text``: what encoding each record
-    whole gives, built from one template of what they share. Raises
-    :class:`_NotPlain` or :class:`KeyError` unless every trial has exactly
-    the runner's keys, the first trial's ``budget``, ``group``, ``purpose``
-    and ``t`` objects, and values :func:`_text` takes. The types a live
-    trial holds in each field are written inline, and :func:`_text` is
-    called only for the rest."""
-    if not trials:
-        return [], []
-    first = trials[0]
-    budget, group, purpose, t = first["budget"], first["group"], first["purpose"], first["t"]
-    budget_text = _text(budget)  # also the text of a frac set to the group's budget
-    head = '{"budget": ' + budget_text + ', "ckpt": '
+def _group_records(seq: int, config: dict, group: int, budget: float, purpose: str,
+                   tags: dict | None, spend: float, mean_cost: float | None,
+                   trials: list[tuple]) -> list[dict]:
+    """The records of one group, numbered from ``seq``, each holding
+    ``config`` and its keys in sorted order: a trial record per ``(seed,
+    cost, error, wall_time, ckpt, frac)`` in ``trials``, failed where its
+    cost is None, and then the group record, failed when ``mean_cost`` is
+    None, with ``tags``, if any, sorted."""
+    records = [
+        {"budget": budget, "ckpt": ckpt, "config": config, "cost": cost, "error": error,
+         "frac": frac, "group": group, "purpose": purpose, "seed": seed, "seq": i,
+         "status": DONE if cost is not None else FAILED, "t": TRIAL, "wall_time": wall_time}
+        for i, (seed, cost, error, wall_time, ckpt, frac) in enumerate(trials, start=seq)
+    ]
+    last = {"budget": budget, "config": config, "failed": mean_cost is None, "group": group,
+            "mean_cost": mean_cost, "purpose": purpose, "seeds": [t[0] for t in trials],
+            "seq": seq + len(trials), "spend": spend, "t": GROUP}
+    if tags:
+        last["tags"] = {k: tags[k] for k in sorted(tags)}
+    return records + [last]
+
+
+def _group_lines(config_text: str, records: list[dict]) -> str:
+    """The lines of one live group's records from :func:`_group_records`,
+    whose config's text is ``config_text``: what encoding each record whole
+    gives, written from one template of what they share (the sorted keys,
+    ``budget``, ``group``, ``purpose`` and the config text). Every value is
+    of the exact type the runner hands over, and every float but the
+    group's ``spend`` and ``mean_cost`` is finite."""
+    *trials, last = records
+    budget, group, purpose = _repr(last["budget"]), last["group"], _quote(last["purpose"])
+    head = '{"budget": ' + budget + ', "ckpt": '
     middle = ', "config": ' + config_text + ', "cost": '
-    shared = ', "group": ' + _text(group) + ', "purpose": ' + _text(purpose) + ', "seed": '
-    tail = ', "t": ' + _text(t) + ', "wall_time": '
-    lines, kept = [], []
-    for r in trials:
-        if (len(r) != len(_TRIAL_KEYS) or r["budget"] is not budget or r["group"] is not group
-                or r["purpose"] is not purpose or r["t"] is not t):
-            raise _NotPlain
-        ckpt, cost, error, frac = r["ckpt"], r["cost"], r["error"], r["frac"]
-        seed, status, wall_time = r["seed"], r["status"], r["wall_time"]
-        cost_text = _repr(cost) if type(cost) is float and -_INF < cost < _INF else _text(cost)
-        wall_text = (_repr(wall_time) if type(wall_time) is float and -_INF < wall_time < _INF
-                     else _text(wall_time))
-        lines.append(
-            f'{head}{_quote(ckpt) if type(ckpt) is str else _text(ckpt)}{middle}{cost_text}'
-            f', "error": {_quote(error) if type(error) is str else _text(error)}'
-            f', "frac": {budget_text if frac is budget else _text(frac)}'
-            f'{shared}{int.__repr__(seed) if type(seed) is int else _text(seed)}, "seq": {seq}'
-            f', "status": {_quote(status) if type(status) is str else _text(status)}'
-            f'{tail}{wall_text}}}'
-        )
-        kept.append({"budget": budget, "ckpt": ckpt, "config": kept_config, "cost": cost,
-                     "error": error, "frac": frac, "group": group, "purpose": purpose,
-                     "seed": seed, "seq": seq, "status": status, "t": t,
-                     "wall_time": wall_time})
-        seq += 1
-    return lines, kept
-
-
-def _group_line(config_text: str, kept_config: dict, group: dict, seq: int):
-    """The line and kept record of ``group``, numbered ``seq``, with the
-    config whose text is ``config_text``: what encoding the record whole
-    gives, built from the group's template. Raises :class:`_NotPlain` or
-    :class:`KeyError` unless ``group`` has exactly the runner's keys, a
-    ``bool`` ``failed``, a list of exact ``int`` ``seeds``, ``tags``, if
-    any, a dict of ``str`` keys and exact ``int`` values, and other values
-    :func:`_text` takes."""
-    failed, seeds = group["failed"], group["seeds"]
-    if (len(group) != len(_GROUP_KEYS) + ("tags" in group) or type(failed) is not bool
-            or type(seeds) is not list or not {*map(type, seeds)} <= _INT):
-        raise _NotPlain
-    budget, number, t = group["budget"], group["group"], group["t"]
-    mean_cost, purpose, spend = group["mean_cost"], group["purpose"], group["spend"]
-    line = (f'{{"budget": {_text(budget)}, "config": {config_text}, '
-            f'"failed": {"true" if failed else "false"}, "group": {_text(number)}, '
-            f'"mean_cost": {_text(mean_cost)}, "purpose": {_text(purpose)}, '
-            f'"seeds": [{", ".join(map(int.__repr__, seeds))}], "seq": {seq}, '
-            f'"spend": {_text(spend)}, "t": {_text(t)}')
-    kept = {"budget": budget, "config": kept_config, "failed": failed, "group": number,
-            "mean_cost": mean_cost, "purpose": purpose, "seeds": list(seeds), "seq": seq,
-            "spend": spend, "t": t}
-    if "tags" in group:
-        tags = group["tags"]
-        if (type(tags) is not dict or not {*map(type, tags)} <= _STR
-                or not {*map(type, tags.values())} <= _INT):
-            raise _NotPlain
-        kept["tags"] = tags = {k: tags[k] for k in sorted(tags)}
-        line += ', "tags": {' + ", ".join(f"{_quote(k)}: {int.__repr__(v)}"
-                                         for k, v in tags.items()) + "}"
-    return line + "}", kept
-
-
-# where a record whose "config" is None holds it in its line. A quote inside
-# a string is always escaped, so this text never lies inside one: it appears
-# once for each "config" key with a null value, at any depth
-_CONFIG_SLOT = '"config": null'
-
-
-def _spliced(config: dict, config_text: str, kept_config: dict, record: dict, seq: int):
-    """The line and kept record of ``record`` with ``config`` as its
-    ``"config"``, numbered ``seq``: encoded with a null ``"config"`` and the
-    config's text spliced in, unless it holds a null ``"config"`` of its own
-    (in a tag, say) and is encoded whole."""
-    record = {**record, "config": None, "seq": seq}
-    line = _encode(record)
-    if line.count(_CONFIG_SLOT) == 1:
-        line = line.replace(_CONFIG_SLOT, '"config": ' + config_text)
-    else:
-        record["config"] = config
-        line = _encode(record)
-    kept = _kept(record, line)
-    kept["config"] = kept_config
-    return line, kept
+    shared = f', "group": {group}, "purpose": {purpose}, "seed": '
+    lines = [
+        f'{head}{"null" if r["ckpt"] is None else _quote(r["ckpt"])}'
+        f'{middle}{"null" if r["cost"] is None else _repr(r["cost"])}'
+        f', "error": {_quote(r["error"])}'
+        f', "frac": {"null" if r["frac"] is None else _repr(r["frac"])}'
+        f'{shared}{r["seed"]}, "seq": {r["seq"]}, "status": {_quote(r["status"])}'
+        f', "t": "trial", "wall_time": {_repr(r["wall_time"])}}}'
+        for r in trials
+    ]
+    mean_cost = last["mean_cost"]
+    line = (f'{{"budget": {budget}, "config": {config_text}, '
+            f'"failed": {"true" if last["failed"] else "false"}, "group": {group}, '
+            f'"mean_cost": {"null" if mean_cost is None else _float(mean_cost)}, '
+            f'"purpose": {purpose}, "seeds": [{", ".join(map(str, last["seeds"]))}], '
+            f'"seq": {last["seq"]}, "spend": {_float(last["spend"])}, "t": "group"')
+    if "tags" in last:
+        tags = ", ".join(f"{_quote(k)}: {v}" for k, v in last["tags"].items())
+        line += ', "tags": {' + tags + "}"
+    lines.append(line + "}")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -364,56 +304,42 @@ class Journal:
         self._write_line(line)
         return seq
 
-    def append_group(self, config: dict, trials: list[dict], group: dict) -> None:
-        """Append one evaluation group, ``trials`` and then ``group``, each
-        with ``config`` as its ``"config"``, and flush once; while the
-        journal replays, check and consume the recorded group instead (see
-        :meth:`_replay`).
+    def append_group(self, config: dict, group: int, budget: float, purpose: str,
+                     tags: dict | None, spend: float, mean_cost: float | None,
+                     trials: list[tuple]) -> None:
+        """Append one evaluation group, its trial records and then its group
+        record (see :func:`_group_records`), each with ``config`` as its
+        ``"config"``, and flush once; while the journal replays, check and
+        consume the recorded group instead (see :meth:`_replay`).
 
-        Each line is the one :meth:`append` would write, and the kept
+        Only :meth:`autotune.runner.TrialRunner._commit` calls this, with
+        values of the types it makes them: ``group`` and each seed an exact
+        ``int``; ``budget``, ``spend`` and each trial's ``wall_time`` an exact
+        ``float``; ``purpose``, each ``error`` and each ``ckpt`` that is not
+        None an exact ``str``; each ``cost`` a finite exact ``float`` or None,
+        and each ``frac`` the budget or None; ``tags`` None or a dict of
+        exact ``str`` keys and ``int`` values. Each line is the one
+        :meth:`append` would write (see :func:`_group_lines`), and the kept
         records share one parsed copy of ``config``, which must not be
         mutated. A live ``config`` is encoded once, and a replayed one only
-        when :func:`_plain` cannot copy it. The records are written from one
-        template per group: the trial records (see :func:`_trial_lines`)
-        when each has exactly the runner's eleven keys (``budget``,
-        ``ckpt``, ``cost``, ``error``, ``frac``, ``group``, ``purpose``,
-        ``seed``, ``status``, ``t``, ``wall_time``), the first trial's
-        ``budget``, ``group``, ``purpose`` and ``t`` objects, and only
-        values that are a ``str``, an exact ``int``, a finite exact
-        ``float`` or None; the group record (see :func:`_group_line`) when
-        it has the runner's keys and ``tags``, if any, of ``str`` keys and
-        exact ``int`` values. Any other record is encoded as
-        :func:`_spliced` says.
+        when :func:`_plain` cannot copy it.
         """
         if self.header is None:
             raise JournalError("header must be written before records")
+        seq = (self.records[-1]["seq"] + 1) if self.records else 1
+        values = group, budget, purpose, tags, spend, mean_cost, trials
         if self._pending:
             try:
                 kept_config = _plain(config)
             except _NotPlain:
                 kept_config = json.loads(_encode(config))
-            self._replay([{**record, "config": kept_config} for record in (*trials, group)])
+            self._replay(_group_records(seq, kept_config, *values))
             return
         text = _encode(config)
-        kept_config = _kept(config, text)
-        seq = (self.records[-1]["seq"] + 1) if self.records else 1
-        try:
-            lines, kept_records = _trial_lines(text, kept_config, trials, seq)
-        except (_NotPlain, KeyError):  # a trial the template does not fit
-            lines, kept_records = [], []
-            for i, record in enumerate(trials, start=seq):
-                line, kept = _spliced(config, text, kept_config, record, i)
-                lines.append(line)
-                kept_records.append(kept)
-        seq += len(trials)
-        try:
-            line, kept = _group_line(text, kept_config, group, seq)
-        except (_NotPlain, KeyError):
-            line, kept = _spliced(config, text, kept_config, group, seq)
-        lines.append(line)
-        kept_records.append(kept)
-        self.records += kept_records  # only once every record has encoded
-        self._write_line("\n".join(lines))
+        records = _group_records(seq, _kept(config, text), *values)
+        lines = _group_lines(text, records)
+        self.records += records
+        self._write_line(lines)
 
     def take_group_if_pending(self, trials: int) -> list[dict] | None:
         """During replay, the recorded trial records of the next evaluation

@@ -64,10 +64,6 @@ from .space import (
     to_unit,
 )
 
-DONE = "done"
-FAILED = "failed"
-
-
 class EvaluationError(RuntimeError):
     """A trial failed; carries captured output when available."""
 

@@ -9,14 +9,15 @@ every tuning seed; its spend is the budget fraction (seeds are the protocol's
 price of reliability, not extra tuning budget). Every trial and group lands
 in the journal; when the journal is in replay mode the runner reads what
 the objective produced from the recorded trial records instead of calling
-it, and builds the group as a live one (:meth:`TrialRunner._commit`), whose
-records the journal checks whole: that is what makes interrupted runs
-resumable bit-for-bit. An objective returns its state as bytes; the runner
-gives each checkpoint, live or replayed, its group's budget and its frame's
-name. Before a live group resumes from a replayed checkpoint, the runner
-reads its payload from ``checkpoint_dir``'s pack when that holds the frame,
-else from the recorded pack: a run directory owns its frames, so a copied
-run never reads a pack that has replaced the original's.
+it, and commits the group as a live one (:meth:`TrialRunner._commit`): the
+journal builds its records from the same values and checks them whole.
+That is what makes interrupted runs resumable bit-for-bit. An objective
+returns its state as bytes; the runner gives each checkpoint, live or
+replayed, its group's budget and its frame's name. Before a live group
+resumes from a replayed checkpoint, the runner reads its payload from
+``checkpoint_dir``'s pack when that holds the frame, else from the recorded
+pack: a run directory owns its frames, so a copied run never reads a pack
+that has replaced the original's.
 
 One rule holds at every worker count: groups are journaled in request order,
 a batch stops at the first group that raised (the groups before it are
@@ -29,6 +30,7 @@ calling process.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -36,14 +38,8 @@ import time
 from dataclasses import dataclass
 
 from .checkpoints import CheckpointPack
-from .journal import COMPLETE, GROUP, INCUMBENT, TRIAL, Journal
-from .objectives import (
-    DONE,
-    FAILED,
-    CheckpointHandle,
-    EvaluationError,
-    Objective,
-)
+from .journal import COMPLETE, DONE, INCUMBENT, Journal
+from .objectives import CheckpointHandle, EvaluationError, Objective
 from .space import Configuration
 
 
@@ -153,12 +149,12 @@ class TrialRunner:
         journaled; the first group that raises ends the batch, after the
         groups before it are journaled. The groups the journal replays come
         first, since a live group starts only once the replay queue is empty.
-        A malformed live request (bad seeds) raises before any live group
-        runs. The live groups are split into contiguous chunks: worker
-        processes, forked on the first batch that needs them, evaluate all
-        but the first, which this process evaluates meanwhile, one group at a
-        time; then it journals theirs. With no worker processes the first
-        chunk is the whole batch.
+        A malformed live request (bad seeds, budget, purpose or tags) raises
+        before any live group runs. The live groups are split into
+        contiguous chunks: worker processes, forked on the first batch that
+        needs them, evaluate all but the first, which this process evaluates
+        meanwhile, one group at a time; then it journals theirs. With no
+        worker processes the first chunk is the whole batch.
         """
         results = []
         while len(results) < len(requests) and self.journal.replaying:
@@ -217,8 +213,17 @@ class TrialRunner:
 
     def _start(self, config, budget, seeds=None, purpose="tune", resume=None, tags=None):
         """A replayed group's result, committed from the objective's outputs
-        and the pack directory its trial records hold, or a live group."""
+        and the pack directory its trial records hold, or a live group. A
+        malformed request raises ValueError naming the field."""
         seeds = tuple(self.seeds) if seeds is None else _checked_seeds(seeds)
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Real) or not 0 < budget <= 1:
+            raise ValueError(f"budget must be a real number in (0, 1], got {budget!r}")
+        if type(purpose) is not str:
+            raise ValueError(f"purpose must be a str, got {purpose!r}")
+        if tags is not None and (type(tags) is not dict or any(
+                type(k) is not str or type(v) is not int for k, v in tags.items())):
+            raise ValueError(f"tags must be a dict of str keys and int values, got {tags!r}")
+        budget = float(budget)
         live = _LiveGroup(config, budget, seeds, purpose, resume, tags)
         if not self.journal.replaying:
             return live
@@ -276,7 +281,9 @@ class TrialRunner:
         """Journal a group's trials and itself under the next id and return
         its result, for live and replayed groups alike: ``trials`` are the
         objective's outputs, from :func:`_run_group` or from the journal.
-        Only a live group's checkpoints are persisted."""
+        Only a live group's checkpoints are persisted. The journal builds
+        the group's records from the values handed to it; they are of the
+        exact types that :meth:`Journal.append_group` lists."""
         group = self.groups_run
         checkpoints = {seed: ckpt for seed, _, ckpt, _, _ in trials if ckpt is not None}
         if not self.journal.replaying:
@@ -286,31 +293,16 @@ class TrialRunner:
         result = GroupResult(
             group, live.config, live.budget, live.seeds, per_seed, failed, checkpoints
         )
-        trial_recs = [
-            {
-                "t": TRIAL,
-                "group": group,
-                "budget": live.budget,
-                "seed": seed,
-                "cost": cost,
-                "status": DONE if cost is not None else FAILED,
-                "error": error,
-                "wall_time": wall,
-                "ckpt": checkpoints[seed].path if seed in checkpoints else None,
-                "frac": checkpoints[seed].trained_fraction if seed in checkpoints else None,
-                "purpose": live.purpose,
-            }
-            for seed, cost, _, error, wall in trials
-        ]
         # spend is the training added: resuming from f to budget b costs b - f
         handles = (live.resume or {}).values()
         resumed = max((h.trained_fraction for h in handles if h is not None), default=0.0)
-        group_rec = {"t": GROUP, "group": group, "budget": live.budget, "seeds": list(live.seeds),
-                     "spend": live.budget - resumed, "purpose": live.purpose,
-                     "mean_cost": result.mean_cost, "failed": result.failed}
-        if live.tags:
-            group_rec["tags"] = live.tags
-        self.journal.append_group(live.config.values, trial_recs, group_rec)
+        self.journal.append_group(
+            live.config.values, group, live.budget, live.purpose, live.tags,
+            float(live.budget - resumed), result.mean_cost,
+            [(seed, cost, error, wall, None if ckpt is None else ckpt.path,
+              None if ckpt is None else ckpt.trained_fraction)
+             for seed, cost, ckpt, error, wall in trials],
+        )
         self.groups_run += 1
         return result
 
@@ -357,18 +349,19 @@ def _frame_names(group: int, budget: float, seeds) -> list[str]:
 
 
 def _number(cost):
-    """``cost`` if it is a finite number, else None: any other cost fails
-    its trial, live or replayed, where the rebuilt record then differs."""
+    """``cost`` as the float it equals if it is a finite number, else None:
+    any other cost fails its trial, live or replayed, where the rebuilt
+    record then differs."""
     try:
-        return cost if math.isfinite(cost) else None
+        return float(cost) if math.isfinite(cost) else None
     except (TypeError, OverflowError):  # None, not a number, or an int past float range
         return None
 
 
 def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
-    """(seed, cost, checkpoint at the group's budget, error, wall time) per
-    seed; a failure or a cost that is not a finite number leaves cost and
-    checkpoint None."""
+    """(seed, cost as a float, checkpoint at the group's budget, error, wall
+    time) per seed; a failure or a cost that is not a finite number leaves
+    cost and checkpoint None."""
     trials = []
     for seed in live.seeds:
         handle = None if live.resume is None else live.resume.get(seed)
@@ -378,10 +371,11 @@ def _run_group(objective: Objective, live: _LiveGroup) -> list[tuple]:
             cost, payload = objective.evaluate(live.config, live.budget, seed, resume=handle)
         except EvaluationError as err:
             error = str(err)
-        if cost is not None and _number(cost) is None:
-            cost, payload, error = None, None, f"non-finite cost {cost!r}"
+        number = _number(cost)
+        if cost is not None and number is None:
+            payload, error = None, f"non-finite cost {cost!r}"
         ckpt = None if payload is None else CheckpointHandle(live.budget, payload)
-        trials.append((seed, cost, ckpt, error, time.perf_counter() - t0))
+        trials.append((seed, number, ckpt, error, time.perf_counter() - t0))
     return trials
 
 

@@ -39,8 +39,8 @@ import numpy as np
 
 from ._version import __version__
 from .checklist import emit_checklist
-from .journal import GROUP, TRIAL, Journal, JournalError, space_digest
-from .objectives import DONE, FAILED, ObjectiveSpec, make_objective
+from .journal import DONE, FAILED, GROUP, TRIAL, Journal, JournalError, space_digest
+from .objectives import ObjectiveSpec, make_objective
 from .protocol import (
     IncumbentReport,
     MethodSpec,

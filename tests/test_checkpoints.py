@@ -26,7 +26,7 @@ def read_checkpoint(path):
 
 def write_pack(directory, frames):
     pack = CheckpointPack.open_for_append(str(directory))
-    paths = [pack.append(name, payload) for name, payload in frames]
+    paths = [pack.extend([name], [payload])[0] for name, payload in frames]
     pack.flush()
     pack.close()
     return paths
@@ -51,7 +51,7 @@ def test_a_groups_frames_are_the_bytes_of_per_frame_appends_in_one_write(tmp_pat
               ("é☃.ckpt", b'{"name": "a", "size": 1}\n'), ("g000001_s0_f0.250000.ckpt", b"z")]
     one = write_pack(tmp_path / "one", [("first.ckpt", b"before")])
     pack = CheckpointPack.open_for_append(str(tmp_path / "group"))
-    pack.append("first.ckpt", b"before")
+    pack.extend(["first.ckpt"], [b"before"])
     pack._writer = counting = _CountingWriter(pack._writer)
     paths = pack.extend([name for name, _ in frames], [payload for _, payload in frames])
     assert counting.writes == 1
@@ -90,7 +90,7 @@ def test_empty_payload_round_trips(tmp_path):
     [path] = write_pack(tmp_path, [("empty.ckpt", b"")])
     assert read_checkpoint(path) == b""
     appended = CheckpointPack.open_for_append(str(tmp_path))
-    appended.append("after.ckpt", b"x")
+    appended.extend(["after.ckpt"], [b"x"])
     assert appended.read("empty.ckpt") == b""
     assert appended.read("after.ckpt") == b"x"  # readable before an explicit flush
     appended.close()
@@ -125,7 +125,7 @@ def test_torn_last_frame_is_ignored_on_read_and_trimmed_on_append(tmp_path, cut)
 
     pack = CheckpointPack.open_for_append(str(tmp_path))
     assert pack.warnings and "torn" in pack.warnings[0]
-    pack.append("b.ckpt", b"again")
+    pack.extend(["b.ckpt"], [b"again"])
     pack.flush()
     pack.close()
     assert read_checkpoint(paths[0]) == b"alpha"

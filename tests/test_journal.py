@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import autotune
@@ -16,6 +18,7 @@ from autotune.journal import (
 )
 from autotune.objectives import NoisySphere, SeededValley
 from autotune.runner import TrialRunner
+from autotune.runs import trials_csv
 from autotune.space import ConfigSpace, Configuration, continuous
 
 HEADER = {"method": "rs", "space_digest": "abc", "budget_runs": 4}
@@ -173,7 +176,8 @@ def test_a_replayed_record_is_checked_whole_but_for_seq_and_wall_time(tmp_path):
 def test_a_replayed_group_must_hold_one_trial_record_per_seed(tmp_path):
     path = str(tmp_path / "journal.log")
     j = make_journal(path)
-    j.append_group({"x": 0.5}, [{"t": "trial", "seed": s} for s in (0, 1)], {"t": "group"})
+    j.append_group({"x": 0.5}, 0, 1.0, "tune", None, 1.0, 0.5,
+                   [(s, 0.5, "", 1e-5, None, 1.0) for s in (0, 1)])
     j.close()
     resumed = Journal.open_for_resume(path)
     for seeds in (1, 3):
@@ -267,6 +271,76 @@ def test_runner_rejects_bad_per_call_seeds_before_using_a_group_id(seeds, messag
     res = runner.evaluate_group(Configuration({"x0": 0.5}), 1.0, seeds=[1])
     assert res.group == 0 and res.seeds == (1,)
     assert [t["seed"] for t in runner.journal.of_type("trial")] == [1]
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("budget", {"budget": math.nan}), ("budget", {"budget": True}), ("budget", {"budget": 2}),
+    ("budget", {"budget": 0.0}), ("budget", {"budget": -0.5}), ("budget", {"budget": "1.0"}),
+    ("budget", {"budget": None}), ("purpose", {"purpose": 5}), ("purpose", {"purpose": None}),
+    ("tags", {"tags": {"k": True}}), ("tags", {"tags": {"k": 1.0}}), ("tags", {"tags": {1: 2}}),
+    ("tags", {"tags": [("k", 1)]}),
+], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_a_malformed_request_is_refused_before_any_group_of_its_batch_runs(tmp_path, field, edit):
+    path = tmp_path / "journal.log"
+    runner, _ = sphere_runner(make_journal(str(path)))
+    good = {"config": Configuration({"x0": 0.5}), "budget": 1.0}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        runner.evaluate_many([good, {**good, **edit}])
+    runner.journal.close()
+    assert runner.groups_run == 0 and runner.journal.records == []
+    assert len(path.read_text().splitlines()) == 1  # the header alone
+
+
+class ScriptedCost:
+    """Returns one cost, whatever it is asked."""
+
+    name = "scripted"
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def evaluate(self, config, budget, seed, resume=None):
+        return self.cost, b""
+
+
+@pytest.mark.parametrize("cost, text", [(3, "3.0"), (True, "1.0"), (np.float64(0.1), "0.1")])
+def test_a_custom_cost_is_journaled_and_exported_as_the_float_it_equals(tmp_path, cost, text):
+    path = str(tmp_path / "journal.log")
+    j = make_journal(path)
+    j.header["space_text"] = "x0: (0.0, 1.0)\n"
+    runner = TrialRunner(ScriptedCost(cost), [0, 1], journal=j)
+    res = runner.evaluate_group(Configuration({"x0": 0.5}), 1.0)
+    j.close()
+    assert res.per_seed_cost == [float(cost)] * 2
+    assert all(type(c) is float for c in res.per_seed_cost)
+    lines = open(path, encoding="utf-8").read().splitlines()[1:]
+    assert [json.loads(line)["cost"] for line in lines[:2]] == [float(cost)] * 2
+    assert all(f'"cost": {text}, ' in line for line in lines[:2])
+    assert f'"mean_cost": {text}, ' in lines[2]
+    rows = trials_csv(Journal.load(path)).splitlines()
+    assert [row.split(",")[4] for row in rows[1:]] == [text, text]  # seq, x0, budget, seed, cost
+
+
+def test_a_journal_with_an_int_cost_resumes_to_the_end(tmp_path):
+    # an objective returning 3 once journaled "cost": 3; such a journal
+    # replays, and the groups after it journal 3.0
+    path = str(tmp_path / "journal.log")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({**HEADER, "t": "header"}, sort_keys=True) + "\n")
+    configs = [Configuration({"x0": x}) for x in (0.25, 0.5)]
+    runner = TrialRunner(ScriptedCost(3), [0, 1], journal=Journal.open_for_resume(path))
+    runner.evaluate_group(configs[0], 1.0)
+    runner.journal.close()
+    text = open(path, encoding="utf-8").read()
+    assert text.count('"cost": 3.0, ') == 2
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace('"cost": 3.0, ', '"cost": 3, '))
+    runner = TrialRunner(ScriptedCost(3), [0, 1], journal=Journal.open_for_resume(path))
+    replayed, live = [runner.evaluate_group(cfg, 1.0) for cfg in configs]
+    runner.journal.close()
+    assert replayed.per_seed_cost == live.per_seed_cost == [3.0, 3.0]
+    trials = Journal.load(path).of_type("trial")
+    assert [type(t["cost"]) for t in trials] == [int, int, float, float]
 
 
 def test_a_resumed_runners_first_live_group_id_is_the_replayed_count(tmp_path):

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +11,7 @@ from enum import IntEnum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import autotune.journal as journal_module
@@ -21,7 +20,13 @@ import autotune.pbt as pbt_module
 from autotune.checkpoints import CheckpointPack
 from autotune.gp import GpFitError
 from autotune.journal import Journal, ReplayMismatch
-from autotune.objectives import GridworldQ, NoisySphere, ObjectiveSpec, SeededValley
+from autotune.objectives import (
+    EvaluationError,
+    GridworldQ,
+    NoisySphere,
+    ObjectiveSpec,
+    SeededValley,
+)
 from autotune.pbt import run_pbt
 from autotune.protocol import MethodSpec, SeedPlan
 from autotune.runner import TrialRunner
@@ -140,23 +145,37 @@ def test_a_replayed_record_that_cannot_be_serialised_raises(tmp_path):
 
 
 
-# append_group encodes a group's config once and splices its text into each
-# line; the kept records share one parsed copy
+# append_group builds a group's records from the runner's values and writes
+# them from one template per group, which encodes the config once; the kept
+# records share one parsed copy of it
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
-def _group_records():
-    """What the runner appends for one group, without its config: a trial
-    per seed, then the group."""
-    trials = [
-        {"t": "trial", "group": 0, "budget": 0.5, "seed": seed,
-         "cost": 0.1 * seed, "status": "done", "error": None, "wall_time": 1e-5,
-         "ckpt": None, "frac": 0.5, "purpose": "tune"}
-        for seed in (3, 1, 2)
+def _group_values(**edit) -> dict:
+    """What the runner hands :meth:`Journal.append_group` for one group, bar
+    its config: three seeds that left no checkpoint path."""
+    trials = [(seed, 0.1 * seed, "", 1e-5, None, 0.5) for seed in (3, 1, 2)]
+    return {"group": 0, "budget": 0.5, "purpose": "tune", "tags": None, "spend": 0.5,
+            "mean_cost": 0.2, "trials": trials, **edit}
+
+
+def _expected_records(seq: int, config: dict, values: dict) -> list[dict]:
+    """The records of one group, numbered from ``seq``, that the journal
+    must build from ``values``: a reference written apart from it."""
+    v = values
+    records = [
+        {"t": "trial", "group": v["group"], "budget": v["budget"], "seed": seed, "cost": cost,
+         "status": "done" if cost is not None else "failed", "error": error,
+         "wall_time": wall_time, "ckpt": ckpt, "frac": frac, "purpose": v["purpose"]}
+        for seed, cost, error, wall_time, ckpt, frac in v["trials"]
     ]
-    return trials, {"t": "group", "group": 0, "budget": 0.5, "seeds": [3, 1, 2],
-                    "mean_cost": 0.2, "failed": False, "spend": 0.5, "purpose": "tune"}
+    group = {"t": "group", "group": v["group"], "budget": v["budget"],
+             "seeds": [t[0] for t in v["trials"]], "spend": v["spend"], "purpose": v["purpose"],
+             "mean_cost": v["mean_cost"], "failed": v["mean_cost"] is None}
+    if v["tags"]:
+        group["tags"] = v["tags"]
+    return [{**r, "config": config, "seq": i} for i, r in enumerate([*records, group], start=seq)]
 
 
 def _lines_of(path: str) -> list[str]:
@@ -175,17 +194,23 @@ def _appended(tmp_path, records) -> tuple[Journal, list[str]]:
 
 
 def _appended_groups(tmp_path, groups) -> tuple[Journal, list[str], list[dict]]:
-    """The journal, its lines and the records :meth:`Journal.append` would
-    have taken for ``groups``, each (config, trials, group)."""
+    """The journal, its lines and the records expected of ``groups``, each
+    (config, values)."""
     path = str(tmp_path / "journal.log")
     j = Journal.create(path)
     j.write_header({"method": "x"})
     records = []
-    for config, trials, group in groups:
-        j.append_group(config, trials, group)
-        records += [{**r, "config": config} for r in (*trials, group)]
+    for config, values in groups:
+        j.append_group(config, **values)
+        records += _expected_records(len(records) + 1, config, values)
     j.close()
     return j, _lines_of(path), records
+
+
+def _assert_lines_are_the_encoded_kept_records(j: Journal, lines: list[str]) -> None:
+    assert lines == [_ENCODE(kept) for kept in j.records]
+    for kept, line in zip(j.records, lines):
+        _assert_parsed_form(kept, json.loads(line))
 
 
 @pytest.mark.parametrize("config", [
@@ -196,33 +221,47 @@ def _appended_groups(tmp_path, groups) -> tuple[Journal, list[str], list[dict]]:
     {"config": "null", 'k"ey': '"config": null', "t": "\\"},
 ], ids=range(5))
 def test_a_groups_lines_are_the_encoders_bytes(tmp_path, config):
-    groups = [(config, *_group_records()), (dict(config), *_group_records())]
+    groups = [(config, _group_values()), (dict(config), _group_values(group=1))]
     j, lines, records = _appended_groups(tmp_path, groups)
-    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+    assert lines == [_ENCODE(r) for r in records]
+    _assert_lines_are_the_encoded_kept_records(j, lines)
     # a group's records share one kept config, never the caller's dict
     for first in (0, 4):
         assert all(r["config"] is j.records[first]["config"] for r in j.records[first:first + 4])
     assert j.records[0]["config"] is not config
 
 
+_texts = st.text(alphabet=st.sampled_from('ab é☃"\\\n\x00\ud800/\'{}[]:,'), max_size=8)
+
+
+@st.composite
+def _trials(draw, budget):
+    """One to four ``(seed, cost, error, wall_time, ckpt, frac)`` of the
+    types the runner hands over, ``frac`` the budget or None."""
+    return [
+        (seed, draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)), draw(_texts),
+         draw(st.floats(0, 10)), draw(st.none() | _texts.map(lambda t: f"/runs/{t}.ckpt")),
+         draw(st.sampled_from([budget, None])))
+        for seed in draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(config=st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=5),
-       records=st.lists(_records, min_size=1, max_size=3))
-def test_records_sharing_a_config_write_the_two_step_bytes(config, records):
+       data=st.data())
+def test_records_sharing_a_config_write_the_two_step_bytes(config, data):
+    trials = data.draw(_trials(0.5))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "journal.log")
         j = Journal.create(path)
         j.write_header({"method": "x"})
-        j.append_group(config, records[:-1], records[-1])
+        j.append_group(config, **_group_values(trials=trials))
         j.close()
         lines = _lines_of(path)
-    records = [{**r, "config": config} for r in records]
-    assert lines == [_two_step_line({**r, "seq": i}) for i, r in enumerate(records, start=1)]
+    records = _expected_records(1, config, _group_values(trials=trials))
+    assert lines == [_two_step_line(r) for r in records]
     _mutate(config)
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+    _assert_lines_are_the_encoded_kept_records(j, lines)
 
 
 def test_a_config_whose_value_object_changes_is_encoded_again(tmp_path):
@@ -277,198 +316,245 @@ def test_changing_the_callers_config_after_append_leaves_the_kept_records():
     assert [r["config"] for r in j.records] == [{"layers": 3, "lr": 0.5}] * 2
 
 
-@pytest.mark.parametrize("record", [
-    # a second null "config" at any depth: the splice point is ambiguous
-    {"t": "group", "config": {"x": 0.5}, "tags": {"config": None}},
-    # values of other types than the JSON scalars: containers, float subclasses
-    {"t": "group", "config": {"x": [0.5, 1]}},
-    {"t": "group", "config": {"x": np.float64(0.1)}},
-])
-def test_records_the_memo_cannot_splice_are_encoded_whole(tmp_path, record):
-    rest = {k: v for k, v in record.items() if k != "config"}
-    j, lines, records = _appended_groups(tmp_path, [(record["config"], [rest], rest)] * 2)
-    assert lines == [_ENCODE({**record, "seq": i}) for i in range(1, 5)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+@pytest.mark.parametrize("config", [
+    # a null "config" inside the config; values of other types than the
+    # JSON scalars: containers, float subclasses
+    {"x": 0.5, "tags": {"config": None}},
+    {"x": [0.5, 1]},
+    {"x": np.float64(0.1)},
+], ids=["record0", "record1", "record2"])
+def test_records_the_memo_cannot_splice_are_encoded_whole(tmp_path, config):
+    # the config is encoded whole once per group and its text placed in each line
+    j, lines, records = _appended_groups(tmp_path, [(config, _group_values())] * 2)
+    assert lines == [_ENCODE(r) for r in records]
+    _assert_lines_are_the_encoded_kept_records(j, lines)
+
+
+# a runner's group records: every value the journal takes is of the exact
+# type the runner makes it, and each request or cost that once needed a
+# record encoded whole now fits the template or is refused before it runs
+
+
+class _Scripted:
+    """An objective that returns the cost scripted for each configuration's
+    index and seed, failing where it is None, with the seed as its
+    checkpoint."""
+
+    name = "scripted"
+
+    def __init__(self, costs: list[dict]):
+        self.costs = costs
+
+    def evaluate(self, config, budget, seed, resume=None):
+        cost = self.costs[config["i"]][seed]
+        if cost is None:
+            raise EvaluationError(f'seed {seed} scripted to fail: "é"\\')
+        return cost, b"%d" % seed
+
+
+def _ran(tmp_path, costs: list[dict], requests: list[dict], error=None):
+    """The journal of a runner on seeds 3, 1 and 2 that evaluated
+    ``requests`` as one batch, or raised ``error`` before journaling any
+    group; and its lines, each checked against its kept record."""
+    path = str(tmp_path / "journal.log")
+    runner = TrialRunner(_Scripted(costs), [3, 1, 2], journal=Journal.create(path),
+                         checkpoint_dir=str(tmp_path / "checkpoints"))
+    if error is None:
+        runner.evaluate_many(requests)
+    else:
+        with pytest.raises(error):
+            runner.evaluate_many(requests)
+        assert runner.journal.records == []
+    runner.close()
+    runner.journal.close()
+    lines = _lines_of(path)
+    _assert_lines_are_the_encoded_kept_records(runner.journal, lines)
+    assert Journal.load(path).records == runner.journal.records
+    return runner.journal, lines
 
 
 def test_a_group_whose_tag_holds_a_null_config_writes_the_encoders_bytes(tmp_path):
-    trials, group = _group_records()
-    trials[1]["tags"] = {"config": None}
-    group = {**group, "tags": {"member": 2, "config": None}}
-    config = {"lr": 0.5, "config": None}
-    j, lines, records = _appended_groups(tmp_path, [(config, trials, group)])
-    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
-    assert j.records[-1]["tags"] == {"member": 2, "config": None}
+    costs = [{3: 0.25, 1: 0.5, 2: 1.0}]
+    config = Configuration({"i": 0, "config": None})
+    _ran(tmp_path / "refused", costs, [{"config": config, "budget": 0.5,
+                                        "tags": {"member": 2, "config": None}}], ValueError)
+    j, _ = _ran(tmp_path, costs, [{"config": config, "budget": 0.5, "tags": {"member": 2}}])
+    assert j.records[-1]["tags"] == {"member": 2}
+    assert all(r["config"] == {"config": None, "i": 0} for r in j.records)
 
 
-# a live group's trial records are written from one template per group; any
-# record it does not fit is encoded whole, to the same bytes
-
-_KEYS = ("budget", "ckpt", "cost", "error", "frac", "group", "purpose", "seed", "status", "t",
-         "wall_time")
-_texts = st.text(alphabet=st.sampled_from('ab é☃"\\\n\x00\ud800/\'{}[]:,'), max_size=8)
-
-
-# values the template must turn away, and two it must take
-_EDGES = [math.nan, math.inf, -math.inf, True, False, np.float64(0.5), IntEnum("E", "a").a,
-          type("Text", (str,), {})("a"), [1], -0.0, 'é"\\']
-_edges = st.sampled_from(_EDGES)
-
-
-@st.composite
-def _runner_groups(draw):
-    """A config and the trial records of one group as the runner builds them
-    (one ``budget``, ``group`` and ``purpose`` object for the group, ``frac``
-    its budget or None), where in half of the groups one trial differs in one
-    way: a value of any type (another budget object among them), or a key
-    missing or added."""
-    budget = draw(st.sampled_from([0.25, 1.0, 0.1 + 0.2, 1e-05]) | st.floats(1e-6, 1.0))
-    group, purpose = draw(st.integers(0, 10**6)), draw(st.sampled_from(["tune", "test"]) | _texts)
-    trials = [
-        {"t": "trial", "group": group, "budget": budget, "purpose": purpose, "seed": seed,
-         "cost": draw(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
-                                st.integers())),
-         "status": draw(st.sampled_from(["done", "failed"]) | _texts),
-         "error": draw(st.one_of(st.none(), st.just(""), _texts)),
-         "wall_time": draw(st.floats(0, 10)),
-         "ckpt": draw(st.none() | _texts.map(lambda t: f"/runs/{t}.ckpt")),
-         "frac": draw(st.sampled_from([budget, None]))}
-        for seed in range(draw(st.integers(1, 5)))
-    ]
-    if draw(st.booleans()):
-        trial, key = draw(st.sampled_from(trials)), draw(st.sampled_from(_KEYS))
-        how = draw(st.sampled_from(["value", "missing", "added"]))
-        if how == "value":
-            trial[key] = draw(_edges | _values | st.just(pickle.loads(pickle.dumps(trial[key]))))
-        elif how == "missing":
-            del trial[key]
-        else:
-            trial[draw(_texts)] = draw(_values)
-    config = draw(st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=4))
-    group_rec = {"t": "group", "group": group, "budget": budget, "seeds": list(range(len(trials))),
-                 "purpose": purpose, "failed": False}
-    return config, trials, group_rec
-
-
-@settings(max_examples=200, deadline=None)
-@given(groups=st.lists(_runner_groups(), min_size=1, max_size=3))
-def test_runner_shaped_trial_records_write_the_encoders_bytes(groups):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "journal.log")
-        j = Journal.create(path)
-        j.write_header({"method": "x"})
-        records = []
-        for config, trials, group in groups:
-            j.append_group(config, trials, group)
-            records += [{**r, "config": config} for r in (*trials, group)]
-        j.close()
-        lines = _lines_of(path)
-    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+# costs that once made a trial record the template turned away, each with
+# the cost its trial records now
+_EDGES = [(math.nan, None), (math.inf, None), (-math.inf, None), (True, 1.0), (False, 0.0),
+          (np.float64(0.5), 0.5), (IntEnum("E", "a").a, 1.0),
+          (type("Text", (str,), {})("a"), None), ([1], None), (-0.0, -0.0), ('é"\\', None)]
 
 
 def test_a_trial_off_the_runners_shape_in_one_way_writes_the_encoders_bytes(tmp_path):
-    groups = []
-    for key in _KEYS:
-        for value in [*_EDGES, ...]:  # ... drops the key
-            trials, group = _group_records()
-            if value is ...:
-                del trials[1][key]
-            else:
-                trials[1][key] = value
-            groups.append(({"lr": 0.5}, trials, group))
-    trials, group = _group_records()
-    trials[1]["extra"] = None
-    groups.append(({"lr": 0.5}, trials, group))
-    j, lines, records = _appended_groups(tmp_path, groups)
-    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+    costs = [{3: 0.25, 1: edge, 2: None} for edge, _ in _EDGES]
+    requests = [{"config": Configuration({"i": i}), "budget": 0.5} for i in range(len(costs))]
+    j, _ = _ran(tmp_path, costs, requests)
+    middle = j.of_type("trial")[1::3]
+    assert [repr(t["cost"]) for t in middle] == [repr(cost) for _, cost in _EDGES]
+    assert [(t["status"], t["error"]) for t in middle if t["cost"] is None] == [
+        ("failed", f"non-finite cost {edge!r}") for edge, cost in _EDGES if cost is None
+    ]
 
 
-# a group record is written from one template per group; any record the
-# template does not fit is encoded whole, to the same bytes
-
-_GROUP_FITS = {
-    "as-is": {},
-    "tags": {"tags": {"rung": 2, "bracket": -1, "é☃": 2**70}},
-    "empty-tags": {"tags": {}},
-    "failed": {"failed": True, "mean_cost": None},
-    "no-seeds": {"seeds": []},
-    "str-group": {"group": "g0", "purpose": 'a "quoted" ☃'},
-}
-_GROUP_MISFITS = {
-    "extra-key": {"extra": 1},
-    "missing-key": {"spend": ...},
-    "config-key": {"config": None},
-    "nested-tag": {"tags": {"rung": {"k": 1}}},
-    "float-tag": {"tags": {"rung": 1.0}},
-    "bool-tag": {"tags": {"rung": True}},
-    "str-tag": {"tags": {"member": "a"}},
-    "int-key-tag": {"tags": {1: 2}},
-    "none-tags": {"tags": None},
-    "nan-mean": {"mean_cost": math.nan},
-    "inf-mean": {"mean_cost": math.inf},
-    "np-mean": {"mean_cost": np.float64(0.2)},
-    "tuple-seeds": {"seeds": (3, 1, 2)},
-    "bool-seed": {"seeds": [True, 1, 2]},
-    "int-failed": {"failed": 0},
+# each edit to a group record the template once turned away, as a request or
+# an objective meets it now: a record that fits, or a refusal before any run
+_GROUP_CASES = {
+    "as-is": ({}, None),
+    "tags": ({"tags": {"rung": 2, "bracket": -1, "é☃": 2**70}}, None),
+    "empty-tags": ({"tags": {}}, None),
+    "none-tags": ({"tags": None}, None),
+    "failed": ({}, {1: None}),
+    "nan-mean": ({}, {1: math.nan}),  # a NaN cost fails its trial: the mean is null
+    "inf-mean": ({}, {3: 1.7e308, 1: 1.7e308}),  # finite costs whose sum overflows
+    "np-mean": ({}, {3: np.float64(0.1), 1: np.float64(0.2), 2: np.float64(0.3)}),
+    "config-key": ({"config": Configuration({"i": 0, "config": None})}, None),
+    "tuple-seeds": ({"seeds": (3, 1, 2)}, None),
+    "no-seeds": ({"seeds": []}, ValueError),
+    "bool-seed": ({"seeds": [True, 1, 2]}, ValueError),  # True is seed 1
+    "nested-tag": ({"tags": {"rung": {"k": 1}}}, ValueError),
+    "float-tag": ({"tags": {"rung": 1.0}}, ValueError),
+    "bool-tag": ({"tags": {"rung": True}}, ValueError),
+    "str-tag": ({"tags": {"member": "a"}}, ValueError),
+    "int-key-tag": ({"tags": {1: 2}}, ValueError),
+    # the runner derives a group's id, spend and failed flag; a request names none
+    "str-group": ({"group": "g0"}, TypeError),
+    "int-failed": ({"failed": 0}, TypeError),
+    "extra-key": ({"extra": 1}, TypeError),
+    "missing-key": ({"budget": ...}, TypeError),
 }
 
 
-def _edited_group(edit: dict) -> dict:
-    _, group = _group_records()
-    group.update(edit)
-    return {k: v for k, v in group.items() if v is not ...}
-
-
-@pytest.mark.parametrize("edit", [*_GROUP_FITS.values(), *_GROUP_MISFITS.values()],
-                         ids=[*_GROUP_FITS, *_GROUP_MISFITS])
-def test_a_group_record_writes_the_encoders_bytes(tmp_path, monkeypatch, edit):
+@pytest.mark.parametrize("edit, outcome", _GROUP_CASES.values(), ids=_GROUP_CASES)
+def test_a_group_record_writes_the_encoders_bytes(tmp_path, monkeypatch, edit, outcome):
     encoded = []
     real = journal_module._encode
     monkeypatch.setattr(journal_module, "_encode", lambda v: encoded.append(v) or real(v))
-    group = _edited_group(edit)
-    trials, _ = _group_records()
-    config = {"lr": 0.5, "name": "gélu"}
-    j, lines, records = _appended_groups(tmp_path, [(config, trials, group)] * 2)
-    assert lines == [_ENCODE({**r, "seq": i}) for i, r in enumerate(records, start=1)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+    costs = {3: 0.25, 1: 0.5, 2: 1.0, **(outcome if isinstance(outcome, dict) else {})}
+    request = {"config": Configuration({"i": 0, "name": "gélu"}), "budget": 0.5, **edit}
+    request = {k: v for k, v in request.items() if v is not ...}
+    error = outcome if isinstance(outcome, type) else None
+    j, lines = _ran(tmp_path, [costs], [request] * 2, error)
+    header = {"method": "adhoc", "t": "header"}
+    if error is not None:
+        assert lines == [] and encoded == [header]
+        return
+    groups = j.of_type("group")
+    assert len(lines) == 8 and [g["seeds"] for g in groups] == [[3, 1, 2]] * 2
     assert all(r["config"] is j.records[0]["config"] for r in j.records[:4])
-    # the template encodes nothing but each group's config
-    fits = edit in _GROUP_FITS.values()
-    assert (encoded == [{"method": "x"} | {"t": "header"}, config, config]) is fits
-
-
-_group_fields = st.fixed_dictionaries(
-    {"t": st.just("group") | _texts, "group": st.integers(), "budget": _floats | st.integers(),
-     "seeds": st.lists(st.integers(), max_size=5), "spend": _floats,
-     "purpose": st.sampled_from(["tune", "test"]) | _texts,
-     "mean_cost": st.none() | _floats, "failed": st.booleans()},
-    optional={"tags": st.dictionaries(_texts, st.integers(), max_size=3) | _values},
-)
+    assert all(g["failed"] is (g["mean_cost"] is None) for g in groups)
+    # the template encodes nothing but each group's config, and an infinite
+    # mean cost, whose text is the encoder's
+    mean = groups[0]["mean_cost"]
+    extra = [] if mean is None or math.isfinite(mean) else [mean]
+    assert encoded == [header, *([request["config"].values, *extra] * 2)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=st.dictionaries(st.text(max_size=6), _scalars, min_size=1, max_size=4),
-       group=_group_fields)
-def test_runner_shaped_group_records_write_the_encoders_bytes(config, group):
+@given(group=st.integers(0, 2**40), budget=st.floats(1e-9, 1.0), purpose=_texts,
+       tags=st.none() | st.dictionaries(_texts, st.integers(), max_size=3),
+       spend=_floats, mean_cost=st.none() | _floats, data=st.data())
+def test_runner_shaped_group_records_write_the_encoders_bytes(group, budget, purpose, tags,
+                                                              spend, mean_cost, data):
+    values = {"group": group, "budget": budget, "purpose": purpose, "tags": tags,
+              "spend": spend, "mean_cost": mean_cost, "trials": data.draw(_trials(budget))}
+    config = {"lr": 0.5, "name": '"config": null'}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "journal.log")
         j = Journal.create(path)
         j.write_header({"method": "x"})
-        j.append_group(config, [], group)
-        j.append_group(config, [], group)
+        j.append_group(config, **values)
+        j.append_group(config, **values)
         j.close()
         lines = _lines_of(path)
-    assert lines == [_ENCODE({**group, "config": config, "seq": i}) for i in (1, 2)]
-    for kept, line in zip(j.records, lines):
-        _assert_parsed_form(kept, json.loads(line))
+    records = _expected_records(1, config, values)
+    records += _expected_records(len(records) + 1, config, values)
+    assert lines == [_ENCODE(r) for r in records]
+    _assert_lines_are_the_encoded_kept_records(j, lines)
+
+
+# all finite: two of the largest overflow a mean, the smallest underflows it
+_costs = st.none() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.25, 3, True, np.float64(0.1)]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _planned_runs(draw):
+    """Seeds, the groups of a run in order, whether it packs checkpoints and
+    the number of groups a cut journal keeps."""
+    seeds = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=4, unique=True))
+    groups = [
+        {"costs": {seed: draw(_costs) for seed in seeds},
+         "name": draw(st.just('"config": null') | _texts),
+         "budget": draw(st.sampled_from([1, 1.0, 0.5, 0.1 + 0.2, 5e-324]) | st.floats(1e-9, 1.0)),
+         "purpose": draw(st.sampled_from(["tune", "test", "naïve ☃", ""]) | _texts),
+         "tags": draw(st.none() | st.dictionaries(_texts, st.integers(-2**70, 2**70), max_size=3)),
+         "resume": i > 0 and draw(st.booleans())}  # from the checkpoints of the group before
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    return seeds, groups, draw(st.booleans()), draw(st.integers(0, len(groups)))
+
+
+def _without_wall_time(lines: list[str]) -> list[str]:
+    return [json.dumps({**json.loads(line), "wall_time": 0}, sort_keys=True) for line in lines]
+
+
+_OVERFLOWING = [  # finite costs whose means are +inf and -inf
+    {"costs": {0: 1.7e308, 1: 1.7e308}, "name": '"config": null', "budget": 0.5,
+     "purpose": "tune", "tags": {"rung": 0}, "resume": False},
+    {"costs": {0: -1.7e308, 1: -1.7e308}, "name": "x", "budget": 1, "purpose": "naïve ☃",
+     "tags": None, "resume": True},
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=_planned_runs())
+@example(plan=([0, 1], _OVERFLOWING, True, 1))
+@example(plan=([0, 1], _OVERFLOWING, False, 0))
+def test_runner_shaped_trial_records_write_the_encoders_bytes(plan):
+    # the runner itself: every line is the encoding of its kept record, and
+    # the run replays whole and resumes from a cut after any group
+    seeds, groups, packed, cut = plan
+    objective = _Scripted([g["costs"] for g in groups])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "journal.log")
+        checkpoint_dir = os.path.join(tmp, "checkpoints") if packed else None
+
+        def run(journal):
+            runner = TrialRunner(objective, seeds, journal=journal, checkpoint_dir=checkpoint_dir)
+            results = []
+            for i, g in enumerate(groups):
+                config = Configuration({"config": None, "i": i, "name": g["name"]})
+                resume = results[-1].checkpoints if g["resume"] else None
+                results.append(runner.evaluate_group(config, g["budget"], purpose=g["purpose"],
+                                                     resume=resume, tags=g["tags"]))
+            runner.close()
+            journal.close()
+            return journal, [r.per_seed_cost for r in results]
+
+        whole, costs = run(Journal.create(path))
+        lines = _lines_of(path)
+        _assert_lines_are_the_encoded_kept_records(whole, lines)
+        assert all(type(c) in (float, type(None)) for cs in costs for c in cs)
+        # replayed whole, the run writes nothing; cut after a group, it
+        # writes what the uninterrupted run wrote, bar wall time
+        replayed, replayed_costs = run(Journal.open_for_resume(path))
+        assert not replayed.replaying and _lines_of(path) == lines
+        assert replayed_costs == costs
+        ends = [i for i, r in enumerate(whole.records, start=1) if r["t"] == "group"]
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "".join(line + "\n" for line in lines[:ends[cut - 1] if cut else 0]))
+        resumed, resumed_costs = run(Journal.open_for_resume(path))
+        assert resumed_costs == costs
+        assert _without_wall_time(_lines_of(path)) == _without_wall_time(lines)
+        _assert_lines_are_the_encoded_kept_records(resumed, _lines_of(path))
 
 
 def test_a_live_valley_run_writes_one_pack_write_per_group(tmp_path, monkeypatch):
@@ -594,8 +680,8 @@ def _counted(tmp_path) -> tuple[Journal, _CountingFile]:
 
 def test_a_group_of_trials_is_flushed_once(tmp_path):
     j, counting = _counted(tmp_path)
-    trials = [{"t": "trial", "group": 0, "seed": seed} for seed in range(5)]
-    j.append_group({"lr": 0.5}, trials, {"t": "group", "group": 0})
+    trials = [(seed, 0.5, "", 1e-5, None, 0.5) for seed in range(5)]
+    j.append_group({"lr": 0.5}, **_group_values(trials=trials))
     assert counting.flushes == 1
     j.append({"t": "exploit", "interval": 1})
     assert counting.flushes == 2
@@ -618,9 +704,9 @@ def test_append_group_while_replaying_raises_and_writes_nothing(tmp_path):
     j = Journal.open_for_resume(path)
     records = list(j.records)
     with pytest.raises(ReplayMismatch, match="diverged on group 0: seed=0 recorded vs 1 requested"):
-        j.append_group(_CONFIG, [{"t": "trial", "group": 0, "seed": 1}], {"t": "group", "group": 0})
+        j.append_group(_CONFIG, **_group_values(trials=[(1, *_TRIAL[1:])]))
     assert len(j._pending) == len(records)  # a mismatch consumes nothing
-    j.append_group(_CONFIG, [{"t": "trial", "group": 0, "seed": 0}], {"t": "group", "group": 0})
+    j.append_group(_CONFIG, **_group_values(trials=[_TRIAL]))
     assert list(j._pending) == records[2:]
     j.close()
     assert j.records == records
@@ -656,13 +742,14 @@ def test_a_kill_before_the_group_record_resumes_to_the_groups_before_it(tmp_path
 
 
 _CONFIG = {"lr": 0.5}
+_TRIAL = (0, 0.5, "", 1e-5, None, 0.5)  # one seed's (seed, cost, error, wall_time, ckpt, frac)
 
 
 def _written_journal(path: str, n: int) -> None:
     j = Journal.create(path)
     j.write_header({"method": "x"})
     for g in range(n):
-        j.append_group(_CONFIG, [{"t": "trial", "group": g, "seed": 0}], {"t": "group", "group": g})
+        j.append_group(_CONFIG, **_group_values(group=g, trials=[_TRIAL]))
     j.close()
 
 
@@ -685,9 +772,10 @@ def test_resume_of_an_intact_journal_reads_it_once_and_rewrites_nothing(tmp_path
     j = Journal.open_for_resume(path)
     assert modes == ["r", "a"]
     for g in range(3):
-        trial = {"t": "trial", "group": g, "seed": 0}
-        assert j.take_group_if_pending(1) == [{**trial, "config": _CONFIG, "seq": 2 * g + 1}]
-        j.append_group(_CONFIG, [trial], {"t": "group", "group": g})
+        values = _group_values(group=g, trials=[_TRIAL])
+        trial, _ = _expected_records(2 * g + 1, _CONFIG, values)
+        assert j.take_group_if_pending(1) == [trial]
+        j.append_group(_CONFIG, **values)
     assert not j.replaying and j.take_group_if_pending(1) is None
     j.close()
     assert open(path, "rb").read() == before

@@ -1,5 +1,6 @@
-"""Rules the code base keeps as a whole: ``src/`` imports no scipy, and a
-test that leaves a journal line the journal never writes fails."""
+"""Rules the code base keeps as a whole: ``src/`` imports no scipy, only
+the runner hands the journal a group, and a test that leaves a journal line
+the journal never writes fails."""
 import ast
 import pathlib
 
@@ -21,6 +22,25 @@ def test_src_imports_no_scipy():
                 continue
             found += [f"{path}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_only_the_runners_commit_names_append_group():
+    # Journal.append_group takes the runner's values as the exact types
+    # TrialRunner._commit makes them, with no fallback for others
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if "append_group" in (getattr(child, "attr", None), getattr(child, "id", None)):
+                found.append(where)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}")
+            else:
+                visit(child, where)
+
+    for path in sorted((TESTS.parent / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    assert found == ["runner.TrialRunner._commit"]
 
 
 def test_a_journal_line_with_reordered_keys_fails_its_test(pytester):
